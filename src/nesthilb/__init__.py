@@ -1,6 +1,6 @@
 """Exact tangent spaces, resolutions and strata for nested Hilbert schemes of points."""
 
-from .linalg import DEFAULT_PRIME, FieldSpec, Mat, QQ, kernel_basis, rank, solve
+from .linalg import DEFAULT_PRIME, FieldSpec, Mat, QQ
 from .ring import (HomogeneousElement, RingCtx, dim_graded_piece, mult_map,
                    variable_action_matrices)
 from .ideals import (FiniteGradedModule, HilbertFunction, HomogeneousIdeal,
@@ -23,7 +23,7 @@ from .parsing import parse_ideal_spec, parse_nesting_spec, parse_polynomial
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_PRIME", "FieldSpec", "Mat", "QQ", "kernel_basis", "rank", "solve",
+    "DEFAULT_PRIME", "FieldSpec", "Mat", "QQ",
     "HomogeneousElement", "RingCtx", "dim_graded_piece", "mult_map",
     "variable_action_matrices",
     "FiniteGradedModule", "HilbertFunction", "HomogeneousIdeal", "Nesting",

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .linalg import DEFAULT_PRIME, FieldSpec
 from .parsing import parse_ideal_spec, parse_nesting_spec
@@ -23,25 +22,6 @@ from .tangent import sandwich_identity_check, tnt_check
 from .verify import FIXTURES, VerifyConfig, run_verify
 
 THREADS_ENV = "NESTHILB_THREADS"
-
-
-@dataclass(frozen=True)
-class JobConfig:
-    """One run's knobs; identical configs and inputs give identical outputs
-    (census elapsed_ms timings excepted)."""
-
-    fld: FieldSpec
-    seed: int = 0
-    threads: int = 1
-    cutoff: int | None = None
-    store_path: str | None = None
-
-
-def job_config(args) -> JobConfig:
-    return JobConfig(fld=_field(args), seed=args.seed,
-                     threads=max(1, int(os.environ.get(THREADS_ENV, "1"))),
-                     cutoff=getattr(args, "cutoff", None),
-                     store_path=getattr(args, "store", None))
 
 
 def _field(args) -> FieldSpec:
@@ -151,10 +131,11 @@ def cmd_gap(args) -> int:
 
 
 def cmd_census(args) -> int:
-    cfg = job_config(args)
+    fld = _field(args)
+    threads = max(1, int(os.environ.get(THREADS_ENV, "1")))
     produced = 0
-    for rec in census((args.nmin, args.nmax), fld=cfg.fld, seed=cfg.seed,
-                      store_path=cfg.store_path, threads=cfg.threads):
+    for rec in census((args.nmin, args.nmax), fld=fld, seed=args.seed,
+                      store_path=args.store, threads=threads):
         produced += 1
         if not args.json:
             t = f" t(-1)={rec.t_minus_one} tnt={rec.tnt}" if rec.tnt else ""
@@ -164,7 +145,7 @@ def cmd_census(args) -> int:
             print(json.dumps(rec.to_json(), sort_keys=True))
     if args.csv:
         with open(args.csv, "w") as fh:
-            fh.write(census_csv(args.store, cfg.fld.label, cfg.seed))
+            fh.write(census_csv(args.store, fld.label, args.seed))
     if not args.json:
         print(f"{produced} new records"
               + (f" appended to {args.store}" if args.store else ""))
@@ -283,6 +264,8 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=cmd_verify)
 
     args = parser.parse_args(argv)
+    if args.command == "census" and args.csv and not args.store:
+        parser.error("census --csv exports the store: pass --store as well")
     return args.fn(args)
 
 

@@ -208,10 +208,7 @@ class HomogeneousIdeal:
             basis, piv = self.basis_at(d)
         except CutoffTooSmall:
             raise CutoffTooSmall(f"element degree {d} beyond cutoff {self.cutoff}")
-        row = Mat(self.fld, 1, self.ctx.dim(d), rows=[f.row()]) if self.fld.is_rational \
-            else Mat.from_entries(self.fld, 1, self.ctx.dim(d),
-                                  ((0, j, v) for j, v in f.coeffs.items()))
-        return _rows_in_span(row, basis, piv)
+        return _rows_in_span(_rows_matrix(self.ctx, self.fld, [f], d), basis, piv)
 
     def equals(self, other: "HomogeneousIdeal") -> bool:
         return self.contains(other) and other.contains(self)
@@ -313,14 +310,9 @@ def ideal_from_generators(ctx: RingCtx, fld: FieldSpec,
 
 def _rows_matrix(ctx: RingCtx, fld: FieldSpec,
                  elements: list[HomogeneousElement], d: int) -> Mat:
-    n = ctx.dim(d)
-    if fld.is_rational:
-        return Mat(fld, len(elements), n, rows=[g.row() for g in elements])
-    entries = []
-    for i, g in enumerate(elements):
-        for j, v in g.coeffs.items():
-            entries.append((i, j, v))
-    return Mat.from_entries(fld, len(elements), n, entries)
+    return Mat.from_entries(fld, len(elements), ctx.dim(d),
+                            ((i, j, v) for i, g in enumerate(elements)
+                             for j, v in g.coeffs.items()))
 
 
 def zero_ideal(ctx: RingCtx, fld: FieldSpec, cutoff: int) -> HomogeneousIdeal:
@@ -535,7 +527,6 @@ class FiniteGradedModule:
     hi: int
     dims: list[int]
     actions: list[list[Mat]]
-    labels: list[list[str]] | None = None
 
     def dim(self, d: int) -> int:
         if self.lo <= d <= self.hi:
@@ -546,9 +537,6 @@ class FiniteGradedModule:
         if self.lo <= d < self.hi:
             return self.actions[d - self.lo][j]
         return Mat.zeros(self.fld, self.dim(d), self.dim(d + 1))
-
-    def total_dim(self) -> int:
-        return sum(self.dims)
 
     def commutation_residuals(self) -> list[Mat]:
         """x_i then x_j minus x_j then x_i, for all pairs and degrees."""
@@ -597,10 +585,7 @@ def subquotient_module(a: HomogeneousIdeal, b: HomogeneousIdeal,
             lifted = scatter_rows(ctx, structs[d].lift, j, d)
             row_mats.append(structs[d + 1].project_rows(lifted))
         actions.append(row_mats)
-    monos = {d: a.ctx.monomials(d) for d in range(lo, hi + 1)}
-    labels = [[ctx.mono_str(monos[d][p]) for p in structs[d].c_piv]
-              for d in range(lo, hi + 1)]
-    return FiniteGradedModule(ctx, fld, lo, hi, dims, actions, labels)
+    return FiniteGradedModule(ctx, fld, lo, hi, dims, actions)
 
 
 def quotient_module(i: HomogeneousIdeal, hi: int | None = None) -> FiniteGradedModule:

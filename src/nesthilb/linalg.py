@@ -40,8 +40,9 @@ class FieldSpec:
 
     def __post_init__(self):
         if self.p is not None:
-            if self.p < 2 or self.p >= (1 << 62):
-                raise LinalgError(f"modulus out of range: {self.p}")
+            # the dense backend multiplies through float64, exact only below 2^53
+            if self.p < 2 or self.p * self.p >= (1 << 53):
+                raise LinalgError(f"modulus out of range (need 2 <= p, p^2 < 2^53): {self.p}")
             if not _is_prime(self.p):
                 raise LinalgError(f"modulus must be prime: {self.p}")
 
@@ -105,8 +106,9 @@ class Mat:
     """Immutable-by-convention exact matrix over a :class:`FieldSpec`.
 
     Rational data lives in ``self.rows`` (list of ``{col: mpq}``), prime-field
-    data in ``self.arr`` (2-d int64 ndarray).  Do not mutate after handing a
-    matrix to other code.
+    data in ``self.arr`` (2-d int64 ndarray).  The storage format is private to
+    this module: other code reads entries through ``row_items``/``to_lists``.
+    Do not mutate after handing a matrix to other code.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows", "arr")
@@ -244,6 +246,12 @@ class Mat:
             out[:, list(dest)] = self.arr[:, list(src)]
         return Mat(self.field, self.nrows, dest_width, arr=out)
 
+    def row_items(self, i: int) -> dict[int, object]:
+        """The nonzero entries {col: value} of row i."""
+        if self.field.is_rational:
+            return dict(self.rows[i])
+        return {int(j): int(self.arr[i, j]) for j in np.flatnonzero(self.arr[i])}
+
     def is_zero(self) -> bool:
         if self.field.is_rational:
             return all(not r for r in self.rows)
@@ -252,8 +260,9 @@ class Mat:
     def to_lists(self) -> list[list]:
         out = []
         if self.field.is_rational:
+            zero = mpq(0)
             for r in self.rows:
-                out.append([r.get(j, mpq(0)) for j in range(self.ncols)])
+                out.append([r.get(j, zero) for j in range(self.ncols)])
         else:
             out = [[int(v) for v in row] for row in self.arr]
         return out
@@ -598,21 +607,3 @@ def left_mul_vecrows(p: Mat, rows_inner: int, cols_inner: int, t: Mat) -> Mat:
     y = _matmul_mod(t.arr, x, p.field.p)
     out = y.reshape(t.nrows, q, cols_inner).transpose(1, 0, 2).reshape(q, out_cols)
     return Mat(p.field, q, out_cols, arr=np.ascontiguousarray(out))
-
-
-# ------------------------------------------------------------- module-level ops
-
-
-def rank(m: Mat) -> int:
-    """Exact rank over the matrix's field."""
-    return m.rank()
-
-
-def kernel_basis(m: Mat) -> Mat:
-    """Canonical (reduced echelon) basis of the right kernel, as rows."""
-    return m.kernel_basis()
-
-
-def solve(m: Mat, b: Sequence) -> list | None:
-    """Particular solution with free variables set to zero, or None."""
-    return m.solve(b)

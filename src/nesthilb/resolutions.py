@@ -45,16 +45,8 @@ def minimal_generators(ideal: HomogeneousIdeal) -> list[tuple[int, HomogeneousEl
         prevset = set(prev_piv)
         for i, p in enumerate(piv):
             if p not in prevset:
-                row = basis.take_rows([i])
-                coeffs = _row_to_coeffs(row)
-                out.append((d, HomogeneousElement(ctx, fld, d, coeffs)))
+                out.append((d, HomogeneousElement(ctx, fld, d, basis.row_items(i))))
     return out
-
-
-def _row_to_coeffs(row: Mat) -> dict[int, object]:
-    if row.field.is_rational:
-        return dict(row.rows[0])
-    return {int(j): int(v) for j, v in enumerate(row.arr[0]) if v}
 
 
 @dataclass
@@ -68,9 +60,6 @@ class BettiTable:
 
     def projective_dimension(self) -> int:
         return max((i for (i, _), b in self.betti.items() if b), default=0)
-
-    def column(self, i: int) -> dict[int, int]:
-        return {j: b for (ii, j), b in self.betti.items() if ii == i and b}
 
     def quotient_betti(self) -> dict[tuple[int, int], int]:
         out = {(0, 0): 1}
@@ -212,9 +201,8 @@ def _syzygy_step(ctx: RingCtx, fld, gens: _FreeGens, top: int
             counts[c] = len(fresh)
             offs = _free_offsets(ctx, gens.degrees, c)
             for i in fresh:
-                row = kernel.take_rows([i])
                 comp_rows: list[dict[int, object]] = []
-                flat = _row_to_coeffs(row)
+                flat = kernel.row_items(i)
                 for l, dg in enumerate(gens.degrees):
                     w = ctx.dim(c - dg)
                     comp_rows.append({k - offs[l]: v for k, v in flat.items()

@@ -157,9 +157,6 @@ class HomogeneousElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def row(self) -> dict[int, object]:
-        return dict(self.coeffs)
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -247,18 +244,7 @@ def variable_action_matrices(ctx: RingCtx, fld: FieldSpec, d: int) -> list[Mat]:
 
 def scatter_rows(ctx: RingCtx, m: Mat, j: int, d: int) -> Mat:
     """Multiply each row of m (coordinates in R_d) by x_j, landing in R_{d+1}."""
-    idx = ctx.mult_index(j, d)
-    fld = m.field
-    tdim = ctx.dim(d + 1)
-    if fld.is_rational:
-        rows = [{idx[c]: v for c, v in r.items()} for r in m.rows]
-        return Mat(fld, m.nrows, tdim, rows=rows)
-    import numpy as np
-
-    out = np.zeros((m.nrows, tdim), dtype=np.int64)
-    if m.ncols:
-        out[:, idx] = m.arr
-    return Mat(fld, m.nrows, tdim, arr=out)
+    return m.remap_cols(ctx.dim(d + 1), list(enumerate(ctx.mult_index(j, d))))
 
 
 def diff_matrix(ctx: RingCtx, fld: FieldSpec, j: int, d: int) -> Mat:

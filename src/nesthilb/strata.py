@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -326,49 +327,40 @@ def census(n_range: tuple[int, int], fld: FieldSpec | None = None, seed: int = 0
            store_path: str | None = None, threads: int = 1, progress=None):
     """Stream census records over the (n, s) grid with s = 0..n, resumably.
 
-    Existing (n, s, field, seed) keys in the JSONL store are not recomputed.
+    Existing (n, s, field, seed) keys in the JSONL store are not recomputed;
+    a torn final line, left by an interrupted append, is cut off first.
     Records are appended and yielded in grid order regardless of the worker
     count; the store has a single writer.
     """
     fld = fld or FieldSpec.prime(DEFAULT_PRIME)
     done = set()
     if store_path and os.path.exists(store_path):
-        with open(store_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+        with open(store_path, "rb+") as fh:
+            data = fh.read()
+            whole = data.rfind(b"\n") + 1
+            if whole < len(data):
+                fh.truncate(whole)
+        for line in data[:whole].decode().splitlines():
+            if line.strip():
                 rec = json.loads(line)
                 done.add((rec["n"], rec["s"], rec["field"], rec["seed"]))
     cells = [(n, s) for n in range(n_range[0], n_range[1] + 1)
              for s in range(0, n + 1) if (n, s, fld.label, seed) not in done]
     out = open(store_path, "a") if store_path else None
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     i2_cache: dict = {}
     try:
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                records = pool.map(
-                    lambda cell: _census_cell(cell[0], cell[1], fld, seed, i2_cache),
-                    cells)
-                for rec in records:
-                    if out:
-                        out.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
-                        out.flush()
-                    if progress:
-                        progress(rec)
-                    yield rec
-        else:
-            for n, s in cells:
-                rec = _census_cell(n, s, fld, seed, i2_cache)
-                if out:
-                    out.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
-                    out.flush()
-                if progress:
-                    progress(rec)
-                yield rec
+        for rec in (pool.map if pool else map)(
+                lambda cell: _census_cell(cell[0], cell[1], fld, seed, i2_cache), cells):
+            if out:
+                out.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
+                out.flush()
+            if progress:
+                progress(rec)
+            yield rec
     finally:
+        if pool:
+            pool.shutdown()
         if out:
             out.close()
 

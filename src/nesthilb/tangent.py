@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 from .ideals import (FiniteGradedModule, HomogeneousIdeal, Nesting, NotMPrimary,
                      power_of_max_ideal, subquotient_module, zero_ideal)
 from .linalg import FieldSpec, Mat, left_mul_vecrows, right_mul_vecrows
-from .ring import RingCtx, diff_matrix, scatter_rows
+from .ring import HomogeneousElement, diff_matrix, mult_map, scatter_rows
 
 
 class TangentError(RuntimeError):
@@ -34,7 +34,23 @@ class NotStrictlySandwiched(ValueError):
 # ----------------------------------------------------------------- carriers
 
 
-class IdealSource:
+class _Source:
+    """Degreewise carrier with variable actions; subclasses set ctx, fld, lo,
+    dim, act and the ``_estruct`` cache."""
+
+    def e_struct(self, d: int) -> tuple[Mat, list[int], Mat]:
+        """Echelon form of the stacked x_j actions out of degree d, with its
+        transform: the rows past the pivots are the multiplication relations."""
+        st = self._estruct.get(d)
+        if st is None:
+            e = Mat.vstack(self.fld, [self.act(j, d) for j in range(self.ctx.n)],
+                           self.dim(d + 1))
+            st = e.rref_with_transform()
+            self._estruct[d] = st
+        return st
+
+
+class IdealSource(_Source):
     """Degreewise carrier of a (truncated) ideal with variable actions."""
 
     def __init__(self, ideal: HomogeneousIdeal):
@@ -42,6 +58,7 @@ class IdealSource:
         self.ctx = ideal.ctx
         self.fld = ideal.fld
         self.lo = ideal.order if ideal.order is not None else 0
+        self._estruct = ideal._estruct  # shared by every source over this ideal
 
     def dim(self, d: int) -> int:
         return self.ideal.dim_at(d)
@@ -49,20 +66,11 @@ class IdealSource:
     def act(self, j: int, d: int) -> Mat:
         return self.ideal.action(j, d)
 
-    def e_struct(self, d: int) -> tuple[Mat, list[int], Mat]:
-        st = self.ideal._estruct.get(d)
-        if st is None:
-            e = Mat.vstack(self.fld, [self.act(j, d) for j in range(self.ctx.n)],
-                           self.dim(d + 1))
-            st = e.rref_with_transform()
-            self.ideal._estruct[d] = st
-        return st
-
     def gen_top(self) -> int:
         return self.ideal.max_gen_degree
 
 
-class ModuleSource:
+class ModuleSource(_Source):
     """Carrier interface over a finite graded module."""
 
     def __init__(self, mod: FiniteGradedModule):
@@ -77,15 +85,6 @@ class ModuleSource:
 
     def act(self, j: int, d: int) -> Mat:
         return self.mod.action(j, d)
-
-    def e_struct(self, d: int):
-        st = self._estruct.get(d)
-        if st is None:
-            e = Mat.vstack(self.fld, [self.act(j, d) for j in range(self.ctx.n)],
-                           self.dim(d + 1))
-            st = e.rref_with_transform()
-            self._estruct[d] = st
-        return st
 
     def gen_top(self) -> int:
         top = self.lo
@@ -179,20 +178,12 @@ class HomSolution:
                 blocks = {}
                 for d, (p, s, t) in sorted(table.blocks.items()):
                     flat = vec.take_cols(list(range(p.nrows))).matmul(p)
-                    blocks[d] = _unflatten(flat, s, t)
+                    blocks[d] = Mat.from_entries(
+                        self.fld, s, t,
+                        ((j // t, j % t, v) for j, v in flat.row_items(0).items()))
                 per_chain.append(blocks)
             out.append(per_chain)
         return out
-
-
-def _unflatten(flat: Mat, s: int, t: int) -> Mat:
-    fld = flat.field
-    if fld.is_rational:
-        rows = [{} for _ in range(s)]
-        for j, v in flat.rows[0].items():
-            rows[j // t][j % t] = v
-        return Mat(fld, s, t, rows=rows)
-    return Mat(fld, s, t, arr=flat.arr.reshape(s, t).copy())
 
 
 def _process_chain(src, tgt, e: int, q0: int) -> tuple[_ChainTable, list[Mat], int]:
@@ -240,28 +231,21 @@ def _process_chain(src, tgt, e: int, q0: int) -> tuple[_ChainTable, list[Mat], i
         old_part = p_tg.remap_cols(vec_next, pairs)
         pivset = set(piv)
         free_rows = [u for u in range(s_next) if u not in pivset]
+        # row k: column free_rows[k] of red, as {pivot row: value}
+        red_cols = red.take_cols(free_rows).transpose()
         entries = []
         for k, u in enumerate(free_rows):
+            col = red_cols.row_items(k)
             for c in range(t_next):
                 r = k * t_next + c
                 entries.append((r, u * t_next + c, 1))
-                for i in range(rho):
-                    val = _mat_entry(red, i, u)
-                    if val is not None:
-                        entries.append((r, piv[i] * t_next + c, -val if fld.is_rational
-                                        else (-val) % fld.p))
+                for i, val in col.items():
+                    entries.append((r, piv[i] * t_next + c, -val))
         new_part = Mat.from_entries(fld, len(free_rows) * t_next, vec_next, entries)
         p_next = Mat.vstack(fld, [old_part, new_part], vec_next)
         q += len(free_rows) * t_next
         table.blocks[d + 1] = (p_next, s_next, t_next)
     return table, cons, q
-
-
-def _mat_entry(m: Mat, i: int, j: int):
-    if m.field.is_rational:
-        return m.rows[i].get(j)
-    v = int(m.arr[i, j])
-    return v if v else None
 
 
 def _inclusion_coords(lower: HomogeneousIdeal, upper: HomogeneousIdeal, d: int) -> Mat:
@@ -344,7 +328,6 @@ class GradedHom:
 
     e: int
     dim: int
-    block_dims: dict[int, tuple[int, int]]
     basis: list[dict[int, Mat]] | None = None
 
     def __len__(self):
@@ -357,11 +340,8 @@ def graded_hom(source: FiniteGradedModule, target: FiniteGradedModule,
     src = ModuleSource(source)
     tgt = ModuleTarget(target)
     sol = _solve([(src, tgt)], [], e, want_basis=want_basis)
-    dims = {d: (s, t) for d, (_, s, t) in sol.tables[0].blocks.items()} if sol.tables else {}
-    basis = None
-    if want_basis:
-        basis = [bb[0] for bb in sol.basis_blocks()]
-    return GradedHom(e, sol.dim, dims, basis)
+    basis = [bb[0] for bb in sol.basis_blocks()] if want_basis else None
+    return GradedHom(e, sol.dim, basis)
 
 
 def graded_hom_dims(source: FiniteGradedModule, target: FiniteGradedModule
@@ -387,9 +367,8 @@ def tangent_graded(ideal: HomogeneousIdeal, e: int, want_basis: bool = False) ->
         raise NotMPrimary("tangent computation needs a certified m-primary ideal")
     sol = _solve([(IdealSource(ideal), QuotientTarget(ideal))], [], e,
                  want_basis=want_basis)
-    dims = {d: (s, t) for d, (_, s, t) in sol.tables[0].blocks.items()}
     basis = [bb[0] for bb in sol.basis_blocks()] if want_basis else None
-    return GradedHom(e, sol.dim, dims, basis)
+    return GradedHom(e, sol.dim, basis)
 
 
 def nested_tangent_graded(nest: Nesting, e: int, want_basis: bool = False) -> HomSolution:
@@ -475,17 +454,11 @@ def theta_rank(nest: Nesting, validate: bool = True) -> int:
         flat: list = []
         for blocks in per_chain:
             for d in sorted(blocks):
-                flat.extend(_flatten_block(blocks[d]))
+                flat.extend(v for row in blocks[d].to_lists() for v in row)
         rows.append(flat)
     if not rows or not rows[0]:
         return 0
     return Mat.from_rows(nest.fld, rows).rank()
-
-
-def _flatten_block(m: Mat) -> list:
-    if m.field.is_rational:
-        return [m.rows[i].get(j, 0) for i in range(m.nrows) for j in range(m.ncols)]
-    return [int(v) for v in m.arr.reshape(-1)]
 
 
 # ------------------------------------------------------------- TNT reports
@@ -695,9 +668,7 @@ def hom_dim_via_syzygies(ideal: HomogeneousIdeal, e: int) -> int:
         offsets.append(total)
         total += qt.dim(d + e)
     syz = first_syzygies(ideal)
-    rows_blocks: list[Mat] = []
     width = 0
-    cols_meta: list[tuple[int, int]] = []
     entries: list[tuple[int, int, object]] = []
     for sy_deg, comps in zip(syz.degrees, syz.comps):
         t_out = qt.dim(sy_deg + e)
@@ -708,44 +679,13 @@ def hom_dim_via_syzygies(ideal: HomogeneousIdeal, e: int) -> int:
             if t_in == 0 or not comps[l]:
                 continue
             # multiplication by the syzygy coefficient, pushed to the quotient
-            coeff_deg = sy_deg - gd
+            coeff = HomogeneousElement(ctx, fld, sy_deg - gd, comps[l])
             lift = ideal.quotient_structure(gd + e).lift
-            prod = _sparse_poly_mult(ctx, fld, lift, gd + e, comps[l], coeff_deg)
+            prod = lift.matmul(mult_map(ctx, coeff, gd + e))
             block = ideal.quotient_structure(sy_deg + e).project_rows(prod)
             for rr in range(t_in):
-                vals = block.rows[rr].items() if fld.is_rational else \
-                    ((cc, int(v)) for cc, v in enumerate(block.arr[rr]) if v)
-                for cc, v in vals:
+                for cc, v in block.row_items(rr).items():
                     entries.append((offsets[l] + rr, width + cc, v))
         width += t_out
-        cols_meta.append((sy_deg, t_out))
     cons = Mat.from_entries(fld, total, width, entries)
     return total - cons.rank()
-
-
-def _sparse_poly_mult(ctx: RingCtx, fld, rows: Mat, a: int,
-                      poly: dict[int, object], b: int) -> Mat:
-    """Multiply each row (coordinates in R_a) by a sparse polynomial in R_b."""
-    out = Mat.zeros(fld, rows.nrows, ctx.dim(a + b))
-    monos_b = ctx.monomials(b)
-    monos_a = ctx.monomials(a)
-    tgt = ctx._index_for(a + b)
-    if fld.is_rational:
-        for i, r in enumerate(rows.rows):
-            acc = out.rows[i]
-            for mj, c in poly.items():
-                mb = monos_b[mj]
-                for ja, v in r.items():
-                    key = tgt[tuple(x + y for x, y in zip(monos_a[ja], mb))]
-                    t = acc.get(key, 0) + v * c
-                    if t == 0:
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = t
-    else:
-        p = fld.p
-        for mj, c in poly.items():
-            mb = monos_b[mj]
-            idx = [tgt[tuple(x + y for x, y in zip(m, mb))] for m in monos_a]
-            out.arr[:, idx] = (out.arr[:, idx] + int(c) * rows.arr) % p
-    return out

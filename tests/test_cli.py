@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from nesthilb.cli import main
 
 
@@ -89,6 +91,14 @@ def test_census_command(capsys, tmp_path):
                     "--store", str(store))
     assert "0 new records" in out
     assert csv.read_text().startswith("n\\s,")
+
+
+def test_census_csv_needs_store(capsys, tmp_path):
+    with pytest.raises(SystemExit) as ex:
+        main(["census", "--nmin", "4", "--nmax", "4", "--csv", str(tmp_path / "c.csv")])
+    assert ex.value.code == 2
+    assert "--store" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_verify_filter_unknown(capsys):

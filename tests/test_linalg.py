@@ -2,41 +2,41 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nesthilb.linalg import (DEFAULT_PRIME, FieldSpec, Mat, QQ, kernel_basis,
-                             left_mul_vecrows, rank, right_mul_vecrows, solve)
+from nesthilb.linalg import (DEFAULT_PRIME, FieldSpec, LinalgError, Mat, QQ,
+                             left_mul_vecrows, right_mul_vecrows)
 
 FP = FieldSpec.prime(DEFAULT_PRIME)
 
 
 @pytest.mark.parametrize("fld", [QQ, FP])
 def test_rank_examples(fld):
-    assert rank(Mat.identity(fld, 3)) == 3
-    assert rank(Mat.zeros(fld, 4, 7)) == 0
-    assert rank(Mat.from_rows(fld, [[1, 2], [2, 4]])) == 1
+    assert Mat.identity(fld, 3).rank() == 3
+    assert Mat.zeros(fld, 4, 7).rank() == 0
+    assert Mat.from_rows(fld, [[1, 2], [2, 4]]).rank() == 1
 
 
 @pytest.mark.parametrize("fld", [QQ, FP])
 def test_kernel_examples(fld):
-    k = kernel_basis(Mat.from_rows(fld, [[1, 1]]))
+    k = Mat.from_rows(fld, [[1, 1]]).kernel_basis()
     assert k.nrows == 1
     assert k.to_lists()[0][0] == 1  # echelon-normalised leading one
-    assert rank(Mat.vstack(fld, [k, Mat.from_rows(fld, [[1, -1]])], 2)) == 1
-    assert kernel_basis(Mat.from_rows(fld, [[1, 1], [0, 1]])).nrows == 0
-    assert kernel_basis(Mat.zeros(fld, 2, 3)).nrows == 3
+    assert Mat.vstack(fld, [k, Mat.from_rows(fld, [[1, -1]])], 2).rank() == 1
+    assert Mat.from_rows(fld, [[1, 1], [0, 1]]).kernel_basis().nrows == 0
+    assert Mat.zeros(fld, 2, 3).kernel_basis().nrows == 3
 
 
 def test_kernel_canonical_form_over_qq():
-    k = kernel_basis(Mat.from_rows(QQ, [[1, 1]]))
+    k = Mat.from_rows(QQ, [[1, 1]]).kernel_basis()
     assert k.to_lists() == [[1, -1]]
 
 
 @pytest.mark.parametrize("fld", [QQ, FP])
 def test_solve_examples(fld):
     ident = Mat.identity(fld, 3)
-    assert solve(ident, [3, 1, 4]) == Mat.from_rows(fld, [[3, 1, 4]]).to_lists()[0]
-    assert solve(Mat.from_rows(fld, [[1, 1]]), [2]) == \
+    assert ident.solve([3, 1, 4]) == Mat.from_rows(fld, [[3, 1, 4]]).to_lists()[0]
+    assert Mat.from_rows(fld, [[1, 1]]).solve([2]) == \
         Mat.from_rows(fld, [[2, 0]]).to_lists()[0]
-    assert solve(Mat.from_rows(fld, [[0]]), [1]) is None
+    assert Mat.from_rows(fld, [[0]]).solve([1]) is None
 
 
 def test_field_spec_parse():
@@ -45,6 +45,14 @@ def test_field_spec_parse():
     assert FieldSpec.parse("F32003").p == 32003
     with pytest.raises(Exception):
         FieldSpec.parse("prime:32004")  # not prime
+
+
+def test_field_spec_refuses_primes_beyond_exact_float_products():
+    # the dense backend multiplies in float64, exact while p^2 < 2^53
+    assert FieldSpec.prime(94906249).p == 94906249  # largest such prime
+    for p in (94906297, 1000000007):
+        with pytest.raises(LinalgError):
+            FieldSpec.prime(p)
 
 
 small_matrix = st.lists(
@@ -121,6 +129,18 @@ def test_vecrow_helpers_match_direct_products(fld):
     direct2 = Mat.from_rows(fld, tr).matmul(Mat.from_rows(fld, lam))
     flat2 = [direct2.to_lists()[i][j] for i in range(5) for j in range(t)]
     assert got2.to_lists()[0] == flat2
+
+
+@pytest.mark.parametrize("fld", [QQ, FP])
+def test_row_items_lists_nonzero_entries(fld):
+    m = Mat.from_rows(fld, [[0, 3, 0, -2], [0, 0, 0, 0], [5, 0, 1, 0]])
+    want = [{1: 3, 3: -2}, {}, {0: 5, 2: 1}]
+    for i, row in enumerate(want):
+        got = m.row_items(i)
+        assert sorted(got) == sorted(row)  # no stored zeros
+        back = Mat.from_entries(fld, 1, 4, ((0, j, v) for j, v in got.items()))
+        assert back == m.take_rows([i])
+        assert back == Mat.from_entries(fld, 1, 4, ((0, j, v) for j, v in row.items()))
 
 
 def test_remap_cols():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from nesthilb.linalg import FieldSpec, Mat, QQ
 from nesthilb.parsing import parse_polynomial
 from nesthilb.ring import (HomogeneousElement, RingCtx, dim_graded_piece,
-                           mult_map, variable_action_matrices)
+                           mult_map, scatter_rows, variable_action_matrices)
 
 FP = FieldSpec.prime(32003)
 
@@ -61,6 +61,17 @@ def test_variable_actions_and_commutation():
     for i in range(3):
         for j in range(3):
             assert a[i].matmul(b[j]) == a[j].matmul(b[i])
+
+
+@pytest.mark.parametrize("fld", [QQ, FP])
+def test_scatter_rows_is_the_variable_action(fld):
+    ctx = RingCtx(3)
+    m = Mat.from_rows(fld, [[1, 0, -2, 0, 5, 0], [0, 3, 0, 0, 0, -1], [0] * 6])
+    acts = variable_action_matrices(ctx, fld, 2)
+    for j in range(ctx.n):
+        assert scatter_rows(ctx, m, j, 2) == m.matmul(acts[j])
+    empty = Mat.zeros(fld, 0, ctx.dim(2))
+    assert scatter_rows(ctx, empty, 0, 2) == Mat.zeros(fld, 0, ctx.dim(3))
 
 
 @settings(max_examples=30, deadline=None)

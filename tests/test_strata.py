@@ -174,3 +174,18 @@ def test_census_threaded_matches_serial(tmp_path):
     strip = lambda rows: [{k: v for k, v in r.items() if k != "elapsed_ms"}
                           for r in rows]
     assert strip(serial) == strip(threaded)
+
+
+def test_census_resumes_after_a_torn_final_line(tmp_path):
+    store = tmp_path / "census.jsonl"
+    list(census((4, 4), fld=FP, seed=0, store_path=str(store)))
+    lines = store.read_text().splitlines(keepends=True)
+    torn = json.loads(lines[-1])
+    # an append cut off mid-line by a crash
+    store.write_text("".join(lines[:-1]) + lines[-1][:len(lines[-1]) // 2])
+    again = list(census((4, 4), fld=FP, seed=0, store_path=str(store)))
+    assert [(r.n, r.s) for r in again] == [(torn["n"], torn["s"])]
+    stored = [json.loads(line) for line in store.read_text().splitlines()]
+    assert len(stored) == len(lines)
+    assert {k: v for k, v in stored[-1].items() if k != "elapsed_ms"} == \
+        {k: v for k, v in torn.items() if k != "elapsed_ms"}
