@@ -1,8 +1,7 @@
 """Exact tangent spaces, resolutions and strata for nested Hilbert schemes of points."""
 
 from .linalg import DEFAULT_PRIME, FieldSpec, Mat, QQ
-from .ring import (HomogeneousElement, RingCtx, dim_graded_piece, mult_map,
-                   variable_action_matrices)
+from .ring import HomogeneousElement, RingCtx, mult_map, variable_action_matrices
 from .ideals import (FiniteGradedModule, HilbertFunction, HomogeneousIdeal,
                      Nesting, family_8points, family_I1, family_I2, family_J,
                      family_delta, family_twisted_cubic_cone,
@@ -24,8 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_PRIME", "FieldSpec", "Mat", "QQ",
-    "HomogeneousElement", "RingCtx", "dim_graded_piece", "mult_map",
-    "variable_action_matrices",
+    "HomogeneousElement", "RingCtx", "mult_map", "variable_action_matrices",
     "FiniteGradedModule", "HilbertFunction", "HomogeneousIdeal", "Nesting",
     "family_8points", "family_I1", "family_I2", "family_J", "family_delta",
     "family_twisted_cubic_cone", "generic_ideal_with_hilbert_function",

@@ -25,10 +25,7 @@ THREADS_ENV = "NESTHILB_THREADS"
 
 
 def _field(args) -> FieldSpec:
-    if args.field is not None:
-        return FieldSpec.parse(args.field)
-    return FieldSpec.prime(DEFAULT_PRIME) if getattr(args, "_prime_default", False) \
-        else FieldSpec.rational()
+    return FieldSpec.parse(args.field)
 
 
 def _emit(args, payload: dict, human: str):
@@ -77,7 +74,7 @@ def cmd_tnt(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    from .ideals import subquotient_module, zero_ideal, _ring_as_ideal
+    from .ideals import IdealError, subquotient_module, zero_ideal, _ring_as_ideal
     from .tangent import graded_hom_dims
 
     fld = _field(args)
@@ -89,7 +86,7 @@ def cmd_hom(args) -> int:
             if bot_s.strip() not in ("0", "") else None
         if top_s.strip() == "R":
             if bot is None:
-                raise SystemExit("R/0 is not finite")
+                raise IdealError("R/0 is not finite")
             return subquotient_module(
                 _ring_as_ideal(bot.ctx, fld, bot.socle_degree or 0), bot)
         top = parse_ideal_spec(top_s.strip(), fld, n=args.n, ctx_cache=cache)
@@ -165,8 +162,7 @@ def cmd_thmc(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = VerifyConfig(fld=FieldSpec.parse(args.field) if args.field else
-                       FieldSpec.rational(), seed=args.seed)
+    cfg = VerifyConfig(fld=_field(args))
     names = args.filter.split(",") if args.filter else None
     if names is not None:
         known = {name for name, *_ in FIXTURES}
@@ -188,47 +184,55 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def main(argv: list[str] | None = None) -> int:
+FLAGS = {
+    "--field": dict(help="rational | prime:P | F<P>"),
+    "--seed": dict(type=int, default=0),
+    "--json": dict(action="store_true", help="machine output"),
+    "--n": dict(type=int, help="number of variables for bare specs"),
+    "--cutoff": dict(type=int, help="truncation degree override"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nesthilb",
         description="Exact tangent spaces and strata for nested Hilbert schemes "
                     "of fat points.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, prime_default=False):
-        p.add_argument("--field", help="rational | prime:P | F<P>")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", action="store_true", help="machine output")
-        p.add_argument("--n", type=int, help="number of variables for bare specs")
-        p.add_argument("--cutoff", type=int, help="truncation degree override")
-        p.set_defaults(_prime_default=prime_default)
+    def common(p, *flags, field="rational"):
+        """Add the shared flags this subcommand reads, and no others."""
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        if "--field" in flags:
+            p.set_defaults(field=field)
 
     p = sub.add_parser("hilb", help="Hilbert function of an ideal")
     p.add_argument("ideal")
-    common(p)
+    common(p, "--field", "--json", "--n", "--cutoff")
     p.set_defaults(fn=cmd_hilb)
 
     p = sub.add_parser("betti", help="graded Betti table of an m-primary ideal")
     p.add_argument("ideal")
-    common(p)
+    common(p, "--field", "--json", "--n", "--cutoff")
     p.set_defaults(fn=cmd_betti)
 
     p = sub.add_parser("tangent", help="graded tangent report at a nesting")
     p.add_argument("nesting", help="ideal specs joined by '>'")
     p.add_argument("-e", type=int, help="single weight instead of the full window")
-    common(p)
+    common(p, "--field", "--json", "--n")
     p.set_defaults(fn=cmd_tangent)
 
     p = sub.add_parser("tnt", help="trivial-negative-tangents verdict")
     p.add_argument("nesting")
-    common(p)
+    common(p, "--field", "--json", "--n")
     p.set_defaults(fn=cmd_tnt)
 
     p = sub.add_parser("hom", help="graded Hom between two subquotients A/B")
     p.add_argument("source", help="e.g. 'm^3:4 / I2:4' or 'm^2:4 / 0'")
     p.add_argument("target")
     p.add_argument("--hi", type=int, help="top degree for unbounded sources")
-    common(p)
+    common(p, "--field", "--json", "--n")
     p.set_defaults(fn=cmd_hom)
 
     p = sub.add_parser("sandwich", help="sandwich identity check at (j, k)")
@@ -236,13 +240,13 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("-j", type=int, required=True,
                    help="insert after this many ideals (0 prepends)")
     p.add_argument("-k", type=int, required=True, help="power of m to insert")
-    common(p)
+    common(p, "--field", "--json", "--n")
     p.set_defaults(fn=cmd_sandwich)
 
     p = sub.add_parser("gap", help="smoothable-vs-stratum dimension gap")
     p.add_argument("n", type=int)
     p.add_argument("s", type=int)
-    common(p)
+    common(p, "--json")
     p.set_defaults(fn=cmd_gap)
 
     p = sub.add_parser("census", help="(n, s) grid census with JSONL store")
@@ -250,23 +254,31 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--nmax", type=int, default=8)
     p.add_argument("--store", help="JSONL path (resumable)")
     p.add_argument("--csv", help="also export the grid as CSV here")
-    common(p, prime_default=True)
+    common(p, "--field", "--json", "--seed", field=f"prime:{DEFAULT_PRIME}")
     p.set_defaults(fn=cmd_census)
 
     p = sub.add_parser("thmC", help="singular-surface reducibility arithmetic")
     p.add_argument("multiplicity", type=int)
-    common(p)
+    common(p, "--json")
     p.set_defaults(fn=cmd_thmc)
 
     p = sub.add_parser("verify", help="run the fixture suite")
     p.add_argument("--filter", help="comma-separated fixture names")
-    common(p)
+    common(p, "--field")
     p.set_defaults(fn=cmd_verify)
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "census" and args.csv and not args.store:
         parser.error("census --csv exports the store: pass --store as well")
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as ex:  # bad input: one line, not a traceback
+        print(f"nesthilb {args.command}: error: {ex}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ pivots are a canonical section of the quotient.
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass
 
 from .linalg import FieldSpec, Mat
@@ -126,6 +127,7 @@ class HomogeneousIdeal:
         self._qstruct: dict[int, SubquotientStructure] = {}
         self._act: dict[tuple[int, int], Mat] = {}
         self._estruct: dict[int, tuple] = {}
+        self._estruct_lock = threading.Lock()
         self._qact: dict[tuple[int, int], Mat] = {}
 
     # ------------------------------------------------------------------ sizes
@@ -182,8 +184,7 @@ class HomogeneousIdeal:
             raise CutoffTooSmall("truncated ideal cannot certify containing an m-primary one")
         top = other.cutoff
         if other.is_m_primary and self.is_m_primary:
-            if (other.socle_degree if other.socle_degree is not None else -1) < \
-               (self.socle_degree if self.socle_degree is not None else -1):
+            if other.socle_degree < self.socle_degree:
                 return False
             top = min(top, max(self.socle_degree, 0) + 1)
         for d in range(top + 1):
@@ -236,6 +237,20 @@ class HomogeneousIdeal:
             self._act[key] = m
         return m
 
+    def quotient_action(self, j: int, c: int) -> Mat:
+        """Multiplication by x_j as a map (R/I)_c -> (R/I)_{c+1} in the
+        canonical quotient coordinates."""
+        key = (j, c)
+        m = self._qact.get(key)
+        if m is None:
+            if self.qdim(c) == 0 or self.qdim(c + 1) == 0:
+                m = Mat.zeros(self.fld, self.qdim(c), self.qdim(c + 1))
+            else:
+                st, st1 = self.quotient_structure(c), self.quotient_structure(c + 1)
+                m = st1.project_rows(scatter_rows(self.ctx, st.lift, j, c))
+            self._qact[key] = m
+        return m
+
     def __repr__(self):
         h = self.hilbert_function()
         return f"HomogeneousIdeal(n={self.ctx.n}, {self.fld.label}, h={h})"
@@ -256,12 +271,11 @@ def _rows_in_span(rows: Mat, rref: Mat, piv: list[int]) -> bool:
 def ideal_from_generators(ctx: RingCtx, fld: FieldSpec,
                           gens: list[HomogeneousElement],
                           cutoff: int | None = None,
-                          ceiling: int = DEFAULT_CEILING,
                           require_m_primary: bool = False) -> HomogeneousIdeal:
     """Span the ideal generated by homogeneous elements, degree by degree.
 
     With ``cutoff=None`` the construction extends until some graded piece
-    fills up (certifying m-primality) or the ceiling is hit.
+    fills up (certifying m-primality) or ``DEFAULT_CEILING`` is hit.
     """
     by_deg: dict[int, list] = {}
     for g in gens:
@@ -278,7 +292,7 @@ def ideal_from_generators(ctx: RingCtx, fld: FieldSpec,
     pivots: list[list[int]] = []
     new_counts: list[int] = []
     d = 0
-    hard_top = cutoff if cutoff is not None else max(ceiling, max_gen)
+    hard_top = cutoff if cutoff is not None else max(DEFAULT_CEILING, max_gen)
     while d <= hard_top:
         ndim = ctx.dim(d)
         if d == 0:
@@ -561,7 +575,7 @@ def subquotient_module(a: HomogeneousIdeal, b: HomogeneousIdeal,
     if hi is None:
         if not b.is_m_primary:
             raise CutoffTooSmall("unbounded subquotient: pass an explicit top degree")
-        hi = b.socle_degree if b.socle_degree is not None else -1
+        hi = b.socle_degree
     if not a.contains(b):
         raise NotNested("second ideal is not contained in the first")
     ctx, fld = a.ctx, a.fld
@@ -593,7 +607,7 @@ def quotient_module(i: HomogeneousIdeal, hi: int | None = None) -> FiniteGradedM
     if hi is None:
         if not i.is_m_primary:
             raise NotMPrimary("quotient of a truncated ideal needs an explicit top degree")
-        hi = i.socle_degree if i.socle_degree is not None else -1
+        hi = i.socle_degree
     return subquotient_module(_ring_as_ideal(i.ctx, i.fld, max(hi, 0)), i, hi=hi)
 
 

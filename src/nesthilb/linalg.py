@@ -203,11 +203,6 @@ class Mat:
 
     # ----------------------------------------------------------------- access
 
-    def copy(self) -> "Mat":
-        if self.field.is_rational:
-            return Mat(self.field, self.nrows, self.ncols, rows=[dict(r) for r in self.rows])
-        return Mat(self.field, self.nrows, self.ncols, arr=self.arr.copy())
-
     def take_rows(self, idx: Sequence[int]) -> "Mat":
         if self.field.is_rational:
             return Mat(self.field, len(idx), self.ncols,
@@ -337,14 +332,12 @@ class Mat:
         arr, piv = _rref_p(self.arr, self.field.p, limit)
         return Mat(self.field, arr.shape[0], self.ncols, arr=arr), piv
 
-    def rref_with_transform(self, pivot_cols_limit: int | None = None
-                            ) -> tuple["Mat", list[int], "Mat"]:
+    def rref_with_transform(self) -> tuple["Mat", list[int], "Mat"]:
         """Return (R, pivots, T) with T @ self row-equivalent data: the first
         len(pivots) rows of T @ self equal R and the remaining rows are zero.
         T is square of size nrows."""
-        limit = self.ncols if pivot_cols_limit is None else pivot_cols_limit
         aug = Mat.hstack(self.field, [self, Mat.identity(self.field, self.nrows)])
-        red, piv = aug.rref(pivot_cols_limit=limit)
+        red, piv = aug.rref(pivot_cols_limit=self.ncols)
         # rref drops zero rows of the main part only when the transform part is
         # also zero, which cannot happen here; recover full square transform.
         r = len(piv)

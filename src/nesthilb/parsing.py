@@ -168,11 +168,6 @@ def parse_polynomial(text: str, ctx: RingCtx, fld: FieldSpec) -> HomogeneousElem
     return HomogeneousElement.from_exponents(ctx, fld, degree, poly)
 
 
-def poly_str(el: HomogeneousElement) -> str:
-    """Canonical printable form; parse(poly_str(x)) reproduces x."""
-    return str(el)
-
-
 # ---------------------------------------------------------- ideal builders
 
 

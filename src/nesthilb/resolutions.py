@@ -30,8 +30,7 @@ def minimal_generators(ideal: HomogeneousIdeal) -> list[tuple[int, HomogeneousEl
         raise NotMPrimary("minimal generators need a certified m-primary ideal")
     ctx, fld = ideal.ctx, ideal.fld
     out = []
-    top = (ideal.socle_degree if ideal.socle_degree is not None else -1) + 1
-    for d in range(top + 1):
+    for d in range(ideal.socle_degree + 2):
         basis, piv = ideal.basis_at(d)
         if basis.nrows == 0:
             continue

@@ -12,12 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .linalg import FieldSpec, Mat
-
-try:
-    from gmpy2 import mpq
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as mpq
+from .linalg import FieldSpec, Mat, mpq
 
 
 class RingError(ValueError):
@@ -203,13 +198,6 @@ def _coeff_str(fld: FieldSpec, c, mono: str) -> str:
     if c == -1:
         return "-" + mono
     return f"{c}*{mono}"
-
-
-def dim_graded_piece(ctx: RingCtx, d: int) -> int:
-    """Dimension of R_d."""
-    if d < 0:
-        raise RingError("degree must be nonnegative")
-    return ctx.dim(d)
 
 
 def mult_map(ctx: RingCtx, f: HomogeneousElement, d: int) -> Mat:

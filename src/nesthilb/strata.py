@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,10 +31,6 @@ class HasLinearSyzygies(StrataError):
 
 class NotTwoStepProfile(StrataError):
     pass
-
-
-def hilbert_of_ring(n: int, d: int) -> int:
-    return comb(n + d - 1, n - 1) if d >= 0 else 0
 
 
 def smoothable_dim(colengths: tuple[int, ...], n: int) -> int:
@@ -60,7 +57,8 @@ def two_step_stratum_dim(q: tuple[int, ...], n: int) -> TwoStepDimResult:
     h(k+1) - n h(k) >= 0.  When that fails but q(k+1) = 0 the offending term
     vanishes, so the value is still returned, with a warning attached.
     """
-    h = lambda d: hilbert_of_ring(n, d) - (q[d] if d < len(q) else 0)
+    ctx = RingCtx(n)
+    h = lambda d: ctx.dim(d) - (q[d] if d < len(q) else 0)
     k = next((d for d in range(1, len(q) + 1) if h(d) > 0), None)
     if k is None:
         raise NotTwoStepProfile("no ideal order detected")
@@ -292,7 +290,7 @@ class CensusRecord:
 
 
 def _census_cell(n: int, s: int, fld: FieldSpec, seed: int,
-                 i2_cache: dict) -> CensusRecord:
+                 i2_cache: dict, i2_lock: threading.Lock) -> CensusRecord:
     g = gap_formula(n, s)
     rec = CensusRecord(n=n, s=s, field=fld.label, seed=seed, gap=g)
     if 2 <= s <= n - 2:
@@ -300,11 +298,11 @@ def _census_cell(n: int, s: int, fld: FieldSpec, seed: int,
                                                 else GAP_INCONCLUSIVE)
         t0 = time.monotonic()
         try:
-            ctx, i2 = i2_cache.get(n, (None, None))
-            if i2 is None:
-                ctx = RingCtx(n)
-                i2 = family_I2(ctx, fld)
-                i2_cache[n] = (ctx, i2)
+            with i2_lock:  # one I2, and so one e_struct cache, per n
+                if n not in i2_cache:
+                    ctx = RingCtx(n)
+                    i2_cache[n] = (ctx, family_I2(ctx, fld))
+            ctx, i2 = i2_cache[n]
             nest = Nesting([family_I1(ctx, fld, s), i2])
             rep = tnt_check(nest)
             rec.t_minus_one = rep.t_at(-1)
@@ -324,7 +322,7 @@ def _census_cell(n: int, s: int, fld: FieldSpec, seed: int,
 
 
 def census(n_range: tuple[int, int], fld: FieldSpec | None = None, seed: int = 0,
-           store_path: str | None = None, threads: int = 1, progress=None):
+           store_path: str | None = None, threads: int = 1):
     """Stream census records over the (n, s) grid with s = 0..n, resumably.
 
     Existing (n, s, field, seed) keys in the JSONL store are not recomputed;
@@ -349,14 +347,14 @@ def census(n_range: tuple[int, int], fld: FieldSpec | None = None, seed: int = 0
     out = open(store_path, "a") if store_path else None
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     i2_cache: dict = {}
+    i2_lock = threading.Lock()
     try:
         for rec in (pool.map if pool else map)(
-                lambda cell: _census_cell(cell[0], cell[1], fld, seed, i2_cache), cells):
+                lambda cell: _census_cell(cell[0], cell[1], fld, seed, i2_cache, i2_lock),
+                cells):
             if out:
                 out.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
                 out.flush()
-            if progress:
-                progress(rec)
             yield rec
     finally:
         if pool:

@@ -15,12 +15,14 @@ oracle (``hom_dim_via_syzygies``).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field as dataclass_field
+from typing import Callable
 
 from .ideals import (FiniteGradedModule, HomogeneousIdeal, Nesting, NotMPrimary,
                      power_of_max_ideal, subquotient_module, zero_ideal)
 from .linalg import FieldSpec, Mat, left_mul_vecrows, right_mul_vecrows
-from .ring import HomogeneousElement, diff_matrix, mult_map, scatter_rows
+from .ring import HomogeneousElement, diff_matrix, mult_map
 
 
 class TangentError(RuntimeError):
@@ -36,17 +38,18 @@ class NotStrictlySandwiched(ValueError):
 
 class _Source:
     """Degreewise carrier with variable actions; subclasses set ctx, fld, lo,
-    dim, act and the ``_estruct`` cache."""
+    dim, act, the ``_estruct`` cache and the ``_estruct_lock`` that guards it."""
 
     def e_struct(self, d: int) -> tuple[Mat, list[int], Mat]:
         """Echelon form of the stacked x_j actions out of degree d, with its
         transform: the rows past the pivots are the multiplication relations."""
-        st = self._estruct.get(d)
-        if st is None:
-            e = Mat.vstack(self.fld, [self.act(j, d) for j in range(self.ctx.n)],
-                           self.dim(d + 1))
-            st = e.rref_with_transform()
-            self._estruct[d] = st
+        with self._estruct_lock:  # census threads share one I2
+            st = self._estruct.get(d)
+            if st is None:
+                e = Mat.vstack(self.fld, [self.act(j, d) for j in range(self.ctx.n)],
+                               self.dim(d + 1))
+                st = e.rref_with_transform()
+                self._estruct[d] = st
         return st
 
 
@@ -57,8 +60,9 @@ class IdealSource(_Source):
         self.ideal = ideal
         self.ctx = ideal.ctx
         self.fld = ideal.fld
-        self.lo = ideal.order if ideal.order is not None else 0
+        self.lo = ideal.order
         self._estruct = ideal._estruct  # shared by every source over this ideal
+        self._estruct_lock = ideal._estruct_lock
 
     def dim(self, d: int) -> int:
         return self.ideal.dim_at(d)
@@ -79,6 +83,7 @@ class ModuleSource(_Source):
         self.fld = mod.fld
         self.lo = next((d for d in range(mod.lo, mod.hi + 1) if mod.dim(d)), mod.lo)
         self._estruct: dict[int, tuple[Mat, list[int], Mat]] = {}
+        self._estruct_lock = threading.Lock()
 
     def dim(self, d: int) -> int:
         return self.mod.dim(d)
@@ -96,48 +101,27 @@ class ModuleSource(_Source):
         return top
 
 
-class QuotientTarget:
-    """R/I degreewise, with induced variable actions."""
+@dataclass(frozen=True)
+class Target:
+    """Degreewise target of a Hom chain: dimensions up to ``top`` and the
+    variable actions between consecutive degrees."""
 
-    def __init__(self, ideal: HomogeneousIdeal):
-        self.ideal = ideal
-        self.ctx = ideal.ctx
-        self.fld = ideal.fld
+    top: int
+    dim: Callable[[int], int]
+    act: Callable[[int, int], Mat]
+
+    @staticmethod
+    def quotient(ideal: HomogeneousIdeal) -> "Target":
+        """R/I for a certified m-primary ideal I."""
         if not ideal.is_m_primary:
             raise NotMPrimary("tangent targets need certified m-primary ideals")
-        self.top = ideal.socle_degree if ideal.socle_degree is not None else -1
+        return Target(ideal.socle_degree, ideal.qdim, ideal.quotient_action)
 
-    def dim(self, c: int) -> int:
-        if c < 0 or c > self.top:
-            return 0
-        return self.ideal.qdim(c)
-
-    def act(self, j: int, c: int) -> Mat:
-        key = (j, c)
-        m = self.ideal._qact.get(key)
-        if m is None:
-            if self.dim(c) == 0 or self.dim(c + 1) == 0:
-                m = Mat.zeros(self.fld, self.dim(c), self.dim(c + 1))
-            else:
-                st, st1 = self.ideal.quotient_structure(c), self.ideal.quotient_structure(c + 1)
-                m = st1.project_rows(scatter_rows(self.ctx, st.lift, j, c))
-            self.ideal._qact[key] = m
-        return m
-
-
-class ModuleTarget:
-    def __init__(self, mod: FiniteGradedModule):
-        self.mod = mod
-        self.ctx = mod.ctx
-        self.fld = mod.fld
-        self.top = max((d for d in range(mod.lo, mod.hi + 1) if mod.dim(d)),
-                       default=mod.lo - 1)
-
-    def dim(self, c: int) -> int:
-        return self.mod.dim(c)
-
-    def act(self, j: int, c: int) -> Mat:
-        return self.mod.action(j, c)
+    @staticmethod
+    def module(mod: FiniteGradedModule) -> "Target":
+        top = max((d for d in range(mod.lo, mod.hi + 1) if mod.dim(d)),
+                  default=mod.lo - 1)
+        return Target(top, mod.dim, mod.action)
 
 
 # ------------------------------------------------------------ chain solving
@@ -262,7 +246,7 @@ def _lift_project(lower: HomogeneousIdeal, upper: HomogeneousIdeal, c: int) -> M
     return st_up.project_rows(st_low.lift)
 
 
-def _solve(chains, links, e: int, want_basis: bool = False) -> HomSolution:
+def _solve(chains, links, e: int) -> HomSolution:
     """chains: list of (source, target); links: list of (upper_ideal, lower_ideal,
     upper_chain_index, lower_chain_index) nesting compatibilities."""
     fld = chains[0][0].fld
@@ -275,11 +259,9 @@ def _solve(chains, links, e: int, want_basis: bool = False) -> HomSolution:
         cons_blocks.extend(cons)
     for upper, lower, iu, il in links:
         tu, tl = tables[iu], tables[il]
-        top_u = (upper.socle_degree if upper.socle_degree is not None else -1) - e
-        lo_l = lower.order if lower.order is not None else 0
-        for d in range(lo_l, top_u + 1):
+        for d in range(lower.order, upper.socle_degree - e + 1):
             s_low = lower.dim_at(d)
-            t_up = upper.qdim(d + e) if d + e >= 0 else 0
+            t_up = upper.qdim(d + e)
             if s_low == 0 or t_up == 0:
                 continue
             incl = _inclusion_coords(lower, upper, d)
@@ -301,10 +283,7 @@ def _solve(chains, links, e: int, want_basis: bool = False) -> HomSolution:
     padded = [_pad_cols(b, q) for b in cons_blocks if b.nrows]
     cons = Mat.vstack(fld, padded, q) if padded else Mat.zeros(fld, 0, q)
     dim = q - cons.rank() if cons.nrows else q
-    sol = HomSolution(fld, e, dim, q, tables, cons)
-    if want_basis:
-        sol.kernel()
-    return sol
+    return HomSolution(fld, e, dim, q, tables, cons)
 
 
 def _pad_rows(m: Mat, nrows: int) -> Mat:
@@ -328,27 +307,24 @@ class GradedHom:
 
     e: int
     dim: int
-    basis: list[dict[int, Mat]] | None = None
+    basis: list[dict[int, Mat]]
 
     def __len__(self):
         return self.dim
 
 
 def graded_hom(source: FiniteGradedModule, target: FiniteGradedModule,
-               e: int, want_basis: bool = True) -> GradedHom:
+               e: int) -> GradedHom:
     """Hom_R(source, target)_e via the degreewise solver."""
-    src = ModuleSource(source)
-    tgt = ModuleTarget(target)
-    sol = _solve([(src, tgt)], [], e, want_basis=want_basis)
-    basis = [bb[0] for bb in sol.basis_blocks()] if want_basis else None
-    return GradedHom(e, sol.dim, basis)
+    sol = _solve([(ModuleSource(source), Target.module(target))], [], e)
+    return GradedHom(e, sol.dim, [bb[0] for bb in sol.basis_blocks()])
 
 
 def graded_hom_dims(source: FiniteGradedModule, target: FiniteGradedModule
                     ) -> dict[int, int]:
     """All nonzero degrees of Hom_R(source, target), certified by windowing."""
     src = ModuleSource(source)
-    tgt = ModuleTarget(target)
+    tgt = Target.module(target)
     lo_t = next((d for d in range(target.lo, target.hi + 1) if target.dim(d)),
                 target.lo)
     e_min = lo_t - src.gen_top()
@@ -361,21 +337,18 @@ def graded_hom_dims(source: FiniteGradedModule, target: FiniteGradedModule
     return out
 
 
-def tangent_graded(ideal: HomogeneousIdeal, e: int, want_basis: bool = False) -> GradedHom:
+def tangent_graded(ideal: HomogeneousIdeal, e: int) -> HomSolution:
     """Hom_R(I, R/I)_e, the weight-e tangent space at a single fat point."""
     if not ideal.is_m_primary:
         raise NotMPrimary("tangent computation needs a certified m-primary ideal")
-    sol = _solve([(IdealSource(ideal), QuotientTarget(ideal))], [], e,
-                 want_basis=want_basis)
-    basis = [bb[0] for bb in sol.basis_blocks()] if want_basis else None
-    return GradedHom(e, sol.dim, basis)
+    return _solve([(IdealSource(ideal), Target.quotient(ideal))], [], e)
 
 
-def nested_tangent_graded(nest: Nesting, e: int, want_basis: bool = False) -> HomSolution:
-    chains = [(IdealSource(i), QuotientTarget(i)) for i in nest.ideals]
+def nested_tangent_graded(nest: Nesting, e: int) -> HomSolution:
+    chains = [(IdealSource(i), Target.quotient(i)) for i in nest.ideals]
     links = [(nest.ideals[i], nest.ideals[i + 1], i, i + 1)
              for i in range(nest.r - 1)]
-    return _solve(chains, links, e, want_basis=want_basis)
+    return _solve(chains, links, e)
 
 
 # ------------------------------------------------------------------- theta
@@ -388,12 +361,9 @@ def theta_blocks(nest: Nesting) -> list[list[dict[int, Mat]]]:
     for j in range(ctx.n):
         per_chain = []
         for ideal in nest.ideals:
-            qt = QuotientTarget(ideal)
             blocks = {}
-            o = ideal.order or 0
-            top = (ideal.socle_degree if ideal.socle_degree is not None else -1) + 1
-            for d in range(o, top + 1):
-                t = qt.dim(d - 1)
+            for d in range(ideal.order, ideal.socle_degree + 2):
+                t = ideal.qdim(d - 1)
                 s = ideal.dim_at(d)
                 if t == 0 or s == 0:
                     blocks[d] = Mat.zeros(fld, s, t)
@@ -411,10 +381,8 @@ def check_tangent_blocks(nest: Nesting, e: int,
     """Full constraint residual check (module-hom plus nesting), exact."""
     ctx, fld = nest.ctx, nest.fld
     for ideal, blocks in zip(nest.ideals, per_chain):
-        qt = QuotientTarget(ideal)
-        o = ideal.order or 0
-        top = qt.top - e
-        for d in range(o, top + 1):
+        qt = Target.quotient(ideal)
+        for d in range(ideal.order, qt.top - e + 1):
             cur = blocks.get(d, Mat.zeros(fld, ideal.dim_at(d), qt.dim(d + e)))
             nxt = blocks.get(d + 1, Mat.zeros(fld, ideal.dim_at(d + 1),
                                               qt.dim(d + 1 + e)))
@@ -426,8 +394,7 @@ def check_tangent_blocks(nest: Nesting, e: int,
     for i in range(nest.r - 1):
         upper, lower = nest.ideals[i], nest.ideals[i + 1]
         bu, bl = per_chain[i], per_chain[i + 1]
-        top_u = (upper.socle_degree if upper.socle_degree is not None else -1) - e
-        for d in range((lower.order or 0), top_u + 1):
+        for d in range(lower.order, upper.socle_degree - e + 1):
             s_low = lower.dim_at(d)
             t_up = upper.qdim(d + e)
             if s_low == 0 or t_up == 0:
@@ -444,12 +411,12 @@ def check_tangent_blocks(nest: Nesting, e: int,
     return True
 
 
-def theta_rank(nest: Nesting, validate: bool = True) -> int:
+def theta_rank(nest: Nesting) -> int:
     """Rank of the span of the n derivative directions in degree -1."""
     vecs = theta_blocks(nest)
     rows = []
     for per_chain in vecs:
-        if validate and not check_tangent_blocks(nest, -1, per_chain):
+        if not check_tangent_blocks(nest, -1, per_chain):
             raise TangentError("theta image violates the tangent constraints")
         flat: list = []
         for blocks in per_chain:
@@ -510,8 +477,7 @@ class TangentReport:
 
 def tangent_window(nest: Nesting) -> tuple[int, int]:
     e_min = -max(i.max_gen_degree for i in nest.ideals)
-    e_max = max((i.socle_degree if i.socle_degree is not None else -1) -
-                (i.order or 0) for i in nest.ideals)
+    e_max = max(i.socle_degree - i.order for i in nest.ideals)
     return e_min, max(e_max, -1)
 
 
@@ -608,7 +574,7 @@ def sandwich_hom_term(nest: Nesting, j: int, k: int) -> dict[int, int]:
     if j >= 1:
         upper = nest.ideals[j - 1]
         target = subquotient_module(upper, mk)
-        o_target = upper.order or 0
+        o_target = upper.order
     else:
         from .ideals import _ring_as_ideal
 
@@ -662,20 +628,19 @@ def hom_dim_via_syzygies(ideal: HomogeneousIdeal, e: int) -> int:
 
     ctx, fld = ideal.ctx, ideal.fld
     gens = minimal_generators(ideal)
-    qt = QuotientTarget(ideal)
     offsets, total = [], 0
     for d, _ in gens:
         offsets.append(total)
-        total += qt.dim(d + e)
+        total += ideal.qdim(d + e)
     syz = first_syzygies(ideal)
     width = 0
     entries: list[tuple[int, int, object]] = []
     for sy_deg, comps in zip(syz.degrees, syz.comps):
-        t_out = qt.dim(sy_deg + e)
+        t_out = ideal.qdim(sy_deg + e)
         if t_out == 0:
             continue
         for l, (gd, _) in enumerate(gens):
-            t_in = qt.dim(gd + e)
+            t_in = ideal.qdim(gd + e)
             if t_in == 0 or not comps[l]:
                 continue
             # multiplication by the syzygy coefficient, pushed to the quotient

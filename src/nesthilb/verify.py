@@ -31,7 +31,6 @@ SMALL_PRIME_LIMIT = 1000
 @dataclass
 class VerifyConfig:
     fld: FieldSpec = QQ
-    seed: int = 0
 
     @property
     def tiny_prime(self) -> bool:

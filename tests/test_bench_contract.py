@@ -1,0 +1,30 @@
+"""The benchmark tracer patches package names by string: a rename of one of
+them must fail here, not only in a benchmark run."""
+
+import importlib.util
+from pathlib import Path
+
+import nesthilb
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_covers_a_traced_tangent_solve():
+    tracer = _load_spans().Tracer()
+    tracer.install(nesthilb)
+    try:
+        rep = tracer.op("tnt", lambda: nesthilb.tnt_check(nesthilb.parse_nesting_spec(
+            "I1:4,2 > I2:4", nesthilb.FieldSpec.prime(32003))))
+    finally:
+        tracer.uninstall()
+    assert rep.tnt == "certified"
+    summary = tracer.summary()
+    assert summary["span_coverage"] >= 0.9
+    assert summary["linalg.transform_cells"] > 0

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from nesthilb.cli import main
+from nesthilb.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -116,3 +117,53 @@ def test_verify_tiny_prime_skips(capsys):
                     "--filter", "sandwich_jump,dimension_formulas")
     assert code == 0
     assert "SKIP" in out and "tiny primes" in out
+
+
+SUBCOMMAND_OPTIONS = {
+    "hilb": {"--field", "--json", "--n", "--cutoff"},
+    "betti": {"--field", "--json", "--n", "--cutoff"},
+    "tangent": {"--field", "--json", "--n", "-e"},
+    "tnt": {"--field", "--json", "--n"},
+    "hom": {"--field", "--json", "--n", "--hi"},
+    "sandwich": {"--field", "--json", "--n", "-j", "-k"},
+    "census": {"--field", "--json", "--seed", "--nmin", "--nmax", "--store", "--csv"},
+    "verify": {"--field", "--filter"},
+    "gap": {"--json"},
+    "thmC": {"--json"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {s for a in p._actions for s in a.option_strings
+                  if s not in ("-h", "--help")}
+           for name, p in sub.choices.items()}
+    assert got == SUBCOMMAND_OPTIONS
+    assert sum(len(v) for v in got.values()) == 35
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap", "10", "3", "--n", "5"],  # --n would overwrite the positional n
+    ["tangent", "I1:4,2 > I2:4", "--cutoff", "1"],
+])
+def test_unread_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as ex:
+        main(argv)
+    assert ex.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["hilb", "nosuch:4"], "cannot parse ideal spec 'nosuch:4'"),
+    (["hilb", "I2:4", "--field", "prime:32004"], "modulus must be prime: 32004"),
+    (["hilb", "I2:4", "--field", "prime:1000000007"], "modulus out of range"),
+    (["hom", "R / 0", "m^2:2 / 0"], "R/0 is not finite"),
+])
+def test_input_errors_exit_2_with_one_line(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"nesthilb {argv[0]}: error: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

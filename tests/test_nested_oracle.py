@@ -9,7 +9,7 @@ from nesthilb.ideals import (Nesting, family_8points, family_I1, family_I2,
                              power_of_max_ideal)
 from nesthilb.linalg import FieldSpec, Mat, QQ
 from nesthilb.ring import RingCtx
-from nesthilb.tangent import (QuotientTarget, _inclusion_coords, _lift_project,
+from nesthilb.tangent import (Target, _inclusion_coords, _lift_project,
                               nested_tangent_graded, tangent_window)
 
 FP = FieldSpec.prime(32003)
@@ -22,7 +22,7 @@ def brute_nested_dim(nest: Nesting, e: int) -> int:
     total = 0
     shapes = {}
     for i, ideal in enumerate(nest.ideals):
-        qt = QuotientTarget(ideal)
+        qt = Target.quotient(ideal)
         o = ideal.order or 0
         for d in range(o, qt.top - e + 1):
             s, t = ideal.dim_at(d), qt.dim(d + e)
@@ -37,7 +37,7 @@ def brute_nested_dim(nest: Nesting, e: int) -> int:
     entries = []
     nrows = 0
     for i, ideal in enumerate(nest.ideals):
-        qt = QuotientTarget(ideal)
+        qt = Target.quotient(ideal)
         o = ideal.order or 0
         for d in range(o, qt.top - e):
             s, t = shapes[(i, d)]
@@ -64,7 +64,7 @@ def brute_nested_dim(nest: Nesting, e: int) -> int:
             nrows += n * s * t1
     for i in range(nest.r - 1):
         upper, lower = nest.ideals[i], nest.ideals[i + 1]
-        qtu = QuotientTarget(upper)
+        qtu = Target.quotient(upper)
         top_u = qtu.top - e
         for d in range((lower.order or 0), top_u + 1):
             s_low = lower.dim_at(d)

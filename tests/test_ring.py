@@ -3,16 +3,16 @@ from hypothesis import given, settings, strategies as st
 
 from nesthilb.linalg import FieldSpec, Mat, QQ
 from nesthilb.parsing import parse_polynomial
-from nesthilb.ring import (HomogeneousElement, RingCtx, dim_graded_piece,
-                           mult_map, scatter_rows, variable_action_matrices)
+from nesthilb.ring import (HomogeneousElement, RingCtx, mult_map, scatter_rows,
+                           variable_action_matrices)
 
 FP = FieldSpec.prime(32003)
 
 
 def test_dim_graded_piece_examples():
-    assert dim_graded_piece(RingCtx(3), 0) == 1
-    assert dim_graded_piece(RingCtx(3), 4) == 15
-    assert dim_graded_piece(RingCtx(2), 3) == 4
+    assert RingCtx(3).dim(0) == 1
+    assert RingCtx(3).dim(4) == 15
+    assert RingCtx(2).dim(3) == 4
 
 
 def test_hilbert_series_matches_geometric_expansion():

@@ -1,11 +1,16 @@
 import json
+import sys
+import threading
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nesthilb.ideals import (Nesting, family_I1, family_I2,
                              generic_ideal_with_hilbert_function)
-from nesthilb.linalg import FieldSpec, QQ
+from nesthilb import strata
+from nesthilb.linalg import FieldSpec, Mat, QQ
 from nesthilb.resolutions import has_linear_syzygies
 from nesthilb.ring import RingCtx
 from nesthilb.strata import (GAP_BOUNDARY, GAP_INCONCLUSIVE, GAP_STRICT,
@@ -174,6 +179,38 @@ def test_census_threaded_matches_serial(tmp_path):
     strip = lambda rows: [{k: v for k, v in r.items() if k != "elapsed_ms"}
                           for r in rows]
     assert strip(serial) == strip(threaded)
+
+
+def test_census_threads_share_one_i2_and_its_relations(monkeypatch):
+    counts = Counter()
+    lock = threading.Lock()
+    build_i2, transform = strata.family_I2, Mat.rref_with_transform
+
+    def slow_family_i2(ctx, fld):
+        with lock:
+            counts[f"I2:{ctx.n}"] += 1
+        time.sleep(0.2)  # keep every worker inside the build window
+        return build_i2(ctx, fld)
+
+    def counted_transform(m):
+        with lock:
+            counts["transform"] += 1
+        return transform(m)
+
+    monkeypatch.setattr(strata, "family_I2", slow_family_i2)
+    monkeypatch.setattr(Mat, "rref_with_transform", counted_transform)
+    serial = [r.to_json() for r in census((6, 7), fld=FP, seed=0)]
+    serial_counts = dict(counts)
+    counts.clear()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threaded = [r.to_json() for r in census((6, 7), fld=FP, seed=0, threads=3)]
+    finally:
+        sys.setswitchinterval(switch)
+    assert serial_counts["I2:6"] == serial_counts["I2:7"] == 1
+    assert dict(counts) == serial_counts
+    assert all("error" not in r for r in threaded) and len(threaded) == len(serial)
 
 
 def test_census_resumes_after_a_torn_final_line(tmp_path):
