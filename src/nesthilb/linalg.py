@@ -6,8 +6,19 @@ Two backends share one matrix interface:
   eliminated with ordinary fraction arithmetic.  The ideals showing up in
   practice are monomial or binomial to a large extent, so sparse rows keep
   the rational path fast without any modular tricks.
-* GF(p) -- dense numpy int64 arrays with entries reduced to [0, p),
-  eliminated by vectorised Gauss-Jordan steps.
+* GF(p) -- dense numpy int64 arrays with entries reduced to [0, p).
+  Elimination is a forward pass (one vectorised row update per pivot) and,
+  for reduced forms, a back pass over the pivot rows.  Reduction mod p is
+  deferred: a step reduces only its pivot row and pivot column, and every
+  other entry takes the update unreduced.  Each update is below p^2 in
+  magnitude, so the live block is reduced every K(p) = (2^63 - 1 - p) //
+  (p - 1)^2 steps to stay inside int64 (K = 1024 at the largest accepted
+  prime, about 9e9 at 32003, where it never fires) and once at the end.
+  ``rank`` runs the forward pass only, on the transpose when that has fewer
+  columns.  ``rref_with_transform`` carries one transform column per pivot
+  rather than an nrows-wide identity: the transform part of a row is its own
+  identity entry plus multiples of earlier pivot rows, so the square
+  transform is rebuilt from the pivot columns and the row order at the end.
 
 Everything is deterministic and exact: reduced row echelon forms are canonical
 for the row space and kernels are returned in reduced echelon form.  The only
@@ -335,42 +346,54 @@ class Mat:
     def rref_with_transform(self) -> tuple["Mat", list[int], "Mat"]:
         """Return (R, pivots, T) with T @ self row-equivalent data: the first
         len(pivots) rows of T @ self equal R and the remaining rows are zero.
-        T is square of size nrows."""
-        aug = Mat.hstack(self.field, [self, Mat.identity(self.field, self.nrows)])
-        red, piv = aug.rref(pivot_cols_limit=self.ncols)
+        T is square of size nrows: the transform part of the reduced
+        ``[self | identity]``, whose pivots lie in the self part."""
+        m, n = self.nrows, self.ncols
+        if not self.field.is_rational:
+            # a row's transform part is its own identity entry plus multiples
+            # of the rows that were pivots before it, so the elimination carries
+            # one transform column per pivot (opened when the pivot is found)
+            # and the untouched identity entries are written back at the end
+            p = self.field.p
+            a = np.zeros((m, n + min(m, n)), dtype=np.int64)
+            np.mod(self.arr, p, out=a[:, :n])
+            piv, order = _eliminate_p(a, p, n, back=True, slots=n)
+            r = len(piv)
+            if a[r:, :n].any():
+                raise LinalgError("internal: transform reduction left nonzero tail")
+            t = np.zeros((m, m), dtype=np.int64)
+            t[:, order[:r]] = a[:, n:n + r]
+            t[np.arange(r, m), order[r:]] = 1
+            return (Mat(self.field, r, n, arr=a[:r, :n].copy()), piv,
+                    Mat(self.field, m, m, arr=t))
+        aug = Mat.hstack(self.field, [self, Mat.identity(self.field, m)])
+        red, piv = aug.rref(pivot_cols_limit=n)
         # rref drops zero rows of the main part only when the transform part is
         # also zero, which cannot happen here; recover full square transform.
         r = len(piv)
-        if self.field.is_rational:
-            main_rows, t_rows = [], []
-            for row in red.rows:
-                main_rows.append({j: v for j, v in row.items() if j < self.ncols})
-                t_rows.append({j - self.ncols: v for j, v in row.items() if j >= self.ncols})
-            # pad (rref of augmented matrix keeps all nonzero rows; rows that are
-            # zero in both parts were genuinely zero rows of the input)
-            while len(t_rows) < self.nrows:
-                main_rows.append({})
-                t_rows.append({})
-            R = Mat(self.field, r, self.ncols, rows=main_rows[:r])
-            Z = Mat(self.field, self.nrows - r, self.ncols, rows=main_rows[r:])
-            if not Z.is_zero():
-                raise LinalgError("internal: transform reduction left nonzero tail")
-            T = Mat(self.field, self.nrows, self.nrows, rows=t_rows)
-            return R, piv, T
-        main = red.arr[:, :self.ncols]
-        tpart = red.arr[:, self.ncols:]
-        pad = self.nrows - red.arr.shape[0]
-        if pad:
-            main = np.vstack([main, np.zeros((pad, self.ncols), dtype=np.int64)])
-            tpart = np.vstack([tpart, np.zeros((pad, self.nrows), dtype=np.int64)])
-        if main[r:].any():
+        main_rows, t_rows = [], []
+        for row in red.rows:
+            main_rows.append({j: v for j, v in row.items() if j < n})
+            t_rows.append({j - n: v for j, v in row.items() if j >= n})
+        # pad (rref of augmented matrix keeps all nonzero rows; rows that are
+        # zero in both parts were genuinely zero rows of the input)
+        while len(t_rows) < m:
+            main_rows.append({})
+            t_rows.append({})
+        R = Mat(self.field, r, n, rows=main_rows[:r])
+        Z = Mat(self.field, m - r, n, rows=main_rows[r:])
+        if not Z.is_zero():
             raise LinalgError("internal: transform reduction left nonzero tail")
-        R = Mat(self.field, r, self.ncols, arr=main[:r].copy())
-        T = Mat(self.field, self.nrows, self.nrows, arr=tpart.copy())
+        T = Mat(self.field, m, m, rows=t_rows)
         return R, piv, T
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        if self.field.is_rational:
+            return len(self.rref()[1])
+        # forward elimination only, over the shorter side as columns
+        a = self.arr.T if self.ncols > self.nrows else self.arr
+        a = np.mod(a, self.field.p, order="C")
+        return len(_eliminate_p(a, self.field.p, a.shape[1], back=False)[0])
 
     def kernel_basis(self) -> "Mat":
         """Rows = reduced-echelon basis of the right kernel {v : self @ v = 0}."""
@@ -489,33 +512,88 @@ def _rref_q(rows: list[dict], limit: int) -> tuple[list[dict], list[int]]:
 # ---------------------------------------------------------------- GF(p) kernel
 
 
-def _rref_p(arr: np.ndarray, p: int, limit: int) -> tuple[np.ndarray, list[int]]:
-    a = np.mod(arr, p).astype(np.int64, copy=True)
+def _flush_interval(p: int) -> int:
+    """Elimination steps after which unreduced int64 entries must be reduced.
+
+    Entries start in [0, p) and each step subtracts a product below p^2, so
+    K steps stay in range while p + K (p-1)^2 < 2^63: K = 1024 at the largest
+    accepted prime 94906249, about 9e9 at 32003."""
+    return ((1 << 63) - 1 - p) // ((p - 1) ** 2)
+
+
+def _eliminate_p(a: np.ndarray, p: int, limit: int, back: bool,
+                 slots: int | None = None) -> tuple[list[int], np.ndarray]:
+    """Eliminate the int64 array a (entries in [0, p)) in place and reduce it.
+
+    Forward pass: the pivot of column c < limit is the first row at or below
+    the current one with a nonzero entry there, and it clears the rows below
+    it.  Only the pivot column and the pivot row are reduced mod p at each
+    step; the other rows take the update unreduced, and the live block is
+    reduced every ``_flush_interval(p)`` steps and once at the end.  With
+    ``back`` a second pass clears each pivot column above its pivot, bottom
+    pivot first, which gives the reduced echelon form Gauss-Jordan gives.
+    With ``slots``, columns from ``slots`` on carry the row transform: pivot k
+    opens column ``slots + k`` holding a 1 in its row (see ``rref_with_transform``).
+    Returns the pivot columns and the original row index of each final row.
+    """
     m, n = a.shape
+    flush = _flush_interval(p)
+    steps = 0  # elimination steps since the last full reduction
     pivots: list[int] = []
+    order = np.arange(m)
     r = 0
     for c in range(min(limit, n)):
         if r == m:
             break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
+        col = a[r:, c] % p
+        nz = np.flatnonzero(col)
         if nz.size == 0:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
+        i = int(nz[0])
+        if i:
+            a[[r, r + i]] = a[[r + i, r]]
+            order[[r, r + i]] = order[[r + i, r]]
+            col[[0, i]] = col[[i, 0]]
+        hi = n
+        if slots is not None:
+            hi = slots + r + 1
+            a[r, hi - 1] = 1
+        row = a[r, c:hi] % p
+        inv = pow(int(col[0]), p - 2, p)
         if inv != 1:
-            a[r] = a[r] * inv % p
-        rest = a[:, c].copy()
-        rest[r] = 0
-        nzr = np.nonzero(rest)[0]
-        if nzr.size:
-            a[nzr] = (a[nzr] - np.outer(rest[nzr], a[r])) % p
+            row = row * inv % p
+        a[r, c:hi] = row
+        below = np.flatnonzero(col[1:])
+        if below.size:
+            a[r + 1 + below, c:hi] -= np.outer(col[1 + below], row)
         pivots.append(c)
         r += 1
+        steps += 1
+        if steps == flush:
+            a[r:, c + 1:hi] %= p
+            steps = 0
+    if back:
+        hi = n if slots is None else slots + r
+        for k in range(r - 1, 0, -1):
+            c = pivots[k]
+            f = a[:k, c] % p
+            above = np.flatnonzero(f)
+            if above.size:
+                a[above, c:hi] -= np.outer(f[above], a[k, c:hi] % p)
+            steps += 1
+            if steps == flush:
+                a[:k, :hi] %= p
+                steps = 0
+    a %= p
+    return pivots, order
+
+
+def _rref_p(arr: np.ndarray, p: int, limit: int) -> tuple[np.ndarray, list[int]]:
+    a = np.mod(arr, p).astype(np.int64, copy=True)
+    pivots, _ = _eliminate_p(a, p, limit, back=True)
+    r = len(pivots)
     # move zero rows (within the pivot range) to the bottom, keep others
-    if r < m:
+    if r < a.shape[0]:
         tail = a[r:]
         nonzero_tail = tail[np.any(tail, axis=1)]
         a = np.vstack([a[:r], nonzero_tail]) if nonzero_tail.size else a[:r]

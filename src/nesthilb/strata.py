@@ -325,8 +325,9 @@ def census(n_range: tuple[int, int], fld: FieldSpec | None = None, seed: int = 0
            store_path: str | None = None, threads: int = 1):
     """Stream census records over the (n, s) grid with s = 0..n, resumably.
 
-    Existing (n, s, field, seed) keys in the JSONL store are not recomputed;
-    a torn final line, left by an interrupted append, is cut off first.
+    Existing (n, s, field, seed) keys in the JSONL store are not recomputed
+    unless their last record carries an error; a retry appends a new line.
+    A torn final line, left by an interrupted append, is cut off first.
     Records are appended and yielded in grid order regardless of the worker
     count; the store has a single writer.
     """
@@ -341,7 +342,12 @@ def census(n_range: tuple[int, int], fld: FieldSpec | None = None, seed: int = 0
         for line in data[:whole].decode().splitlines():
             if line.strip():
                 rec = json.loads(line)
-                done.add((rec["n"], rec["s"], rec["field"], rec["seed"]))
+                key = (rec["n"], rec["s"], rec["field"], rec["seed"])
+                # the last line for a key counts, as in census_csv; an error is retried
+                if "error" in rec:
+                    done.discard(key)
+                else:
+                    done.add(key)
     cells = [(n, s) for n in range(n_range[0], n_range[1] + 1)
              for s in range(0, n + 1) if (n, s, fld.label, seed) not in done]
     out = open(store_path, "a") if store_path else None

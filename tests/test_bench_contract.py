@@ -28,3 +28,7 @@ def test_tracer_covers_a_traced_tangent_solve():
     summary = tracer.summary()
     assert summary["span_coverage"] >= 0.9
     assert summary["linalg.transform_cells"] > 0
+    # the constraint rank must go through Mat.rank inside the solve, or it
+    # drops out of the per-layer metrics
+    assert summary["tangent.cons_rows"] > 0
+    assert summary["tangent.cons_rank_s"] > 0

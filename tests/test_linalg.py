@@ -155,3 +155,135 @@ def test_matmul_mod_exact_on_large_products():
     b = Mat.from_rows(fld, [[DEFAULT_PRIME - 1]] * 50)
     got = a.matmul(b).to_lists()[0][0]
     assert got == (50 * (DEFAULT_PRIME - 1) ** 2) % DEFAULT_PRIME
+
+
+# ------------------------------------------- GF(p) against a pure-Python oracle
+
+
+def _ref_gauss_jordan(rows, ncols, p, limit=None):
+    """Textbook Gauss-Jordan mod p on Python ints.  The pivot of column c is
+    the first row at or below the current one that is nonzero there; every
+    other row is cleared.  Returns all rows (zero rows kept) and the pivots."""
+    a = [[v % p for v in r] for r in rows]
+    m = len(a)
+    piv, r = [], 0
+    for c in range(ncols if limit is None else limit):
+        if r == m:
+            break
+        i = next((i for i in range(r, m) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        if inv != 1:
+            a[r] = [v * inv % p for v in a[r]]
+        for k in range(m):
+            f = a[k][c]
+            if k != r and f:
+                a[k] = [(x - f * y) % p for x, y in zip(a[k], a[r])]
+        piv.append(c)
+        r += 1
+    return a, piv
+
+
+def _ref_rref(rows, ncols, p):
+    a, piv = _ref_gauss_jordan(rows, ncols, p)
+    return a[:len(piv)], piv
+
+
+def _ref_kernel(rows, ncols, p):
+    red, piv = _ref_rref(rows, ncols, p)
+    vecs = []
+    for f in (j for j in range(ncols) if j not in piv):
+        v = [0] * ncols
+        v[f] = 1
+        for i, pc in enumerate(piv):
+            v[pc] = -red[i][f] % p
+        vecs.append(v)
+    return _ref_rref(vecs, ncols, p)[0]
+
+
+def _ref_rref_with_transform(rows, ncols, p):
+    """The reduced [rows | identity] with pivots in the rows part."""
+    m = len(rows)
+    aug = [list(r) + [int(i == k) for k in range(m)] for i, r in enumerate(rows)]
+    a, piv = _ref_gauss_jordan(aug, ncols + m, p, limit=ncols)
+    return [r[:ncols] for r in a[:len(piv)]], piv, [r[ncols:] for r in a]
+
+
+def _check_against_reference(rows, ncols, p):
+    fld = FieldSpec.prime(p)
+    m = Mat.from_rows(fld, rows, ncols)
+    red, piv = m.rref()
+    want_red, want_piv = _ref_rref(rows, ncols, p)
+    assert piv == want_piv
+    assert red.to_lists() == want_red
+    assert m.rank() == len(want_piv)
+    assert m.kernel_basis().to_lists() == _ref_kernel(rows, ncols, p)
+    r_mat, t_piv, t_mat = m.rref_with_transform()
+    want_r, want_t_piv, want_t = _ref_rref_with_transform(rows, ncols, p)
+    assert t_piv == want_t_piv
+    assert r_mat.to_lists() == want_r
+    assert (t_mat.nrows, t_mat.ncols) == (len(rows), len(rows))
+    assert t_mat.to_lists() == want_t  # the whole transform, entry for entry
+
+
+@st.composite
+def gfp_matrices(draw):
+    p = draw(st.sampled_from([2, 3, DEFAULT_PRIME, 94906249]))
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entry = st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
+    kind = draw(st.sampled_from(["any", "zero", "rank_deficient"]))
+    if kind == "zero":
+        rows = [[0] * ncols for _ in range(nrows)]
+    elif kind == "rank_deficient":
+        k = draw(st.integers(0, max(0, min(nrows, ncols) - 1)))
+        b = [[draw(entry) for _ in range(k)] for _ in range(nrows)]
+        c = [[draw(entry) for _ in range(ncols)] for _ in range(k)]
+        rows = [[sum(b[i][t] * c[t][j] for t in range(k)) % p for j in range(ncols)]
+                for i in range(nrows)]
+    else:
+        rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    return rows, ncols, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(gfp_matrices())
+def test_prime_field_elimination_matches_python_reference(case):
+    _check_against_reference(*case)
+
+
+def _boundary_matrix(kind: str, p: int, size: int = 1100) -> list[list[int]]:
+    a = np.eye(size, dtype=np.int64)
+    last = size - 1
+    if kind == "forward":
+        # row and column `last` are p-1, a[last, last] = last: the true rank is
+        # `last`, and row `last` takes one update of (p-1)^2 per pivot
+        a[last, :] = p - 1
+        a[:, last] = p - 1
+        a[last, last] = last
+    else:
+        # row 0 is p-1 past its pivot and column `last` never gets a pivot,
+        # so the back pass adds (p-1)^2 to a[0, last] once per pivot row
+        a[0, 1:last] = p - 1
+        a[1:last, last] = p - 1
+        a[last, last] = 0
+    return a.tolist()
+
+
+@pytest.mark.parametrize("kind", ["forward", "back"])
+def test_deferred_reduction_survives_int64_at_the_largest_prime(kind):
+    # p = 94906249 leaves room for only 1024 unreduced updates of (p-1)^2 in
+    # int64; both matrices need more than that
+    p = 94906249
+    rows = _boundary_matrix(kind, p)
+    want_red, want_piv = _ref_rref(rows, len(rows), p)
+    assert len(want_piv) == len(rows) - 1
+    m = Mat.from_rows(FieldSpec.prime(p), rows)
+    assert m.rank() == len(want_piv)
+    red, piv = m.rref()
+    assert piv == want_piv and red.to_lists() == want_red
+    r_mat, t_piv, t_mat = m.rref_with_transform()
+    want_r, want_t_piv, want_t = _ref_rref_with_transform(rows, len(rows), p)
+    assert t_piv == want_t_piv and r_mat.to_lists() == want_r
+    assert t_mat.to_lists() == want_t

@@ -226,3 +226,25 @@ def test_census_resumes_after_a_torn_final_line(tmp_path):
     assert len(stored) == len(lines)
     assert {k: v for k, v in stored[-1].items() if k != "elapsed_ms"} == \
         {k: v for k, v in torn.items() if k != "elapsed_ms"}
+
+
+def test_census_retries_error_records_on_resume(tmp_path):
+    store = tmp_path / "census.jsonl"
+    first = list(census((6, 6), fld=FP, seed=0, store_path=str(store)))
+    clean = next(r.to_json() for r in first if r.s == 2)
+    failed = {k: v for k, v in clean.items()
+              if k not in ("t_minus_one", "t_nonneg", "theta_rank", "tnt")}
+    failed["error"] = "MemoryError: "
+    lines = store.read_text().splitlines()
+    store.write_text("".join(json.dumps(failed, sort_keys=True) + "\n"
+                             if json.loads(line)["s"] == 2 else line + "\n"
+                             for line in lines))
+    again = list(census((6, 6), fld=FP, seed=0, store_path=str(store)))
+    assert [(r.n, r.s) for r in again] == [(6, 2)]
+    last = [json.loads(line) for line in store.read_text().splitlines()
+            if json.loads(line)["s"] == 2][-1]
+    strip = lambda rec: {k: v for k, v in rec.items() if k != "elapsed_ms"}
+    assert "error" not in last and strip(last) == strip(clean)
+    assert list(census((6, 6), fld=FP, seed=0, store_path=str(store))) == []
+    row = census_csv(str(store), "F32003", 0).splitlines()[1].split(",")
+    assert row[1 + 2] == f"{clean['gap']}^{clean['t_minus_one']}"
