@@ -74,7 +74,7 @@ def cmd_tnt(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    from .ideals import IdealError, subquotient_module, zero_ideal, _ring_as_ideal
+    from .ideals import IdealError, subquotient_module, zero_ideal, _max_ideal_power
     from .tangent import graded_hom_dims
 
     fld = _field(args)
@@ -88,7 +88,7 @@ def cmd_hom(args) -> int:
             if bot is None:
                 raise IdealError("R/0 is not finite")
             return subquotient_module(
-                _ring_as_ideal(bot.ctx, fld, bot.socle_degree or 0), bot)
+                _max_ideal_power(bot.ctx, fld, 0, bot.socle_degree or 0), bot)
         top = parse_ideal_spec(top_s.strip(), fld, n=args.n, ctx_cache=cache)
         if bot is None:
             bot = zero_ideal(top.ctx, fld, cutoff=args.hi or (top.cutoff + 4))

@@ -10,6 +10,13 @@ Quotients and subquotients use the canonical complement of a reduced echelon
 subspace: the pivot set of the smaller space is always contained in the pivot
 set of the larger one, and the rows of the larger reduced basis at the extra
 pivots are a canonical section of the quotient.
+
+Each degree is eliminated once, as the ideal is built.  Per degree the ideal
+keeps its generator pivots (``gen_pivots``): the pivots of I_d that are not
+pivots of R_1 * I_{d-1}.  The basis rows at them are the canonical minimal
+generators, so generators and the rank of R_1 * I_{d-1} need no further
+elimination.  A stored basis owns exactly its rows, never a view into a
+larger elimination buffer.
 """
 
 from __future__ import annotations
@@ -110,12 +117,12 @@ class HomogeneousIdeal:
     """A homogeneous ideal of C[x_1..x_n] stored as one echelon basis per degree."""
 
     def __init__(self, ctx: RingCtx, fld: FieldSpec, bases: list[Mat],
-                 pivots: list[list[int]], new_gen_counts: list[int]):
+                 pivots: list[list[int]], gen_pivots: list[list[int]]):
         self.ctx = ctx
         self.fld = fld
         self.bases = bases
         self.pivots = pivots
-        self.new_gen_counts = new_gen_counts
+        self.gen_pivots = gen_pivots
         self.cutoff = len(bases) - 1
         dims = [b.nrows for b in bases]
         self.order = next((d for d, k in enumerate(dims) if k), None)
@@ -166,13 +173,13 @@ class HomogeneousIdeal:
 
     @property
     def max_gen_degree(self) -> int:
-        degs = [d for d, k in enumerate(self.new_gen_counts) if k]
+        degs = [d for d, g in enumerate(self.gen_pivots) if g]
         if not degs:
             raise IdealError("zero ideal has no generators")
         return max(degs)
 
     def generator_degrees(self) -> dict[int, int]:
-        return {d: k for d, k in enumerate(self.new_gen_counts) if k}
+        return {d: len(g) for d, g in enumerate(self.gen_pivots) if g}
 
     # ------------------------------------------------------------ containment
 
@@ -290,32 +297,23 @@ def ideal_from_generators(ctx: RingCtx, fld: FieldSpec,
 
     bases: list[Mat] = []
     pivots: list[list[int]] = []
-    new_counts: list[int] = []
+    gen_pivots: list[list[int]] = []
     d = 0
     hard_top = cutoff if cutoff is not None else max(DEFAULT_CEILING, max_gen)
     while d <= hard_top:
-        ndim = ctx.dim(d)
-        if d == 0:
-            span = Mat.zeros(fld, 0, ndim)
-            rank0 = 0
-        else:
-            prev = bases[d - 1]
-            parts = [scatter_rows(ctx, prev, j, d - 1) for j in range(ctx.n)]
-            span, _ = Mat.vstack(fld, parts, ndim).rref()
-            rank0 = span.nrows
-        gen_rows = by_deg.get(d)
-        if gen_rows:
-            g = _rows_matrix(ctx, fld, gen_rows, d)
-            span = Mat.vstack(fld, [span, g], ndim)
-        basis, piv = span.rref()
+        basis, step_piv = _degree_step(ctx, fld, bases)
+        piv = step_piv
+        if d in by_deg:
+            g = _rows_matrix(ctx, fld, by_deg[d], d)
+            basis, piv = Mat.vstack(fld, [basis, g], basis.ncols).rref()
         bases.append(basis)
         pivots.append(piv)
-        new_counts.append(basis.nrows - rank0)
-        if cutoff is None and basis.nrows == ndim and d >= max_gen:
+        gen_pivots.append(_fresh_pivots(piv, step_piv))
+        if cutoff is None and basis.nrows == basis.ncols and d >= max_gen:
             break
         d += 1
 
-    ideal = HomogeneousIdeal(ctx, fld, bases, pivots, new_counts)
+    ideal = HomogeneousIdeal(ctx, fld, bases, pivots, gen_pivots)
     if require_m_primary and not ideal.is_m_primary:
         raise CutoffTooSmall(
             f"ideal not certified m-primary below degree {ideal.cutoff}")
@@ -329,27 +327,44 @@ def _rows_matrix(ctx: RingCtx, fld: FieldSpec,
                              for j, v in g.coeffs.items()))
 
 
+def _degree_step(ctx: RingCtx, fld: FieldSpec,
+                 bases: list[Mat]) -> tuple[Mat, list[int]]:
+    """(rref, pivots) of R_1 * I_{d-1} in degree d = len(bases), where bases
+    holds the reduced bases of I_0..I_{d-1}."""
+    d = len(bases)
+    if d == 0:
+        return Mat.zeros(fld, 0, 1), []
+    parts = [scatter_rows(ctx, bases[-1], j, d - 1) for j in range(ctx.n)]
+    return Mat.vstack(fld, parts, ctx.dim(d)).rref()
+
+
+def _fresh_pivots(piv: list[int], step_piv: list[int]) -> list[int]:
+    """Pivots of I_d that are not pivots of R_1 * I_{d-1}: its generator pivots."""
+    step = set(step_piv)
+    return [p for p in piv if p not in step]
+
+
+def _max_ideal_power(ctx: RingCtx, fld: FieldSpec, k: int,
+                     cutoff: int) -> HomogeneousIdeal:
+    """m^k stored up to degree cutoff: all of R in degrees >= k, generated by
+    R_k.  k = 0 gives R itself and k = cutoff + 1 the zero ideal."""
+    dims = [ctx.dim(d) for d in range(cutoff + 1)]
+    bases = [Mat.identity(fld, n) if d >= k else Mat.zeros(fld, 0, n)
+             for d, n in enumerate(dims)]
+    pivots = [list(range(b.nrows)) for b in bases]
+    gen_pivots = [piv if d == k else [] for d, piv in enumerate(pivots)]
+    return HomogeneousIdeal(ctx, fld, bases, pivots, gen_pivots)
+
+
 def zero_ideal(ctx: RingCtx, fld: FieldSpec, cutoff: int) -> HomogeneousIdeal:
-    bases = [Mat.zeros(fld, 0, ctx.dim(d)) for d in range(cutoff + 1)]
-    return HomogeneousIdeal(ctx, fld, bases, [[] for _ in bases], [0] * (cutoff + 1))
+    return _max_ideal_power(ctx, fld, cutoff + 1, cutoff)
 
 
 def power_of_max_ideal(ctx: RingCtx, fld: FieldSpec, k: int) -> HomogeneousIdeal:
     """m^k, stored up to its certifying degree k."""
     if k < 0:
         raise IdealError("power must be nonnegative")
-    bases, pivots, counts = [], [], []
-    for d in range(k + 1):
-        if d < k:
-            bases.append(Mat.zeros(fld, 0, ctx.dim(d)))
-            pivots.append([])
-            counts.append(0)
-        else:
-            ndim = ctx.dim(d)
-            bases.append(Mat.identity(fld, ndim))
-            pivots.append(list(range(ndim)))
-            counts.append(ndim if k > 0 else 1)
-    return HomogeneousIdeal(ctx, fld, bases, pivots, counts)
+    return _max_ideal_power(ctx, fld, k, k)
 
 
 def generic_ideal_with_hilbert_function(ctx: RingCtx, fld: FieldSpec,
@@ -380,22 +395,17 @@ def _try_generic(ctx: RingCtx, fld: FieldSpec, q: tuple[int, ...],
                  rng: random.Random) -> HomogeneousIdeal | None:
     bases: list[Mat] = []
     pivots: list[list[int]] = []
-    counts: list[int] = []
+    gen_pivots: list[list[int]] = []
     top = len(q)  # last degree built; fills up there
     for d in range(top + 1):
         ndim = ctx.dim(d)
         target = ndim - (q[d] if d < len(q) else 0)
         if target < 0:
             return None
-        if d == 0:
-            span = Mat.zeros(fld, 0, ndim)
-        else:
-            parts = [scatter_rows(ctx, bases[d - 1], j, d - 1) for j in range(ctx.n)]
-            span, _ = Mat.vstack(fld, parts, ndim).rref()
-        if span.nrows > target:
+        basis, step_piv = _degree_step(ctx, fld, bases)
+        if basis.nrows > target:
             return None
-        rank0 = span.nrows
-        basis, piv = span, None
+        piv = step_piv
         attempts = 0
         while basis.nrows < target:
             missing = target - basis.nrows
@@ -405,12 +415,10 @@ def _try_generic(ctx: RingCtx, fld: FieldSpec, q: tuple[int, ...],
             attempts += 1
             if attempts > 6:
                 return None
-        if piv is None:
-            basis, piv = basis.rref()
         bases.append(basis)
         pivots.append(piv)
-        counts.append(basis.nrows - rank0)
-    return HomogeneousIdeal(ctx, fld, bases, pivots, counts)
+        gen_pivots.append(_fresh_pivots(piv, step_piv))
+    return HomogeneousIdeal(ctx, fld, bases, pivots, gen_pivots)
 
 
 # ------------------------------------------------------------------- families
@@ -608,14 +616,7 @@ def quotient_module(i: HomogeneousIdeal, hi: int | None = None) -> FiniteGradedM
         if not i.is_m_primary:
             raise NotMPrimary("quotient of a truncated ideal needs an explicit top degree")
         hi = i.socle_degree
-    return subquotient_module(_ring_as_ideal(i.ctx, i.fld, max(hi, 0)), i, hi=hi)
-
-
-def _ring_as_ideal(ctx: RingCtx, fld: FieldSpec, cutoff: int) -> HomogeneousIdeal:
-    bases = [Mat.identity(fld, ctx.dim(d)) for d in range(cutoff + 1)]
-    pivots = [list(range(ctx.dim(d))) for d in range(cutoff + 1)]
-    counts = [1] + [0] * cutoff
-    return HomogeneousIdeal(ctx, fld, bases, pivots, counts)
+    return subquotient_module(_max_ideal_power(i.ctx, i.fld, 0, max(hi, 0)), i, hi=hi)
 
 
 # --------------------------------------------------------------------- nesting

@@ -596,7 +596,7 @@ def _rref_p(arr: np.ndarray, p: int, limit: int) -> tuple[np.ndarray, list[int]]
     if r < a.shape[0]:
         tail = a[r:]
         nonzero_tail = tail[np.any(tail, axis=1)]
-        a = np.vstack([a[:r], nonzero_tail]) if nonzero_tail.size else a[:r]
+        a = np.vstack([a[:r], nonzero_tail]) if nonzero_tail.size else a[:r].copy()
     return a, pivots
 
 

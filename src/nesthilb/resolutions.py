@@ -24,27 +24,17 @@ class ResolutionError(RuntimeError):
 
 
 def minimal_generators(ideal: HomogeneousIdeal) -> list[tuple[int, HomogeneousElement]]:
-    """Canonical minimal generators: per degree, the reduced-basis rows spanning
-    a complement of R_1 * I_{d-1} inside I_d."""
+    """Canonical minimal generators: per degree, the reduced-basis rows of I_d
+    at its generator pivots, which span a complement of R_1 * I_{d-1}."""
     if not ideal.is_m_primary:
         raise NotMPrimary("minimal generators need a certified m-primary ideal")
     ctx, fld = ideal.ctx, ideal.fld
     out = []
-    for d in range(ideal.socle_degree + 2):
-        basis, piv = ideal.basis_at(d)
-        if basis.nrows == 0:
-            continue
-        if d == 0:
-            prev_piv: list[int] = []
-        else:
-            prev, _ = ideal.basis_at(d - 1)
-            span, prev_piv = Mat.vstack(
-                fld, [scatter_rows(ctx, prev, j, d - 1) for j in range(ctx.n)],
-                ctx.dim(d)).rref()
-        prevset = set(prev_piv)
-        for i, p in enumerate(piv):
-            if p not in prevset:
-                out.append((d, HomogeneousElement(ctx, fld, d, basis.row_items(i))))
+    for d, gen_piv in enumerate(ideal.gen_pivots):
+        fresh = set(gen_piv)
+        basis = ideal.bases[d]
+        out += [(d, HomogeneousElement(ctx, fld, d, basis.row_items(i)))
+                for i, p in enumerate(ideal.pivots[d]) if p in fresh]
     return out
 
 
@@ -193,15 +183,15 @@ def _syzygy_step(ctx: RingCtx, fld, gens: _FreeGens, top: int
             _, span_piv = span.rref()
         else:
             span_piv = []
-        _, kpiv = kernel.rref()
+        # kernel rows are reduced, so each row's pivot is its leading column
+        rows = [kernel.row_items(i) for i in range(kernel.nrows)]
         prevset = set(span_piv)
-        fresh = [i for i, p in enumerate(kpiv) if p not in prevset]
+        fresh = [flat for flat in rows if min(flat) not in prevset]
         if fresh:
             counts[c] = len(fresh)
             offs = _free_offsets(ctx, gens.degrees, c)
-            for i in fresh:
+            for flat in fresh:
                 comp_rows: list[dict[int, object]] = []
-                flat = kernel.row_items(i)
                 for l, dg in enumerate(gens.degrees):
                     w = ctx.dim(c - dg)
                     comp_rows.append({k - offs[l]: v for k, v in flat.items()
@@ -254,13 +244,15 @@ def _degree_multiset(degrees: list[int]) -> dict[int, int]:
 
 
 def has_linear_syzygies(ideal: HomogeneousIdeal) -> bool:
-    """Two-step predicate: h_I(k+1) - n*h_I(k) < 0 for the order k.
+    """Two-step predicate: rank(R_1 * I_k) < n * dim I_k for the order k.
 
-    Raises NotTwoStep unless m^{k+2} ⊆ I ⊆ m^k with I not inside m^{k+1}.
+    The rank is dim I_{k+1} minus the generators in degree k+1, whose pivots
+    the ideal recorded when it eliminated R_1 * I_k.  Raises NotTwoStep
+    unless m^{k+2} ⊆ I ⊆ m^k with I not inside m^{k+1}.
     """
     k = two_step_order(ideal)
-    n = ideal.ctx.n
-    return ideal.dim_at(k + 1) - n * ideal.dim_at(k) < 0
+    step_rank = ideal.dim_at(k + 1) - ideal.generator_degrees().get(k + 1, 0)
+    return step_rank < ideal.ctx.n * ideal.dim_at(k)
 
 
 def two_step_order(ideal: HomogeneousIdeal) -> int:

@@ -291,11 +291,9 @@ class CensusRecord:
 
 def _census_cell(n: int, s: int, fld: FieldSpec, seed: int,
                  i2_cache: dict, i2_lock: threading.Lock) -> CensusRecord:
-    g = gap_formula(n, s)
-    rec = CensusRecord(n=n, s=s, field=fld.label, seed=seed, gap=g)
+    rec = CensusRecord(n=n, s=s, field=fld.label, seed=seed, gap=gap_formula(n, s))
     if 2 <= s <= n - 2:
-        rec.verdict = GAP_STRICT if g < 0 else (GAP_BOUNDARY if g == 0
-                                                else GAP_INCONCLUSIVE)
+        rec.verdict = gap(n, s).verdict
         t0 = time.monotonic()
         try:
             with i2_lock:  # one I2, and so one e_struct cache, per n
@@ -334,20 +332,8 @@ def census(n_range: tuple[int, int], fld: FieldSpec | None = None, seed: int = 0
     fld = fld or FieldSpec.prime(DEFAULT_PRIME)
     done = set()
     if store_path and os.path.exists(store_path):
-        with open(store_path, "rb+") as fh:
-            data = fh.read()
-            whole = data.rfind(b"\n") + 1
-            if whole < len(data):
-                fh.truncate(whole)
-        for line in data[:whole].decode().splitlines():
-            if line.strip():
-                rec = json.loads(line)
-                key = (rec["n"], rec["s"], rec["field"], rec["seed"])
-                # the last line for a key counts, as in census_csv; an error is retried
-                if "error" in rec:
-                    done.discard(key)
-                else:
-                    done.add(key)
+        done = {key for key, rec in _read_store(store_path, cut_torn_tail=True).items()
+                if "error" not in rec}
     cells = [(n, s) for n in range(n_range[0], n_range[1] + 1)
              for s in range(0, n + 1) if (n, s, fld.label, seed) not in done]
     out = open(store_path, "a") if store_path else None
@@ -369,24 +355,35 @@ def census(n_range: tuple[int, int], fld: FieldSpec | None = None, seed: int = 0
             out.close()
 
 
+def _read_store(store_path: str, cut_torn_tail: bool = False) -> dict[tuple, dict]:
+    """The last record per (n, s, field, seed) key of a JSONL census store.
+    A torn final line, left by an interrupted append, is skipped, and with
+    ``cut_torn_tail`` cut off, so that appends resume on a line boundary."""
+    with open(store_path, "rb+" if cut_torn_tail else "rb") as fh:
+        data = fh.read()
+        whole = data.rfind(b"\n") + 1
+        if cut_torn_tail and whole < len(data):
+            fh.truncate(whole)
+    records = {}
+    for line in data[:whole].decode().splitlines():
+        if line.strip():
+            rec = json.loads(line)
+            records[(rec["n"], rec["s"], rec["field"], rec["seed"])] = rec
+    return records
+
+
 def census_csv(store_path: str, field_label: str, seed: int = 0) -> str:
     """Figure-style grid: rows n, columns s, each cell gap^t."""
     cells: dict[tuple[int, int], str] = {}
     ns: set[int] = set()
-    with open(store_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if rec["field"] != field_label or rec["seed"] != seed:
-                continue
-            n, s = rec["n"], rec["s"]
-            ns.add(n)
-            cell = str(rec["gap"])
-            if rec.get("t_minus_one") is not None:
-                cell += f"^{rec['t_minus_one']}"
-            cells[(n, s)] = cell
+    for (n, s, field, rec_seed), rec in _read_store(store_path).items():
+        if field != field_label or rec_seed != seed:
+            continue
+        ns.add(n)
+        cell = str(rec["gap"])
+        if rec.get("t_minus_one") is not None:
+            cell += f"^{rec['t_minus_one']}"
+        cells[(n, s)] = cell
     if not ns:
         return ""
     smax = max(n for n in ns)

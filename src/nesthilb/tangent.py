@@ -70,9 +70,6 @@ class IdealSource(_Source):
     def act(self, j: int, d: int) -> Mat:
         return self.ideal.action(j, d)
 
-    def gen_top(self) -> int:
-        return self.ideal.max_gen_degree
-
 
 class ModuleSource(_Source):
     """Carrier interface over a finite graded module."""
@@ -576,9 +573,9 @@ def sandwich_hom_term(nest: Nesting, j: int, k: int) -> dict[int, int]:
         target = subquotient_module(upper, mk)
         o_target = upper.order
     else:
-        from .ideals import _ring_as_ideal
+        from .ideals import _max_ideal_power
 
-        target = subquotient_module(_ring_as_ideal(ctx, fld, k - 1), mk)
+        target = subquotient_module(_max_ideal_power(ctx, fld, 0, k - 1), mk)
         o_target = 0
     if j < nest.r:
         lower = nest.ideals[j]

@@ -1,10 +1,12 @@
 import pytest
 
+from nesthilb import ideals
 from nesthilb.ideals import (family_8points, family_I2,
                              generic_ideal_with_hilbert_function,
-                             ideal_from_generators, power_of_max_ideal)
+                             ideal_from_generators, power_of_max_ideal, quotient_module,
+                             zero_ideal)
 from nesthilb.linalg import FieldSpec, Mat, QQ
-from nesthilb.parsing import parse_polynomial
+from nesthilb.parsing import parse_ideal_spec, parse_polynomial
 from nesthilb.resolutions import (NotTwoStep, betti_table, has_linear_syzygies,
                                   minimal_generators, two_step_order)
 from nesthilb.ring import RingCtx, scatter_rows
@@ -36,23 +38,64 @@ def test_minimal_generator_counts():
     assert len(gens2) == 8 and all(d == 2 for d, _ in gens2)
 
 
-def test_generic_two_step_generator_degrees_against_span_arithmetic():
-    ctx = RingCtx(3)
-    ideal = generic_ideal_with_hilbert_function(ctx, FP, (1, 3, 6, 8, 4), seed=7)
-    gens = minimal_generators(ideal)
-    counts = {}
-    for d, _ in gens:
-        counts[d] = counts.get(d, 0) + 1
-    # independent recomputation: dim I_d - dim(R_1 * I_{d-1}) from raw spans
-    expected = {}
-    for d in range(ideal.order, ideal.socle_degree + 2):
-        prev, _ = ideal.basis_at(d - 1)
-        span = Mat.vstack(FP, [scatter_rows(ctx, prev, j, d - 1) for j in range(3)],
-                          ctx.dim(d))
-        fresh = ideal.dim_at(d) - span.rank()
-        if fresh:
-            expected[d] = fresh
-    assert counts == expected == {3: 2, 4: 5}
+def _ring_inside_quotient_module(monkeypatch):
+    """The ideal R that quotient_module takes the quotient R/I of."""
+    rings = []
+    subquotient = ideals.subquotient_module
+    monkeypatch.setattr(ideals, "subquotient_module",
+                        lambda a, b, hi=None: rings.append(a) or subquotient(a, b, hi=hi))
+    quotient_module(family_8points(RingCtx(4), FP))
+    return rings[0]
+
+
+@pytest.mark.parametrize("build, degrees", [
+    (lambda mp: family_8points(RingCtx(4), QQ), {2: 7}),
+    (lambda mp: family_I2(RingCtx(5), FP), {2: 13}),
+    (lambda mp: generic_ideal_with_hilbert_function(RingCtx(3), QQ, (1, 3, 6, 8, 4), seed=7),
+     {3: 2, 4: 5}),
+    (lambda mp: generic_ideal_with_hilbert_function(RingCtx(3), FP, (1, 3, 6, 8, 4), seed=7),
+     {3: 2, 4: 5}),
+    (lambda mp: power_of_max_ideal(RingCtx(3), FP, 2), {2: 6}),
+    (lambda mp: zero_ideal(RingCtx(3), QQ, 3), {}),
+    (_ring_inside_quotient_module, {0: 1}),
+], ids=["from_generators-8points-QQ", "from_generators-I2-Fp", "generic-QQ", "generic-Fp",
+        "power_of_max_ideal-Fp", "zero_ideal-QQ", "R-via-quotient_module-Fp"])
+def test_generators_against_span_arithmetic(build, degrees, monkeypatch):
+    ideal = build(monkeypatch)
+    ctx, fld = ideal.ctx, ideal.fld
+    # independent recomputation from raw spans: the rows of I_d at pivots that
+    # R_1 * I_{d-1} does not have, as many as dim I_d - rank(R_1 * I_{d-1})
+    expected = []
+    for d in range(ideal.cutoff + 1):
+        basis, piv = ideal.basis_at(d)
+        if d == 0:
+            span = Mat.zeros(fld, 0, 1)
+        else:
+            prev, _ = ideal.basis_at(d - 1)
+            span = Mat.vstack(fld, [scatter_rows(ctx, prev, j, d - 1) for j in range(ctx.n)],
+                              ctx.dim(d))
+        _, span_piv = span.rref()
+        fresh = [(d, basis.row_items(i)) for i, p in enumerate(piv) if p not in span_piv]
+        assert len(fresh) == ideal.dim_at(d) - span.rank()
+        expected += fresh
+    assert ideal.generator_degrees() == degrees
+    assert [d for d, _ in expected] == [d for d, k in sorted(degrees.items()) for _ in range(k)]
+    if ideal.is_m_primary:
+        assert ideal.max_gen_degree == max(degrees)
+        assert [(d, g.coeffs) for d, g in minimal_generators(ideal)] == expected
+
+
+def test_minimal_generators_do_no_elimination(monkeypatch):
+    built = [family_I2(RingCtx(5), FP), family_8points(RingCtx(4), QQ),
+             generic_ideal_with_hilbert_function(RingCtx(3), FP, (1, 3, 6, 8, 4), seed=7)]
+    before = [[(d, g.coeffs) for d, g in minimal_generators(i)] for i in built]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("elimination in minimal_generators")
+
+    monkeypatch.setattr(Mat, "rref", refuse)
+    monkeypatch.setattr(Mat, "rank", refuse)
+    assert [[(d, g.coeffs) for d, g in minimal_generators(i)] for i in built] == before
 
 
 def test_generators_actually_generate():
@@ -88,11 +131,25 @@ def test_two_step_predicate_fixtures():
     ctx = RingCtx(3)
     ideal = generic_ideal_with_hilbert_function(ctx, FP, (1, 3, 6, 8, 4), seed=7)
     assert two_step_order(ideal) == 3
-    assert has_linear_syzygies(ideal) is False  # 11 - 3*2 >= 0
+    # rank(R_1 * I_k) against n * dim I_k, with the rank cross-checked on the
+    # stacked variable actions I_k -> I_{k+1}
+    def step_rank(i, k):
+        return Mat.vstack(i.fld, [i.action(j, k) for j in range(i.ctx.n)],
+                          i.dim_at(k + 1)).rank()
+
+    assert has_linear_syzygies(ideal) is False
+    assert step_rank(ideal, 3) == 3 * 2  # I_3 has dim 2 and R_1 * I_3 rank 6
     i2 = family_I2(RingCtx(4), FP)
-    assert has_linear_syzygies(i2) is True  # 20 - 4*8 < 0
+    assert has_linear_syzygies(i2) is True
+    assert step_rank(i2, 2) == 20 < 4 * 8
     mk = power_of_max_ideal(ctx, FP, 2)
     assert has_linear_syzygies(mk) is True  # Koszul relations
+    assert step_rank(mk, 2) == 10 < 3 * 6
+    # x2 * x1^2 = x1 * x1x2: a linear syzygy that h(k+1) = 4 = n * h(k) misses
+    tight = parse_ideal_spec("gens(2): x1^2; x1*x2; x2^3", QQ)
+    assert two_step_order(tight) == 2
+    assert has_linear_syzygies(tight) is True
+    assert step_rank(tight, 2) == 3 < 2 * 2 == tight.dim_at(3)
     # socle too deep for a 2-step ideal: (x1^3) + m^6 in two variables
     ctx2 = RingCtx(2)
     gens = [parse_polynomial("x1^3", ctx2, QQ)] + \

@@ -228,6 +228,21 @@ def test_census_resumes_after_a_torn_final_line(tmp_path):
         {k: v for k, v in torn.items() if k != "elapsed_ms"}
 
 
+def test_census_csv_skips_a_torn_final_line(tmp_path):
+    store = tmp_path / "census.jsonl"
+    list(census((4, 5), fld=FP, seed=0, store_path=str(store)))
+    lines = store.read_text().splitlines(keepends=True)
+    torn = json.loads(lines[-1])
+    store.write_text("".join(lines[:-1]))
+    whole = census_csv(str(store), "F32003", 0)
+    # an append cut off mid-line by a crash: read as if it were not there
+    torn_text = "".join(lines[:-1]) + lines[-1][:len(lines[-1]) // 2]
+    store.write_text(torn_text)
+    assert census_csv(str(store), "F32003", 0) == whole
+    assert whole.splitlines()[-1].split(",")[1 + torn["s"]] == ""
+    assert store.read_text() == torn_text  # only a resuming census cuts the tail
+
+
 def test_census_retries_error_records_on_resume(tmp_path):
     store = tmp_path / "census.jsonl"
     first = list(census((6, 6), fld=FP, seed=0, store_path=str(store)))
