@@ -2,10 +2,12 @@
 
 Two backends share one matrix interface:
 
-* rationals -- rows stored as sparse ``{col: mpq}`` dicts (gmpy2 fractions),
-  eliminated with ordinary fraction arithmetic.  The ideals showing up in
-  practice are monomial or binomial to a large extent, so sparse rows keep
-  the rational path fast without any modular tricks.
+* rationals -- rows stored as sparse ``{col: mpq}`` dicts (gmpy2 fractions,
+  or ``fractions.Fraction`` without gmpy2), eliminated with ordinary fraction
+  arithmetic.  The ideals showing up in practice are monomial or binomial to
+  a large extent, so sparse rows stay short.  ``rank`` runs the forward pass
+  only; the reduced forms add a back pass.  ``rref_with_transform`` reduces
+  the rows with their identity entries attached, as ``[self | identity]``.
 * GF(p) -- dense numpy int64 arrays with entries reduced to [0, p).
   Elimination is a forward pass (one vectorised row update per pivot) and,
   for reduced forms, a back pass over the pivot rows.  Reduction mod p is
@@ -19,6 +21,10 @@ Two backends share one matrix interface:
   rather than an nrows-wide identity: the transform part of a row is its own
   identity entry plus multiples of earlier pivot rows, so the square
   transform is rebuilt from the pivot columns and the row order at the end.
+
+Each question is answered by one elimination.  ``kernel_basis`` reads the
+reduced kernel basis off the rref of the matrix with its columns reversed (see
+its docstring), in both fields.
 
 Everything is deterministic and exact: reduced row echelon forms are canonical
 for the row space and kernels are returned in reduced echelon form.  The only
@@ -334,13 +340,12 @@ class Mat:
 
     # ------------------------------------------------------------ elimination
 
-    def rref(self, pivot_cols_limit: int | None = None) -> tuple["Mat", list[int]]:
-        """Reduced row echelon form; pivots searched in columns < limit only."""
-        limit = self.ncols if pivot_cols_limit is None else pivot_cols_limit
+    def rref(self) -> tuple["Mat", list[int]]:
+        """Reduced row echelon form without its zero rows, and its pivots."""
         if self.field.is_rational:
-            rows, piv = _rref_q([dict(r) for r in self.rows], limit)
+            rows, piv = _rref_q([dict(r) for r in self.rows], self.ncols, back=True)
             return Mat(self.field, len(rows), self.ncols, rows=rows), piv
-        arr, piv = _rref_p(self.arr, self.field.p, limit)
+        arr, piv = _rref_p(self.arr, self.field.p)
         return Mat(self.field, arr.shape[0], self.ncols, arr=arr), piv
 
     def rref_with_transform(self) -> tuple["Mat", list[int], "Mat"]:
@@ -366,92 +371,71 @@ class Mat:
             t[np.arange(r, m), order[r:]] = 1
             return (Mat(self.field, r, n, arr=a[:r, :n].copy()), piv,
                     Mat(self.field, m, m, arr=t))
-        aug = Mat.hstack(self.field, [self, Mat.identity(self.field, m)])
-        red, piv = aug.rref(pivot_cols_limit=n)
-        # rref drops zero rows of the main part only when the transform part is
-        # also zero, which cannot happen here; recover full square transform.
+        # row i carries its identity entry at column n + i; [self | identity]
+        # has rank m, so the elimination keeps all m rows
+        rows = [dict(r) for r in self.rows]
+        for i, r in enumerate(rows):
+            r[n + i] = mpq(1)
+        red, piv = _rref_q(rows, n, back=True)
         r = len(piv)
-        main_rows, t_rows = [], []
-        for row in red.rows:
-            main_rows.append({j: v for j, v in row.items() if j < n})
-            t_rows.append({j - n: v for j, v in row.items() if j >= n})
-        # pad (rref of augmented matrix keeps all nonzero rows; rows that are
-        # zero in both parts were genuinely zero rows of the input)
-        while len(t_rows) < m:
-            main_rows.append({})
-            t_rows.append({})
-        R = Mat(self.field, r, n, rows=main_rows[:r])
-        Z = Mat(self.field, m - r, n, rows=main_rows[r:])
-        if not Z.is_zero():
+        if any(j < n for row in red[r:] for j in row):
             raise LinalgError("internal: transform reduction left nonzero tail")
-        T = Mat(self.field, m, m, rows=t_rows)
+        R = Mat(self.field, r, n, rows=[{j: v for j, v in row.items() if j < n}
+                                        for row in red[:r]])
+        T = Mat(self.field, m, m, rows=[{j - n: v for j, v in row.items() if j >= n}
+                                        for row in red])
         return R, piv, T
 
     def rank(self) -> int:
         if self.field.is_rational:
-            return len(self.rref()[1])
+            return len(_rref_q([dict(r) for r in self.rows], self.ncols, back=False)[1])
         # forward elimination only, over the shorter side as columns
         a = self.arr.T if self.ncols > self.nrows else self.arr
         a = np.mod(a, self.field.p, order="C")
         return len(_eliminate_p(a, self.field.p, a.shape[1], back=False)[0])
 
     def kernel_basis(self) -> "Mat":
-        """Rows = reduced-echelon basis of the right kernel {v : self @ v = 0}."""
-        red, piv = self.rref()
+        """Rows = reduced-echelon basis of the right kernel {v : self @ v = 0}.
+
+        One elimination: R' is the rref of self with its columns reversed, so
+        column j of self is column n-1-j of R', and P_i is the column of self
+        under pivot i of R'.  Each column f that is not a P_i gives
+        v_f = e_f - sum_i R'[i, n-1-f] e_{P_i}.  R'[i, n-1-f] is zero unless
+        pivot i lies left of n-1-f in R', that is unless P_i > f, so every
+        nonzero entry of v_f besides its leading 1 lies in a pivot column
+        greater than f.  No pivot column is another vector's leading column,
+        so the v_f sorted by f are already in reduced echelon form: the
+        canonical basis of the kernel, with no second elimination.
+        """
         n = self.ncols
+        red, rpiv = self.take_cols(range(n - 1, -1, -1)).rref()
+        piv = [n - 1 - c for c in rpiv]
         pivset = set(piv)
-        free = [j for j in range(n) if j not in pivset]
+        free = [f for f in range(n) if f not in pivset]
         if self.field.is_rational:
             rows = []
             for f in free:
                 v = {f: mpq(1)}
                 for i, pc in enumerate(piv):
-                    c = red.rows[i].get(f)
+                    c = red.rows[i].get(n - 1 - f)
                     if c is not None:
                         v[pc] = -c
                 rows.append(v)
-            ker = Mat(self.field, len(rows), n, rows=rows)
-        else:
-            out = np.zeros((len(free), n), dtype=np.int64)
-            p = self.field.p
-            for k, f in enumerate(free):
-                out[k, f] = 1
-                if piv:
-                    out[k, piv] = (-red.arr[:len(piv), f]) % p
-            ker = Mat(self.field, len(free), n, arr=out)
-        return ker.rref()[0]
-
-    def solve(self, b: Sequence) -> list | None:
-        """Particular solution of self @ x = b (free variables zero), or None."""
-        if len(b) != self.nrows:
-            raise LinalgError("rhs length mismatch")
-        col = Mat.from_rows(self.field, [[v] for v in b], 1)
-        aug = Mat.hstack(self.field, [self, col])
-        red, piv = aug.rref(pivot_cols_limit=self.ncols)
-        # inconsistent iff some reduced row is 0...0 | nonzero
-        if self.field.is_rational:
-            for r in red.rows:
-                main = any(j < self.ncols for j in r)
-                if not main and self.ncols in r:
-                    return None
-            x = [mpq(0)] * self.ncols
-            for i, pc in enumerate(piv):
-                x[pc] = red.rows[i].get(self.ncols, mpq(0))
-            return x
-        for i in range(red.arr.shape[0]):
-            if not red.arr[i, :self.ncols].any() and red.arr[i, self.ncols]:
-                return None
-        x = [0] * self.ncols
-        for i, pc in enumerate(piv):
-            x[pc] = int(red.arr[i, self.ncols])
-        return x
+            return Mat(self.field, len(rows), n, rows=rows)
+        out = np.zeros((len(free), n), dtype=np.int64)
+        out[np.arange(len(free)), free] = 1
+        out[:, piv] = -red.arr[:, [n - 1 - f for f in free]].T % self.field.p
+        return Mat(self.field, len(free), n, arr=out)
 
 
 # ------------------------------------------------------------------ QQ kernel
 
 
-def _rref_q(rows: list[dict], limit: int) -> tuple[list[dict], list[int]]:
-    """Sparse fraction RREF.  Zero rows are dropped; pivots ascend."""
+def _rref_q(rows: list[dict], limit: int, back: bool) -> tuple[list[dict], list[int]]:
+    """Sparse fraction elimination with pivots in columns < limit.  Zero rows
+    are dropped and pivots ascend.  With ``back`` each pivot column is also
+    cleared above its pivot, which gives the reduced echelon form; without it
+    only the pivots are meaningful."""
 
     def lead(r):
         return min((j for j in r if j < limit), default=None)
@@ -487,24 +471,24 @@ def _rref_q(rows: list[dict], limit: int) -> tuple[list[dict], list[int]]:
                 buckets.setdefault(lc, []).append(r)
             elif r:
                 overflow.append(r)
-    # back substitution for reduced form
     done.sort(key=lambda t: t[0])
     pivots = [c for c, _ in done]
     out = [r for _, r in done]
-    for i in range(len(out) - 1, -1, -1):
-        for k in range(i):
-            f = out[k].get(pivots[i])
-            if f is None:
-                continue
-            r = out[k]
-            for j, v in out[i].items():
-                t = r.get(j, mpq(0)) - f * v
-                if t == 0:
-                    r.pop(j, None)
-                else:
-                    r[j] = t
+    if back:  # back substitution for reduced form
+        for i in range(len(out) - 1, 0, -1):
+            for k in range(i):
+                f = out[k].get(pivots[i])
+                if f is None:
+                    continue
+                r = out[k]
+                for j, v in out[i].items():
+                    t = r.get(j, mpq(0)) - f * v
+                    if t == 0:
+                        r.pop(j, None)
+                    else:
+                        r[j] = t
     # rows whose support lies entirely beyond the pivot limit are appended
-    # untouched below the echelon block (relevant only for augmented solves)
+    # untouched below the echelon block (only rref_with_transform has them)
     out.extend(overflow)
     return out, pivots
 
@@ -588,16 +572,11 @@ def _eliminate_p(a: np.ndarray, p: int, limit: int, back: bool,
     return pivots, order
 
 
-def _rref_p(arr: np.ndarray, p: int, limit: int) -> tuple[np.ndarray, list[int]]:
-    a = np.mod(arr, p).astype(np.int64, copy=True)
-    pivots, _ = _eliminate_p(a, p, limit, back=True)
-    r = len(pivots)
-    # move zero rows (within the pivot range) to the bottom, keep others
-    if r < a.shape[0]:
-        tail = a[r:]
-        nonzero_tail = tail[np.any(tail, axis=1)]
-        a = np.vstack([a[:r], nonzero_tail]) if nonzero_tail.size else a[:r].copy()
-    return a, pivots
+def _rref_p(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    a = np.mod(arr, p)
+    pivots, _ = _eliminate_p(a, p, a.shape[1], back=True)
+    # pivots are searched in every column, so the rows past the rank are zero
+    return a[:len(pivots)].copy(), pivots
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

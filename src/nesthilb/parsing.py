@@ -180,7 +180,8 @@ def parse_ideal_spec(spec: str, fld: FieldSpec, n: int | None = None,
                      ctx_cache: dict | None = None) -> HomogeneousIdeal:
     """Builtins (delta:n, J:n, I2:n, I1:n,s, m^k:n, 8points, twistedcone,
     generic:q=(...),seed=S[,n=N]), inline generators (gens(n): p1; p2; ...)
-    or a file of one polynomial per line (file(n):path)."""
+    or a file of one polynomial per line (file(n):path).  Only gens, file,
+    delta, J and twistedcone read ``cutoff``; the others refuse one."""
     spec = spec.strip()
     ctx_cache = ctx_cache if ctx_cache is not None else {}
 
@@ -209,15 +210,18 @@ def parse_ideal_spec(spec: str, fld: FieldSpec, n: int | None = None,
         if "q" not in params or "seed" not in params:
             raise IdealSpecError("generic needs q=(...) and seed=<int>")
         q = tuple(int(t) for t in params["q"].strip("()").split(",") if t.strip())
+        _no_cutoff(spec, cutoff)
         nn = int(params["n"]) if "n" in params else (n if n is not None else q[1] if len(q) > 1 else 1)
         return generic_ideal_with_hilbert_function(ctx_for(nn), fld, q,
                                                    int(params["seed"]))
     if spec == "8points":
+        _no_cutoff(spec, cutoff)
         return family_8points(ctx_for(4), fld)
     if spec == "twistedcone":
         return family_twisted_cubic_cone(ctx_for(4), fld, cutoff=cutoff or 3)
     m = re.fullmatch(r"m\^(\d+):(\d+)", spec)
     if m:
+        _no_cutoff(spec, cutoff)
         return power_of_max_ideal(ctx_for(int(m.group(2))), fld, int(m.group(1)))
     m = re.fullmatch(r"delta:(\d+)", spec)
     if m:
@@ -227,11 +231,19 @@ def parse_ideal_spec(spec: str, fld: FieldSpec, n: int | None = None,
         return family_J(ctx_for(int(m.group(1))), fld, cutoff=cutoff or 6)
     m = re.fullmatch(r"I2:(\d+)", spec)
     if m:
+        _no_cutoff(spec, cutoff)
         return family_I2(ctx_for(int(m.group(1))), fld)
     m = re.fullmatch(r"I1:(\d+),(\d+)", spec)
     if m:
+        _no_cutoff(spec, cutoff)
         return family_I1(ctx_for(int(m.group(1))), fld, int(m.group(2)))
     raise IdealSpecError(f"cannot parse ideal spec {spec!r}")
+
+
+def _no_cutoff(spec: str, cutoff: int | None) -> None:
+    """Refuse a cutoff for a builtin whose construction does not read one."""
+    if cutoff is not None:
+        raise IdealSpecError(f"a cutoff does not apply to {spec!r}")
 
 
 def _spec_n(head: str, n: int | None) -> int:

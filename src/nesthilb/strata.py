@@ -327,7 +327,8 @@ def census(n_range: tuple[int, int], fld: FieldSpec | None = None, seed: int = 0
     unless their last record carries an error; a retry appends a new line.
     A torn final line, left by an interrupted append, is cut off first.
     Records are appended and yielded in grid order regardless of the worker
-    count; the store has a single writer.
+    count; the store has a single writer.  The cells of one n share one I2,
+    which is dropped once the last of them is yielded.
     """
     fld = fld or FieldSpec.prime(DEFAULT_PRIME)
     done = set()
@@ -340,6 +341,7 @@ def census(n_range: tuple[int, int], fld: FieldSpec | None = None, seed: int = 0
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     i2_cache: dict = {}
     i2_lock = threading.Lock()
+    last_s = dict(cells)  # the last pending cell of each n
     try:
         for rec in (pool.map if pool else map)(
                 lambda cell: _census_cell(cell[0], cell[1], fld, seed, i2_cache, i2_lock),
@@ -348,6 +350,10 @@ def census(n_range: tuple[int, int], fld: FieldSpec | None = None, seed: int = 0
                 out.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
                 out.flush()
             yield rec
+            if rec.s == last_s[rec.n]:
+                # records come in grid order, so no cell of n is left to run
+                with i2_lock:
+                    i2_cache.pop(rec.n, None)
     finally:
         if pool:
             pool.shutdown()

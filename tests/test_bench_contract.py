@@ -16,12 +16,12 @@ def _load_spans():
     return module
 
 
-def test_tracer_covers_a_traced_tangent_solve():
+def _check_tracer_covers_a_traced_tangent_solve(field):
     tracer = _load_spans().Tracer()
     tracer.install(nesthilb)
     try:
         rep = tracer.op("tnt", lambda: nesthilb.tnt_check(nesthilb.parse_nesting_spec(
-            "I1:4,2 > I2:4", nesthilb.FieldSpec.prime(32003))))
+            "I1:4,2 > I2:4", nesthilb.FieldSpec.parse(field))))
     finally:
         tracer.uninstall()
     assert rep.tnt == "certified"
@@ -32,3 +32,12 @@ def test_tracer_covers_a_traced_tangent_solve():
     # drops out of the per-layer metrics
     assert summary["tangent.cons_rows"] > 0
     assert summary["tangent.cons_rank_s"] > 0
+
+
+def test_tracer_covers_a_traced_tangent_solve():
+    _check_tracer_covers_a_traced_tangent_solve("prime:32003")
+
+
+def test_tracer_covers_a_traced_rational_tangent_solve():
+    # the constraint rank and the transform take other paths over QQ
+    _check_tracer_covers_a_traced_tangent_solve("rational")

@@ -159,6 +159,12 @@ def test_unread_flags_are_rejected(capsys, argv):
     (["hilb", "I2:4", "--field", "prime:32004"], "modulus must be prime: 32004"),
     (["hilb", "I2:4", "--field", "prime:1000000007"], "modulus out of range"),
     (["hom", "R / 0", "m^2:2 / 0"], "R/0 is not finite"),
+    (["hilb", "I2:4", "--cutoff", "1"], "a cutoff does not apply to 'I2:4'"),
+    (["hilb", "I1:4,2", "--cutoff", "1"], "a cutoff does not apply to 'I1:4,2'"),
+    (["hilb", "m^2:3", "--cutoff", "1"], "a cutoff does not apply to 'm^2:3'"),
+    (["betti", "8points", "--cutoff", "3"], "a cutoff does not apply to '8points'"),
+    (["hilb", "generic:q=(1,3,2),seed=1", "--cutoff", "2"],
+     "a cutoff does not apply to 'generic:q=(1,3,2),seed=1'"),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, argv, message):
     code = main(argv)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,15 +30,6 @@ def test_kernel_examples(fld):
 def test_kernel_canonical_form_over_qq():
     k = Mat.from_rows(QQ, [[1, 1]]).kernel_basis()
     assert k.to_lists() == [[1, -1]]
-
-
-@pytest.mark.parametrize("fld", [QQ, FP])
-def test_solve_examples(fld):
-    ident = Mat.identity(fld, 3)
-    assert ident.solve([3, 1, 4]) == Mat.from_rows(fld, [[3, 1, 4]]).to_lists()[0]
-    assert Mat.from_rows(fld, [[1, 1]]).solve([2]) == \
-        Mat.from_rows(fld, [[2, 0]]).to_lists()[0]
-    assert Mat.from_rows(fld, [[0]]).solve([1]) is None
 
 
 def test_field_spec_parse():
@@ -88,19 +81,6 @@ def test_rref_is_row_order_invariant(rows, rnd):
     a, pa = Mat.from_rows(QQ, rows).rref()
     b, pb = Mat.from_rows(QQ, shuffled).rref()
     assert pa == pb and a == b
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_matrix, st.lists(st.integers(min_value=-4, max_value=4),
-                              min_size=1, max_size=6))
-def test_solve_consistency(rows, x):
-    m = Mat.from_rows(QQ, rows)
-    x = (x * m.ncols)[:m.ncols]
-    b = m.matmul(Mat.from_rows(QQ, [x]).transpose()).transpose().to_lists()[0]
-    got = m.solve(b)
-    assert got is not None
-    check = m.matmul(Mat.from_rows(QQ, [got]).transpose()).transpose().to_lists()[0]
-    assert check == b
 
 
 def test_rref_with_transform_reconstructs():
@@ -157,14 +137,22 @@ def test_matmul_mod_exact_on_large_products():
     assert got == (50 * (DEFAULT_PRIME - 1) ** 2) % DEFAULT_PRIME
 
 
-# ------------------------------------------- GF(p) against a pure-Python oracle
+# ------------------------------------- both fields against a pure-Python oracle
+
+
+def _normaliser(p):
+    """Map a Python number to its canonical value: a Fraction over QQ
+    (p None), its residue in [0, p) over GF(p)."""
+    return Fraction if p is None else (lambda v: v % p)
 
 
 def _ref_gauss_jordan(rows, ncols, p, limit=None):
-    """Textbook Gauss-Jordan mod p on Python ints.  The pivot of column c is
-    the first row at or below the current one that is nonzero there; every
-    other row is cleared.  Returns all rows (zero rows kept) and the pivots."""
-    a = [[v % p for v in r] for r in rows]
+    """Textbook Gauss-Jordan on Python numbers: Fractions for p None, ints
+    mod p otherwise.  The pivot of column c is the first row at or below the
+    current one that is nonzero there; every other row is cleared.  Returns
+    all rows (zero rows kept) and the pivots."""
+    norm = _normaliser(p)
+    a = [[norm(v) for v in r] for r in rows]
     m = len(a)
     piv, r = [], 0
     for c in range(ncols if limit is None else limit):
@@ -174,13 +162,13 @@ def _ref_gauss_jordan(rows, ncols, p, limit=None):
         if i is None:
             continue
         a[r], a[i] = a[i], a[r]
-        inv = pow(a[r][c], p - 2, p)
+        inv = 1 / a[r][c] if p is None else pow(a[r][c], p - 2, p)
         if inv != 1:
-            a[r] = [v * inv % p for v in a[r]]
+            a[r] = [norm(v * inv) for v in a[r]]
         for k in range(m):
             f = a[k][c]
             if k != r and f:
-                a[k] = [(x - f * y) % p for x, y in zip(a[k], a[r])]
+                a[k] = [norm(x - f * y) for x, y in zip(a[k], a[r])]
         piv.append(c)
         r += 1
     return a, piv
@@ -192,13 +180,14 @@ def _ref_rref(rows, ncols, p):
 
 
 def _ref_kernel(rows, ncols, p):
+    norm = _normaliser(p)
     red, piv = _ref_rref(rows, ncols, p)
     vecs = []
     for f in (j for j in range(ncols) if j not in piv):
         v = [0] * ncols
         v[f] = 1
         for i, pc in enumerate(piv):
-            v[pc] = -red[i][f] % p
+            v[pc] = norm(-red[i][f])
         vecs.append(v)
     return _ref_rref(vecs, ncols, p)[0]
 
@@ -212,7 +201,7 @@ def _ref_rref_with_transform(rows, ncols, p):
 
 
 def _check_against_reference(rows, ncols, p):
-    fld = FieldSpec.prime(p)
+    fld = QQ if p is None else FieldSpec.prime(p)
     m = Mat.from_rows(fld, rows, ncols)
     red, piv = m.rref()
     want_red, want_piv = _ref_rref(rows, ncols, p)
@@ -221,18 +210,40 @@ def _check_against_reference(rows, ncols, p):
     assert m.rank() == len(want_piv)
     assert m.kernel_basis().to_lists() == _ref_kernel(rows, ncols, p)
     r_mat, t_piv, t_mat = m.rref_with_transform()
-    want_r, want_t_piv, want_t = _ref_rref_with_transform(rows, ncols, p)
-    assert t_piv == want_t_piv
-    assert r_mat.to_lists() == want_r
+    assert t_piv == want_piv
+    assert r_mat.to_lists() == want_red
     assert (t_mat.nrows, t_mat.ncols) == (len(rows), len(rows))
-    assert t_mat.to_lists() == want_t  # the whole transform, entry for entry
+    if p is not None:
+        want_t = _ref_rref_with_transform(rows, ncols, p)[2]
+        assert t_mat.to_lists() == want_t  # the whole transform, entry for entry
+        return
+    # over QQ the rows below the rank are not reduced, so T is checked by its
+    # contract: T @ m is R on top and zero below, and T is invertible
+    r = len(want_piv)
+    prod = t_mat.matmul(m).to_lists()
+    assert prod[:r] == want_red
+    assert all(v == 0 for row in prod[r:] for v in row)
+    assert len(_ref_rref(t_mat.to_lists(), len(rows), None)[1]) == len(rows)
+
+
+BIG = 1 << 300  # about the size of the entries tnt_qq's generic ideals produce
+
+
+def _entries(p):
+    if p is None:  # integers and fractions, small and of about 300 bits
+        integer = st.one_of(st.integers(-9, 9), st.integers(-BIG, BIG))
+        return st.one_of(st.just(0), integer, st.builds(
+            Fraction, integer, st.one_of(st.integers(1, 9), st.integers(1, BIG))))
+    return st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
 
 
 @st.composite
-def gfp_matrices(draw):
-    p = draw(st.sampled_from([2, 3, DEFAULT_PRIME, 94906249]))
-    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
-    entry = st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
+def matrices(draw, fields, size):
+    """A random, zero or rank-deficient matrix over a field drawn from fields."""
+    p = draw(st.sampled_from(fields))
+    norm = _normaliser(p)
+    nrows, ncols = draw(st.integers(0, size)), draw(st.integers(0, size))
+    entry = _entries(p)
     kind = draw(st.sampled_from(["any", "zero", "rank_deficient"]))
     if kind == "zero":
         rows = [[0] * ncols for _ in range(nrows)]
@@ -240,7 +251,7 @@ def gfp_matrices(draw):
         k = draw(st.integers(0, max(0, min(nrows, ncols) - 1)))
         b = [[draw(entry) for _ in range(k)] for _ in range(nrows)]
         c = [[draw(entry) for _ in range(ncols)] for _ in range(k)]
-        rows = [[sum(b[i][t] * c[t][j] for t in range(k)) % p for j in range(ncols)]
+        rows = [[norm(sum(b[i][t] * c[t][j] for t in range(k))) for j in range(ncols)]
                 for i in range(nrows)]
     else:
         rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
@@ -248,8 +259,14 @@ def gfp_matrices(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(gfp_matrices())
+@given(matrices([2, 3, DEFAULT_PRIME, 94906249], 7))
 def test_prime_field_elimination_matches_python_reference(case):
+    _check_against_reference(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices([None], 6))
+def test_rational_elimination_matches_python_reference(case):
     _check_against_reference(*case)
 
 

@@ -1,7 +1,9 @@
+import gc
 import json
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
 
 import pytest
@@ -211,6 +213,26 @@ def test_census_threads_share_one_i2_and_its_relations(monkeypatch):
     assert serial_counts["I2:6"] == serial_counts["I2:7"] == 1
     assert dict(counts) == serial_counts
     assert all("error" not in r for r in threaded) and len(threaded) == len(serial)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_census_frees_each_i2_after_the_last_cell_of_its_n(monkeypatch, threads):
+    build_i2 = strata.family_I2
+    built = {}
+
+    def tracked_family_i2(ctx, fld):
+        ideal = build_i2(ctx, fld)
+        built[ctx.n] = weakref.ref(ideal)
+        return ideal
+
+    monkeypatch.setattr(strata, "family_I2", tracked_family_i2)
+    alive = []
+    for rec in census((6, 7), fld=FP, seed=0, threads=threads):
+        if rec.n == 7:  # every n = 6 record has been yielded
+            gc.collect()
+            alive.append(built[6]() is not None)
+    assert sorted(built) == [6, 7]
+    assert alive and not any(alive)
 
 
 def test_census_resumes_after_a_torn_final_line(tmp_path):
