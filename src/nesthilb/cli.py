@@ -168,11 +168,8 @@ def cmd_verify(args) -> int:
         known = {name for name, *_ in FIXTURES}
         unknown = [n for n in names if n not in known]
         if unknown:
-            print(f"warning: unknown fixture name(s) {unknown}; known: {sorted(known)}")
-        names = [n for n in names if n in known]
-        if not names:
-            print("nothing to run")
-            return 0
+            raise ValueError(f"unknown fixture name(s) {', '.join(unknown)}; "
+                             f"known: {', '.join(sorted(known))}")
     results = run_verify(names, cfg)
     width = max(len(r.name) for r in results)
     failed = 0

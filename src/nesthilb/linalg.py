@@ -6,8 +6,7 @@ Two backends share one matrix interface:
   or ``fractions.Fraction`` without gmpy2), eliminated with ordinary fraction
   arithmetic.  The ideals showing up in practice are monomial or binomial to
   a large extent, so sparse rows stay short.  ``rank`` runs the forward pass
-  only; the reduced forms add a back pass.  ``rref_with_transform`` reduces
-  the rows with their identity entries attached, as ``[self | identity]``.
+  only; the reduced forms add a back pass.
 * GF(p) -- dense numpy int64 arrays with entries reduced to [0, p).
   Elimination is a forward pass (one vectorised row update per pivot) and,
   for reduced forms, a back pass over the pivot rows.  Reduction mod p is
@@ -17,14 +16,16 @@ Two backends share one matrix interface:
   (p - 1)^2 steps to stay inside int64 (K = 1024 at the largest accepted
   prime, about 9e9 at 32003, where it never fires) and once at the end.
   ``rank`` runs the forward pass only, on the transpose when that has fewer
-  columns.  ``rref_with_transform`` carries one transform column per pivot
-  rather than an nrows-wide identity: the transform part of a row is its own
-  identity entry plus multiples of earlier pivot rows, so the square
-  transform is rebuilt from the pivot columns and the row order at the end.
+  columns.
 
-Each question is answered by one elimination.  ``kernel_basis`` reads the
-reduced kernel basis off the rref of the matrix with its columns reversed (see
-its docstring), in both fields.
+Each question is answered by one elimination.  ``_column_split`` splits the
+columns into independent and dependent ones, and writes each dependent column
+in terms of the independent ones, from the rref of the matrix with its columns
+reversed; ``kernel_basis`` reads the reduced kernel basis off that split (see
+its docstring), and the relations among the rows of a matrix are the split of
+its transpose.  ``rref_with_transform`` takes a matrix of full row rank only,
+so its transform is square in the rank: the right half of the reduced
+``[self | identity]``.  These three have one body for both fields.
 
 Everything is deterministic and exact: reduced row echelon forms are canonical
 for the row space and kernels are returned in reduced echelon form.  The only
@@ -224,7 +225,7 @@ class Mat:
         if self.field.is_rational:
             return Mat(self.field, len(idx), self.ncols,
                        rows=[dict(self.rows[i]) for i in idx])
-        return Mat(self.field, len(idx), self.ncols, arr=self.arr[list(idx)].copy())
+        return Mat(self.field, len(idx), self.ncols, arr=self.arr[list(idx)])
 
     def take_cols(self, idx: Sequence[int]) -> "Mat":
         if self.field.is_rational:
@@ -233,7 +234,7 @@ class Mat:
             for r in self.rows:
                 rows.append({pos[j]: v for j, v in r.items() if j in pos})
             return Mat(self.field, self.nrows, len(idx), rows=rows)
-        return Mat(self.field, self.nrows, len(idx), arr=self.arr[:, list(idx)].copy())
+        return Mat(self.field, self.nrows, len(idx), arr=self.arr[:, list(idx)])
 
     def transpose(self) -> "Mat":
         if self.field.is_rational:
@@ -343,113 +344,82 @@ class Mat:
     def rref(self) -> tuple["Mat", list[int]]:
         """Reduced row echelon form without its zero rows, and its pivots."""
         if self.field.is_rational:
-            rows, piv = _rref_q([dict(r) for r in self.rows], self.ncols, back=True)
+            rows, piv = _rref_q([dict(r) for r in self.rows], back=True)
             return Mat(self.field, len(rows), self.ncols, rows=rows), piv
         arr, piv = _rref_p(self.arr, self.field.p)
         return Mat(self.field, arr.shape[0], self.ncols, arr=arr), piv
 
     def rref_with_transform(self) -> tuple["Mat", list[int], "Mat"]:
-        """Return (R, pivots, T) with T @ self row-equivalent data: the first
-        len(pivots) rows of T @ self equal R and the remaining rows are zero.
-        T is square of size nrows: the transform part of the reduced
-        ``[self | identity]``, whose pivots lie in the self part."""
+        """Return (R, pivots, S) for a matrix of full row rank: R is its
+        reduced echelon form and S the invertible square matrix with
+        S @ self = R, read off the reduced ``[self | identity]``."""
         m, n = self.nrows, self.ncols
-        if not self.field.is_rational:
-            # a row's transform part is its own identity entry plus multiples
-            # of the rows that were pivots before it, so the elimination carries
-            # one transform column per pivot (opened when the pivot is found)
-            # and the untouched identity entries are written back at the end
-            p = self.field.p
-            a = np.zeros((m, n + min(m, n)), dtype=np.int64)
-            np.mod(self.arr, p, out=a[:, :n])
-            piv, order = _eliminate_p(a, p, n, back=True, slots=n)
-            r = len(piv)
-            if a[r:, :n].any():
-                raise LinalgError("internal: transform reduction left nonzero tail")
-            t = np.zeros((m, m), dtype=np.int64)
-            t[:, order[:r]] = a[:, n:n + r]
-            t[np.arange(r, m), order[r:]] = 1
-            return (Mat(self.field, r, n, arr=a[:r, :n].copy()), piv,
-                    Mat(self.field, m, m, arr=t))
-        # row i carries its identity entry at column n + i; [self | identity]
-        # has rank m, so the elimination keeps all m rows
-        rows = [dict(r) for r in self.rows]
-        for i, r in enumerate(rows):
-            r[n + i] = mpq(1)
-        red, piv = _rref_q(rows, n, back=True)
-        r = len(piv)
-        if any(j < n for row in red[r:] for j in row):
-            raise LinalgError("internal: transform reduction left nonzero tail")
-        R = Mat(self.field, r, n, rows=[{j: v for j, v in row.items() if j < n}
-                                        for row in red[:r]])
-        T = Mat(self.field, m, m, rows=[{j - n: v for j, v in row.items() if j >= n}
-                                        for row in red])
-        return R, piv, T
+        aug, piv = Mat.hstack(self.field, [self, Mat.identity(self.field, m)]).rref()
+        if piv and piv[-1] >= n:
+            raise LinalgError("rref_with_transform needs a matrix of full row rank")
+        return aug.take_cols(range(n)), piv, aug.take_cols(range(n, n + m))
 
     def rank(self) -> int:
         if self.field.is_rational:
-            return len(_rref_q([dict(r) for r in self.rows], self.ncols, back=False)[1])
+            return len(_rref_q([dict(r) for r in self.rows], back=False)[1])
         # forward elimination only, over the shorter side as columns
         a = self.arr.T if self.ncols > self.nrows else self.arr
         a = np.mod(a, self.field.p, order="C")
-        return len(_eliminate_p(a, self.field.p, a.shape[1], back=False)[0])
+        return len(_eliminate_p(a, self.field.p, back=False))
+
+    def _column_split(self) -> tuple[list[int], list[int], "Mat"]:
+        """Split the columns of self into independent columns J, chosen
+        greedily from the last, and the others D, both descending.  Returns
+        (J, D, C) with column D[k] = sum_i C[k, i] * column J[i].
+
+        One elimination: R' is the rref of self with its columns reversed, so
+        column j of self is column n-1-j of R'.  J[i] is the column of self
+        under pivot i of R', and D[k] the one under the k-th non-pivot column
+        of R'.  Left multiplication keeps the relations among columns, and in
+        R' a non-pivot column c is the sum of R'[i, c] times pivot column i,
+        so C[k, i] = R'[i, n-1-D[k]].  That entry is zero unless pivot i lies
+        left of n-1-D[k] in R', that is unless J[i] > D[k]: the first
+        relations are the shortest.
+        """
+        n = self.ncols
+        red, rpiv = self.take_cols(range(n - 1, -1, -1)).rref()
+        pivset = set(rpiv)
+        rfree = [c for c in range(n) if c not in pivset]
+        c = red.take_cols(rfree)
+        del red  # the rref can be as large as self; free it before the transpose
+        return [n - 1 - j for j in rpiv], [n - 1 - j for j in rfree], c.transpose()
 
     def kernel_basis(self) -> "Mat":
         """Rows = reduced-echelon basis of the right kernel {v : self @ v = 0}.
 
-        One elimination: R' is the rref of self with its columns reversed, so
-        column j of self is column n-1-j of R', and P_i is the column of self
-        under pivot i of R'.  Each column f that is not a P_i gives
-        v_f = e_f - sum_i R'[i, n-1-f] e_{P_i}.  R'[i, n-1-f] is zero unless
-        pivot i lies left of n-1-f in R', that is unless P_i > f, so every
-        nonzero entry of v_f besides its leading 1 lies in a pivot column
-        greater than f.  No pivot column is another vector's leading column,
-        so the v_f sorted by f are already in reduced echelon form: the
-        canonical basis of the kernel, with no second elimination.
+        With (J, D, C) from ``_column_split``, each column f = D[k] gives
+        v_f = e_f - sum_i C[k, i] e_{J[i]}.  C[k, i] is zero unless J[i] > f,
+        so every nonzero entry of v_f besides its leading 1 lies in a column
+        of J greater than f.  No column of J is another vector's leading
+        column, so the v_f sorted by f (D reversed) are already in reduced
+        echelon form: the canonical basis of the kernel, with no second
+        elimination.
         """
         n = self.ncols
-        red, rpiv = self.take_cols(range(n - 1, -1, -1)).rref()
-        piv = [n - 1 - c for c in rpiv]
-        pivset = set(piv)
-        free = [f for f in range(n) if f not in pivset]
-        if self.field.is_rational:
-            rows = []
-            for f in free:
-                v = {f: mpq(1)}
-                for i, pc in enumerate(piv):
-                    c = red.rows[i].get(n - 1 - f)
-                    if c is not None:
-                        v[pc] = -c
-                rows.append(v)
-            return Mat(self.field, len(rows), n, rows=rows)
-        out = np.zeros((len(free), n), dtype=np.int64)
-        out[np.arange(len(free)), free] = 1
-        out[:, piv] = -red.arr[:, [n - 1 - f for f in free]].T % self.field.p
-        return Mat(self.field, len(free), n, arr=out)
+        cols_j, cols_d, c = self._column_split()
+        lead = Mat.identity(self.field, len(cols_d)).remap_cols(n, list(enumerate(cols_d)))
+        ker = lead.sub(c.remap_cols(n, list(enumerate(cols_j))))
+        return ker.take_rows(range(ker.nrows - 1, -1, -1))
 
 
 # ------------------------------------------------------------------ QQ kernel
 
 
-def _rref_q(rows: list[dict], limit: int, back: bool) -> tuple[list[dict], list[int]]:
-    """Sparse fraction elimination with pivots in columns < limit.  Zero rows
-    are dropped and pivots ascend.  With ``back`` each pivot column is also
-    cleared above its pivot, which gives the reduced echelon form; without it
-    only the pivots are meaningful."""
-
-    def lead(r):
-        return min((j for j in r if j < limit), default=None)
-
-    pending = [r for r in rows if r]
+def _rref_q(rows: list[dict], back: bool) -> tuple[list[dict], list[int]]:
+    """Sparse fraction elimination.  Zero rows are dropped and pivots ascend.
+    With ``back`` each pivot column is also cleared above its pivot, which
+    gives the reduced echelon form; without it only the pivots are
+    meaningful."""
     done: list[tuple[int, dict]] = []  # (pivot col, row)
     buckets: dict[int, list[dict]] = {}
-    overflow: list[dict] = []  # rows with no entry < limit but nonzero beyond
-    for r in pending:
-        lc = lead(r)
-        if lc is None:
-            overflow.append(r)
-        else:
-            buckets.setdefault(lc, []).append(r)
+    for r in rows:
+        if r:
+            buckets.setdefault(min(r), []).append(r)
     while buckets:
         c = min(buckets)
         group = buckets.pop(c)
@@ -466,11 +436,8 @@ def _rref_q(rows: list[dict], limit: int, back: bool) -> tuple[list[dict], list[
                     r.pop(j, None)
                 else:
                     r[j] = t
-            lc = lead(r)
-            if lc is not None:
-                buckets.setdefault(lc, []).append(r)
-            elif r:
-                overflow.append(r)
+            if r:
+                buckets.setdefault(min(r), []).append(r)
     done.sort(key=lambda t: t[0])
     pivots = [c for c, _ in done]
     out = [r for _, r in done]
@@ -487,9 +454,6 @@ def _rref_q(rows: list[dict], limit: int, back: bool) -> tuple[list[dict], list[
                         r.pop(j, None)
                     else:
                         r[j] = t
-    # rows whose support lies entirely beyond the pivot limit are appended
-    # untouched below the echelon block (only rref_with_transform has them)
-    out.extend(overflow)
     return out, pivots
 
 
@@ -505,28 +469,24 @@ def _flush_interval(p: int) -> int:
     return ((1 << 63) - 1 - p) // ((p - 1) ** 2)
 
 
-def _eliminate_p(a: np.ndarray, p: int, limit: int, back: bool,
-                 slots: int | None = None) -> tuple[list[int], np.ndarray]:
+def _eliminate_p(a: np.ndarray, p: int, back: bool) -> list[int]:
     """Eliminate the int64 array a (entries in [0, p)) in place and reduce it.
 
-    Forward pass: the pivot of column c < limit is the first row at or below
-    the current one with a nonzero entry there, and it clears the rows below
-    it.  Only the pivot column and the pivot row are reduced mod p at each
-    step; the other rows take the update unreduced, and the live block is
-    reduced every ``_flush_interval(p)`` steps and once at the end.  With
-    ``back`` a second pass clears each pivot column above its pivot, bottom
-    pivot first, which gives the reduced echelon form Gauss-Jordan gives.
-    With ``slots``, columns from ``slots`` on carry the row transform: pivot k
-    opens column ``slots + k`` holding a 1 in its row (see ``rref_with_transform``).
-    Returns the pivot columns and the original row index of each final row.
+    Forward pass: the pivot of column c is the first row at or below the
+    current one with a nonzero entry there, and it clears the rows below it.
+    Only the pivot column and the pivot row are reduced mod p at each step;
+    the other rows take the update unreduced, and the live block is reduced
+    every ``_flush_interval(p)`` steps and once at the end.  With ``back`` a
+    second pass clears each pivot column above its pivot, bottom pivot first,
+    which gives the reduced echelon form Gauss-Jordan gives.  Returns the
+    pivot columns; the rows past them are zero.
     """
     m, n = a.shape
     flush = _flush_interval(p)
     steps = 0  # elimination steps since the last full reduction
     pivots: list[int] = []
-    order = np.arange(m)
     r = 0
-    for c in range(min(limit, n)):
+    for c in range(n):
         if r == m:
             break
         col = a[r:, c] % p
@@ -536,47 +496,42 @@ def _eliminate_p(a: np.ndarray, p: int, limit: int, back: bool,
         i = int(nz[0])
         if i:
             a[[r, r + i]] = a[[r + i, r]]
-            order[[r, r + i]] = order[[r + i, r]]
             col[[0, i]] = col[[i, 0]]
-        hi = n
-        if slots is not None:
-            hi = slots + r + 1
-            a[r, hi - 1] = 1
-        row = a[r, c:hi] % p
+        row = a[r, c:] % p
         inv = pow(int(col[0]), p - 2, p)
         if inv != 1:
             row = row * inv % p
-        a[r, c:hi] = row
+        a[r, c:] = row
         below = np.flatnonzero(col[1:])
         if below.size:
-            a[r + 1 + below, c:hi] -= np.outer(col[1 + below], row)
+            a[r + 1 + below, c:] -= np.outer(col[1 + below], row)
         pivots.append(c)
         r += 1
         steps += 1
         if steps == flush:
-            a[r:, c + 1:hi] %= p
+            a[r:, c + 1:] %= p
             steps = 0
     if back:
-        hi = n if slots is None else slots + r
         for k in range(r - 1, 0, -1):
             c = pivots[k]
             f = a[:k, c] % p
             above = np.flatnonzero(f)
             if above.size:
-                a[above, c:hi] -= np.outer(f[above], a[k, c:hi] % p)
+                a[above, c:] -= np.outer(f[above], a[k, c:] % p)
             steps += 1
             if steps == flush:
-                a[:k, :hi] %= p
+                a[:k] %= p
                 steps = 0
     a %= p
-    return pivots, order
+    return pivots
 
 
 def _rref_p(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     a = np.mod(arr, p)
-    pivots, _ = _eliminate_p(a, p, a.shape[1], back=True)
-    # pivots are searched in every column, so the rows past the rank are zero
-    return a[:len(pivots)].copy(), pivots
+    pivots = _eliminate_p(a, p, back=True)
+    # the rows past the rank are zero; a kept basis must not pin them
+    r = len(pivots)
+    return (a if r == len(a) else a[:r].copy()), pivots
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

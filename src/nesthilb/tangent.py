@@ -40,15 +40,22 @@ class _Source:
     """Degreewise carrier with variable actions; subclasses set ctx, fld, lo,
     dim, act, the ``_estruct`` cache and the ``_estruct_lock`` that guards it."""
 
-    def e_struct(self, d: int) -> tuple[Mat, list[int], Mat]:
-        """Echelon form of the stacked x_j actions out of degree d, with its
-        transform: the rows past the pivots are the multiplication relations."""
+    def e_struct(self, d: int) -> tuple[Mat, list[int], Mat, list[int], list[int], Mat]:
+        """The multiplication relations out of degree d.  The rows of the
+        stacked x_j actions E split into independent rows J, chosen greedily
+        from the last, and the others D, with E_D = C @ E_J.  Returns
+        (R, piv, S, J, D, C): R is the rref of E_J, with pivots piv, and
+        S @ E_J = R."""
         with self._estruct_lock:  # census threads share one I2
             st = self._estruct.get(d)
             if st is None:
-                e = Mat.vstack(self.fld, [self.act(j, d) for j in range(self.ctx.n)],
-                               self.dim(d + 1))
-                st = e.rref_with_transform()
+                # E^T, built directly: its columns are the rows of E
+                et = Mat.hstack(self.fld, [self.act(j, d).transpose()
+                                           for j in range(self.ctx.n)])
+                rows_j, rows_d, c = et._column_split()
+                e_j = et.take_cols(rows_j).transpose()
+                del et  # as large as E: free it before the transform
+                st = (*e_j.rref_with_transform(), rows_j, rows_d, c)
                 self._estruct[d] = st
         return st
 
@@ -79,7 +86,7 @@ class ModuleSource(_Source):
         self.ctx = mod.ctx
         self.fld = mod.fld
         self.lo = next((d for d in range(mod.lo, mod.hi + 1) if mod.dim(d)), mod.lo)
-        self._estruct: dict[int, tuple[Mat, list[int], Mat]] = {}
+        self._estruct: dict[int, tuple] = {}
         self._estruct_lock = threading.Lock()
 
     def dim(self, d: int) -> int:
@@ -92,8 +99,7 @@ class ModuleSource(_Source):
         top = self.lo
         for d in range(self.lo, self.mod.hi):
             if self.dim(d + 1):
-                _, piv, _ = self.e_struct(d)
-                if self.dim(d + 1) > len(piv):
+                if self.dim(d + 1) > len(self.e_struct(d)[1]):
                     top = d + 1
         return top
 
@@ -186,22 +192,23 @@ def _process_chain(src, tgt, e: int, q0: int) -> tuple[_ChainTable, list[Mat], i
     for d in range(o, d_top):
         p, s_d, t_cur = table.blocks[d]
         s_next, t_next = src.dim(d + 1), tgt.dim(d + 1 + e)
-        nsd = n * s_d
-        red, piv, tr = src.e_struct(d)
+        red, piv, s_mat, rows_j, rows_d, c_mat = src.e_struct(d)
         rho = len(piv)
-        # required values on products: G = vstack_j (L_d @ B_j)
+        # required values on products: G = vstack_j (L_d @ B_j).  E L_{d+1} = G
+        # holds iff R L_{d+1} = S G_J (the values on pivot rows) and G_D = C G_J
         if t_cur and t_next and s_d:
             parts = [right_mul_vecrows(p, s_d, t_cur, tgt.act(j, d + e))
                      for j in range(n)]
             p_g = Mat.hstack(fld, parts)
-            p_tg = left_mul_vecrows(p_g, nsd, t_next, tr)
+            p_gj = p_g.take_cols([a * t_next + c for a in rows_j for c in range(t_next)])
+            p_vals = left_mul_vecrows(p_gj, rho, t_next, s_mat)
+            p_rel = p_g.take_cols([a * t_next + c for a in rows_d for c in range(t_next)]) \
+                .sub(left_mul_vecrows(p_gj, rho, t_next, c_mat))
         else:
-            p_tg = Mat.zeros(fld, q, nsd * t_next)
-        if t_next and nsd > rho:
-            idx = [a * t_next + c for a in range(rho, nsd) for c in range(t_next)]
-            block = p_tg.take_cols(idx).transpose()
-            if block.nrows:
-                cons.append(block)
+            p_vals = Mat.zeros(fld, q, rho * t_next)
+            p_rel = Mat.zeros(fld, q, len(rows_d) * t_next)
+        if p_rel.ncols:
+            cons.append(p_rel.transpose())
         # assemble the next block: pivot rows carry solved values, the rest are
         # fresh parameters (values on new minimal generators)
         vec_next = s_next * t_next
@@ -209,7 +216,7 @@ def _process_chain(src, tgt, e: int, q0: int) -> tuple[_ChainTable, list[Mat], i
         for i in range(rho):
             for c in range(t_next):
                 pairs.append((i * t_next + c, piv[i] * t_next + c))
-        old_part = p_tg.remap_cols(vec_next, pairs)
+        old_part = p_vals.remap_cols(vec_next, pairs)
         pivset = set(piv)
         free_rows = [u for u in range(s_next) if u not in pivset]
         # row k: column free_rows[k] of red, as {pivot row: value}

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from nesthilb import cli
 from nesthilb.cli import build_parser, main
 
 
@@ -102,9 +103,17 @@ def test_census_csv_needs_store(capsys, tmp_path):
     assert not (tmp_path / "c.csv").exists()
 
 
-def test_verify_filter_unknown(capsys):
-    code, out = run(capsys, "verify", "--filter", "nosuchfixture")
-    assert code == 0 and "warning" in out
+def test_verify_filter_unknown(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "run_verify", lambda *a, **k: ran.append(a) or [])
+    for spec in ("nosuchfixture", "sandwich_jump,nosuchfixture"):
+        assert main(["verify", "--filter", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("nesthilb verify: error: unknown fixture name(s) nosuchfixture;")
+    assert not ran  # no fixture runs
 
 
 def test_verify_single_fixture(capsys):

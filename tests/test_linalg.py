@@ -84,12 +84,14 @@ def test_rref_is_row_order_invariant(rows, rnd):
 
 
 def test_rref_with_transform_reconstructs():
-    m = Mat.from_rows(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    red, piv, t = m.rref_with_transform()
-    top = t.take_rows(list(range(len(piv)))).matmul(m)
-    assert top == red
-    bottom = t.take_rows(list(range(len(piv), m.nrows))).matmul(m)
-    assert bottom.is_zero()
+    with pytest.raises(LinalgError):  # rank 2 < 3 rows
+        Mat.from_rows(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]]).rref_with_transform()
+    m = Mat.from_rows(QQ, [[2, 4, 6], [0, 1, 1]])
+    red, piv, s = m.rref_with_transform()
+    assert piv == [0, 1]
+    assert red.to_lists() == [[1, 0, 1], [0, 1, 1]]
+    assert (s.nrows, s.ncols) == (2, 2)
+    assert s.matmul(m) == red
 
 
 @pytest.mark.parametrize("fld", [QQ, FP])
@@ -146,7 +148,7 @@ def _normaliser(p):
     return Fraction if p is None else (lambda v: v % p)
 
 
-def _ref_gauss_jordan(rows, ncols, p, limit=None):
+def _ref_gauss_jordan(rows, ncols, p):
     """Textbook Gauss-Jordan on Python numbers: Fractions for p None, ints
     mod p otherwise.  The pivot of column c is the first row at or below the
     current one that is nonzero there; every other row is cleared.  Returns
@@ -155,7 +157,7 @@ def _ref_gauss_jordan(rows, ncols, p, limit=None):
     a = [[norm(v) for v in r] for r in rows]
     m = len(a)
     piv, r = [], 0
-    for c in range(ncols if limit is None else limit):
+    for c in range(ncols):
         if r == m:
             break
         i = next((i for i in range(r, m) if a[i][c]), None)
@@ -193,11 +195,11 @@ def _ref_kernel(rows, ncols, p):
 
 
 def _ref_rref_with_transform(rows, ncols, p):
-    """The reduced [rows | identity] with pivots in the rows part."""
+    """The reduced [rows | identity], split after column ncols."""
     m = len(rows)
     aug = [list(r) + [int(i == k) for k in range(m)] for i, r in enumerate(rows)]
-    a, piv = _ref_gauss_jordan(aug, ncols + m, p, limit=ncols)
-    return [r[:ncols] for r in a[:len(piv)]], piv, [r[ncols:] for r in a]
+    a, piv = _ref_rref(aug, ncols + m, p)
+    return [r[:ncols] for r in a], piv, [r[ncols:] for r in a]
 
 
 def _check_against_reference(rows, ncols, p):
@@ -209,21 +211,18 @@ def _check_against_reference(rows, ncols, p):
     assert red.to_lists() == want_red
     assert m.rank() == len(want_piv)
     assert m.kernel_basis().to_lists() == _ref_kernel(rows, ncols, p)
+    if len(want_piv) < len(rows):  # rank-deficient, zero rows, or no columns
+        with pytest.raises(LinalgError):
+            m.rref_with_transform()
+        return
     r_mat, t_piv, t_mat = m.rref_with_transform()
     assert t_piv == want_piv
     assert r_mat.to_lists() == want_red
+    assert t_mat.to_lists() == _ref_rref_with_transform(rows, ncols, p)[2]
+    # the contract: T is square in the rank, invertible, and T @ m = R
     assert (t_mat.nrows, t_mat.ncols) == (len(rows), len(rows))
-    if p is not None:
-        want_t = _ref_rref_with_transform(rows, ncols, p)[2]
-        assert t_mat.to_lists() == want_t  # the whole transform, entry for entry
-        return
-    # over QQ the rows below the rank are not reduced, so T is checked by its
-    # contract: T @ m is R on top and zero below, and T is invertible
-    r = len(want_piv)
-    prod = t_mat.matmul(m).to_lists()
-    assert prod[:r] == want_red
-    assert all(v == 0 for row in prod[r:] for v in row)
-    assert len(_ref_rref(t_mat.to_lists(), len(rows), None)[1]) == len(rows)
+    assert t_mat.matmul(m).to_lists() == want_red
+    assert len(_ref_rref(t_mat.to_lists(), len(rows), p)[1]) == len(rows)
 
 
 BIG = 1 << 300  # about the size of the entries tnt_qq's generic ideals produce
@@ -300,7 +299,34 @@ def test_deferred_reduction_survives_int64_at_the_largest_prime(kind):
     assert m.rank() == len(want_piv)
     red, piv = m.rref()
     assert piv == want_piv and red.to_lists() == want_red
-    r_mat, t_piv, t_mat = m.rref_with_transform()
-    want_r, want_t_piv, want_t = _ref_rref_with_transform(rows, len(rows), p)
+    # the transform needs full row rank: row `last` is dependent in both
+    rows = rows[:-1]
+    r_mat, t_piv, t_mat = Mat.from_rows(FieldSpec.prime(p), rows).rref_with_transform()
+    want_r, want_t_piv, want_t = _ref_rref_with_transform(rows, len(rows) + 1, p)
+    assert len(want_t_piv) == len(rows)
     assert t_piv == want_t_piv and r_mat.to_lists() == want_r
     assert t_mat.to_lists() == want_t
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices([None, 2, 3, DEFAULT_PRIME, 94906249], 6))
+def test_row_split_matches_python_reference(case):
+    # the relations e_struct reads: the rows of E split into independent rows
+    # J, chosen greedily from the last, and the others D, with E_D = C @ E_J
+    rows, ncols, p = case
+    fld = QQ if p is None else FieldSpec.prime(p)
+    e = Mat.from_rows(fld, rows, ncols)
+    rows_j, rows_d, c = e.transpose()._column_split()
+    want_red, want_piv = _ref_rref(rows, ncols, p)
+    assert len(rows_j) == len(want_piv)
+    assert sorted(rows_j + rows_d) == list(range(len(rows)))
+    assert rows_j == sorted(rows_j, reverse=True)
+    assert rows_d == sorted(rows_d, reverse=True)
+    for i in range(len(rows)):  # row i is in J iff it is outside the span of the later rows
+        later = len(_ref_rref(rows[i + 1:], ncols, p)[1])
+        assert (i in rows_j) == (len(_ref_rref(rows[i:], ncols, p)[1]) > later)
+    e_j = e.take_rows(rows_j)
+    assert e.take_rows(rows_d) == c.matmul(e_j)
+    red, piv, s = e_j.rref_with_transform()
+    assert piv == want_piv
+    assert s.matmul(e_j).to_lists() == want_red == red.to_lists()
