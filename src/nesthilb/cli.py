@@ -91,8 +91,8 @@ def cmd_hom(args) -> int:
                 _max_ideal_power(bot.ctx, fld, 0, bot.socle_degree or 0), bot)
         top = parse_ideal_spec(top_s.strip(), fld, n=args.n, ctx_cache=cache)
         if bot is None:
-            bot = zero_ideal(top.ctx, fld, cutoff=args.hi or (top.cutoff + 4))
-            return subquotient_module(top, bot, hi=args.hi or top.cutoff + 4)
+            hi = top.cutoff + 4 if args.hi is None else args.hi
+            return subquotient_module(top, zero_ideal(top.ctx, fld, cutoff=hi), hi=hi)
         return subquotient_module(top, bot)
 
     source = subq(args.source)

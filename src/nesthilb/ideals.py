@@ -17,6 +17,10 @@ pivots of R_1 * I_{d-1}.  The basis rows at them are the canonical minimal
 generators, so generators and the rank of R_1 * I_{d-1} need no further
 elimination.  A stored basis owns exactly its rows, never a view into a
 larger elimination buffer.
+
+An ideal caches only what it derives from its bases: quotient sections and
+actions (``quotient_structure``, ``quotient_action``) and the relations of
+``tangent.e_struct``.  Its own x_j actions are built on demand, never kept.
 """
 
 from __future__ import annotations
@@ -132,7 +136,6 @@ class HomogeneousIdeal:
         self.socle_degree = max(notfull) if (self.is_m_primary and notfull) else \
             (-1 if self.is_m_primary else None)
         self._qstruct: dict[int, SubquotientStructure] = {}
-        self._act: dict[tuple[int, int], Mat] = {}
         self._estruct: dict[int, tuple] = {}
         self._estruct_lock = threading.Lock()
         self._qact: dict[tuple[int, int], Mat] = {}
@@ -234,15 +237,11 @@ class HomogeneousIdeal:
         return st
 
     def action(self, j: int, d: int) -> Mat:
-        """Multiplication by x_j as a map I_d -> I_{d+1} in the stored bases."""
-        key = (j, d)
-        m = self._act.get(key)
-        if m is None:
-            basis, _ = self.basis_at(d)
-            _, piv_next = self.basis_at(d + 1)
-            m = scatter_rows(self.ctx, basis, j, d).take_cols(piv_next)
-            self._act[key] = m
-        return m
+        """Multiplication by x_j as a map I_d -> I_{d+1} in the stored bases,
+        built on each call."""
+        basis, _ = self.basis_at(d)
+        _, piv_next = self.basis_at(d + 1)
+        return scatter_rows(self.ctx, basis, j, d).take_cols(piv_next)
 
     def quotient_action(self, j: int, c: int) -> Mat:
         """Multiplication by x_j as a map (R/I)_c -> (R/I)_{c+1} in the

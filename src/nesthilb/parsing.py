@@ -218,17 +218,16 @@ def parse_ideal_spec(spec: str, fld: FieldSpec, n: int | None = None,
         _no_cutoff(spec, cutoff)
         return family_8points(ctx_for(4), fld)
     if spec == "twistedcone":
-        return family_twisted_cubic_cone(ctx_for(4), fld, cutoff=cutoff or 3)
+        return family_twisted_cubic_cone(ctx_for(4), fld,
+                                         cutoff=3 if cutoff is None else cutoff)
     m = re.fullmatch(r"m\^(\d+):(\d+)", spec)
     if m:
         _no_cutoff(spec, cutoff)
         return power_of_max_ideal(ctx_for(int(m.group(2))), fld, int(m.group(1)))
-    m = re.fullmatch(r"delta:(\d+)", spec)
+    m = re.fullmatch(r"(delta|J):(\d+)", spec)
     if m:
-        return family_delta(ctx_for(int(m.group(1))), fld, cutoff=cutoff or 6)
-    m = re.fullmatch(r"J:(\d+)", spec)
-    if m:
-        return family_J(ctx_for(int(m.group(1))), fld, cutoff=cutoff or 6)
+        build = family_delta if m.group(1) == "delta" else family_J
+        return build(ctx_for(int(m.group(2))), fld, cutoff=6 if cutoff is None else cutoff)
     m = re.fullmatch(r"I2:(\d+)", spec)
     if m:
         _no_cutoff(spec, cutoff)

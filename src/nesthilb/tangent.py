@@ -386,7 +386,8 @@ def check_tangent_blocks(nest: Nesting, e: int,
     ctx, fld = nest.ctx, nest.fld
     for ideal, blocks in zip(nest.ideals, per_chain):
         qt = Target.quotient(ideal)
-        for d in range(ideal.order, qt.top - e + 1):
+        # at d = qt.top - e the target of x_j is zero: nothing to check
+        for d in range(ideal.order, qt.top - e):
             cur = blocks.get(d, Mat.zeros(fld, ideal.dim_at(d), qt.dim(d + e)))
             nxt = blocks.get(d + 1, Mat.zeros(fld, ideal.dim_at(d + 1),
                                               qt.dim(d + 1 + e)))

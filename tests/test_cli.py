@@ -76,6 +76,13 @@ def test_hom_command(capsys):
     assert payload["dims"] == {"-1": 126}
 
 
+def test_hom_top_degree_zero_is_honoured(capsys):
+    argv = ["hom", "m^1:2 / 0", "R / m^1:2", "--json"]
+    assert json.loads(run(capsys, *argv)[1])["dims"] == {"-1": 2}
+    code, out = run(capsys, *argv, "--hi", "0")
+    assert code == 0 and json.loads(out)["dims"] == {}
+
+
 def test_sandwich_command(capsys):
     code, out = run(capsys, "sandwich", "I1:4,2 > I2:4", "-j", "1", "-k", "2",
                     "--json")
@@ -174,6 +181,9 @@ def test_unread_flags_are_rejected(capsys, argv):
     (["betti", "8points", "--cutoff", "3"], "a cutoff does not apply to '8points'"),
     (["hilb", "generic:q=(1,3,2),seed=1", "--cutoff", "2"],
      "a cutoff does not apply to 'generic:q=(1,3,2),seed=1'"),
+    (["hilb", "delta:4", "--cutoff", "0"], "generator of degree 2 above cutoff 0"),
+    (["hilb", "J:4", "--cutoff", "0"], "generator of degree 2 above cutoff 0"),
+    (["hilb", "twistedcone", "--cutoff", "0"], "generator of degree 2 above cutoff 0"),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, argv, message):
     code = main(argv)

@@ -1,11 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nesthilb.ideals import (Nesting, family_8points, family_I1, family_I2,
+from nesthilb.ideals import (HomogeneousIdeal, Nesting, family_8points,
+                             family_I1, family_I2,
                              generic_ideal_with_hilbert_function,
                              power_of_max_ideal, quotient_module,
                              subquotient_module, zero_ideal)
-from nesthilb.linalg import FieldSpec, QQ
+from nesthilb.linalg import FieldSpec, Mat, QQ
 from nesthilb.ring import RingCtx
 from nesthilb.tangent import (NotStrictlySandwiched, TNT_CERTIFIED,
                               TNT_FAILED_PRIME, TNT_FAILED_RATIONAL,
@@ -97,6 +98,47 @@ def test_theta_blocks_satisfy_all_constraints():
     nest = Nesting([family_I1(ctx, QQ, 2), family_I2(ctx, QQ)])
     for per_chain in theta_blocks(nest):
         assert check_tangent_blocks(nest, -1, per_chain)
+
+
+def test_theta_check_builds_no_action_into_an_empty_target(monkeypatch):
+    # the relation out of degree d at e = -1 lands in (R/I)_d: once that piece
+    # is zero the relation is vacuous and its x_j action is never built
+    ctx = RingCtx(6)
+    nest = Nesting([family_I1(ctx, FP, 2), family_I2(ctx, FP)])
+    built = []
+    action = HomogeneousIdeal.action
+
+    def recording(ideal, j, d):
+        built.append((ideal, j, d))
+        return action(ideal, j, d)
+
+    monkeypatch.setattr(HomogeneousIdeal, "action", recording)
+    assert theta_rank(nest) == 6
+    assert built
+    assert all(ideal.qdim(d) > 0 for ideal, _, d in built)
+
+
+@pytest.mark.parametrize("fld", [QQ, FP], ids=["QQ", "F32003"])
+def test_check_tangent_blocks_rejects_a_changed_entry(fld):
+    # each changed entry sits on a basis row of I_d that lies in R_1 * I_{d-1},
+    # so the relation out of degree d - 1 sees it; d runs up to socle + 1, the
+    # last degree whose target (R/I)_{d-1} is non-empty
+    ctx = RingCtx(4)
+    nest = Nesting([family_I1(ctx, fld, 2), family_I2(ctx, fld)])
+    theta = theta_blocks(nest)[0]
+    changed = 0
+    for k, ideal in enumerate(nest.ideals):
+        for d in range(ideal.order + 1, ideal.socle_degree + 2):
+            assert ideal.qdim(d - 1) > 0
+            r = next(i for i, p in enumerate(ideal.pivots[d])
+                     if p not in ideal.gen_pivots[d])
+            block = theta[k][d]
+            bad = [dict(blocks) for blocks in theta]
+            bad[k][d] = block.sub(Mat.from_entries(fld, block.nrows, block.ncols,
+                                                   [(r, 0, 1)]))
+            assert not check_tangent_blocks(nest, -1, bad)
+            changed += 1
+    assert changed >= 2
 
 
 FIXTURE_NESTS = [
