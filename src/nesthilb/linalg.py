@@ -3,10 +3,19 @@
 Two backends share one matrix interface:
 
 * rationals -- rows stored as sparse ``{col: mpq}`` dicts (gmpy2 fractions,
-  or ``fractions.Fraction`` without gmpy2), eliminated with ordinary fraction
-  arithmetic.  The ideals showing up in practice are monomial or binomial to
-  a large extent, so sparse rows stay short.  ``rank`` runs the forward pass
-  only; the reduced forms add a back pass.
+  or ``fractions.Fraction`` without gmpy2).  The ideals showing up in practice
+  are monomial or binomial to a large extent, so sparse rows stay short.
+  Elimination runs fraction-free on integer rows, in the sense of Bareiss
+  (Math. Comp. 22, 1968): each row is cleared of denominators and divided by
+  the gcd of its entries, a pivot row clears a row by cross-multiplication,
+  and the result is divided by its content again.  Only the finished rows
+  are divided by their pivot entries, and the reduced echelon form is
+  canonical, so it is the one fraction arithmetic gives.  ``rank`` runs the
+  forward pass only, after one exact shortcut: it reduces the integer rows
+  mod ``DEFAULT_PRIME`` and returns their rank there if it is min(nonzero
+  rows, columns).  A minor that vanishes over QQ vanishes mod p, so the rank
+  mod p is at most the rank over QQ, which is at most that minimum; below it
+  the integer forward pass decides.
 * GF(p) -- dense numpy int64 arrays with entries reduced to [0, p).
   Elimination is a forward pass (one vectorised row update per pivot) and,
   for reduced forms, a back pass over the pivot rows.  Reduction mod p is
@@ -36,6 +45,7 @@ carrier for GF(p) products, chunked so every intermediate stays below 2^53.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -344,7 +354,8 @@ class Mat:
     def rref(self) -> tuple["Mat", list[int]]:
         """Reduced row echelon form without its zero rows, and its pivots."""
         if self.field.is_rational:
-            rows, piv = _rref_q([dict(r) for r in self.rows], back=True)
+            rows, piv = _rref_q(_integer_rows(self.rows), back=True)
+            rows = [{j: mpq(v, r[c]) for j, v in r.items()} for r, c in zip(rows, piv)]
             return Mat(self.field, len(rows), self.ncols, rows=rows), piv
         arr, piv = _rref_p(self.arr, self.field.p)
         return Mat(self.field, arr.shape[0], self.ncols, arr=arr), piv
@@ -360,12 +371,19 @@ class Mat:
         return aug.take_cols(range(n)), piv, aug.take_cols(range(n, n + m))
 
     def rank(self) -> int:
-        if self.field.is_rational:
-            return len(_rref_q([dict(r) for r in self.rows], back=False)[1])
-        # forward elimination only, over the shorter side as columns
-        a = self.arr.T if self.ncols > self.nrows else self.arr
-        a = np.mod(a, self.field.p, order="C")
-        return len(_eliminate_p(a, self.field.p, back=False))
+        if not self.field.is_rational:
+            return _rank_p(self.arr, self.field.p)
+        rows = _integer_rows(self.rows)
+        # an integer matrix has rank mod p at most its rank over QQ, and no
+        # rank exceeds full: a full rank mod p is the rank over QQ
+        full = min(len(rows), self.ncols)
+        a = np.zeros((len(rows), self.ncols), dtype=np.int64)
+        for i, r in enumerate(rows):
+            for j, v in r.items():
+                a[i, j] = v % DEFAULT_PRIME
+        if _rank_p(a, DEFAULT_PRIME) == full:
+            return full
+        return len(_rref_q(rows, back=False)[1])
 
     def _column_split(self) -> tuple[list[int], list[int], "Mat"]:
         """Split the columns of self into independent columns J, chosen
@@ -410,32 +428,60 @@ class Mat:
 # ------------------------------------------------------------------ QQ kernel
 
 
-def _rref_q(rows: list[dict], back: bool) -> tuple[list[dict], list[int]]:
-    """Sparse fraction elimination.  Zero rows are dropped and pivots ascend.
-    With ``back`` each pivot column is also cleared above its pivot, which
-    gives the reduced echelon form; without it only the pivots are
-    meaningful."""
+def _integer_rows(rows: Iterable[dict]) -> list[dict[int, int]]:
+    """The nonzero rows, each scaled to coprime integers: multiplied by the
+    lcm of its denominators, then divided by the gcd of its entries."""
+    out = []
+    for r in rows:
+        if not r:
+            continue
+        den = lcm(*(v.denominator for v in r.values()))
+        ints = {j: int(v.numerator * (den // v.denominator)) for j, v in r.items()}
+        out.append(_primitive(ints))
+    return out
+
+
+def _primitive(r: dict[int, int]) -> dict[int, int]:
+    """r divided by its content, the gcd of its entries."""
+    g = gcd(*r.values())
+    return r if g == 1 else {j: v // g for j, v in r.items()}
+
+
+def _clear(r: dict[int, int], pivot: dict[int, int], c: int) -> dict[int, int]:
+    """The primitive part of a*r - b*pivot, where a/b = pivot[c]/r[c] in
+    lowest terms: column c of the result is zero."""
+    g = gcd(pivot[c], r[c])
+    a, b = pivot[c] // g, r[c] // g
+    if a != 1:
+        r = {j: a * v for j, v in r.items()}
+    for j, v in pivot.items():
+        t = r.get(j, 0) - b * v
+        if t:
+            r[j] = t
+        else:
+            r.pop(j, None)
+    return _primitive(r) if r else r
+
+
+def _rref_q(rows: list[dict[int, int]], back: bool) -> tuple[list[dict[int, int]], list[int]]:
+    """Fraction-free elimination on primitive integer rows (``_integer_rows``).
+
+    A row is cleared against a pivot row by cross-multiplication and then
+    divided by its content, so its entries stay coprime integers.  Zero rows
+    are dropped and pivots ascend.  With ``back`` each pivot column is also
+    cleared above its pivot: each row is then a multiple of its row of the
+    reduced echelon form.  Without it only the pivots are meaningful."""
     done: list[tuple[int, dict]] = []  # (pivot col, row)
     buckets: dict[int, list[dict]] = {}
     for r in rows:
-        if r:
-            buckets.setdefault(min(r), []).append(r)
+        buckets.setdefault(min(r), []).append(r)
     while buckets:
         c = min(buckets)
         group = buckets.pop(c)
         pivot = group[0]
-        inv = pivot[c]
-        if inv != 1:
-            pivot = {j: v / inv for j, v in pivot.items()}
         done.append((c, pivot))
         for r in group[1:]:
-            f = r[c]
-            for j, v in pivot.items():
-                t = r.get(j, mpq(0)) - f * v
-                if t == 0:
-                    r.pop(j, None)
-                else:
-                    r[j] = t
+            r = _clear(r, pivot, c)
             if r:
                 buckets.setdefault(min(r), []).append(r)
     done.sort(key=lambda t: t[0])
@@ -443,17 +489,10 @@ def _rref_q(rows: list[dict], back: bool) -> tuple[list[dict], list[int]]:
     out = [r for _, r in done]
     if back:  # back substitution for reduced form
         for i in range(len(out) - 1, 0, -1):
+            c = pivots[i]
             for k in range(i):
-                f = out[k].get(pivots[i])
-                if f is None:
-                    continue
-                r = out[k]
-                for j, v in out[i].items():
-                    t = r.get(j, mpq(0)) - f * v
-                    if t == 0:
-                        r.pop(j, None)
-                    else:
-                        r[j] = t
+                if c in out[k]:
+                    out[k] = _clear(out[k], out[i], c)
     return out, pivots
 
 
@@ -524,6 +563,12 @@ def _eliminate_p(a: np.ndarray, p: int, back: bool) -> list[int]:
                 steps = 0
     a %= p
     return pivots
+
+
+def _rank_p(arr: np.ndarray, p: int) -> int:
+    """Forward elimination only, over the shorter side as columns."""
+    a = arr.T if arr.shape[1] > arr.shape[0] else arr
+    return len(_eliminate_p(np.mod(a, p, order="C"), p, back=False))
 
 
 def _rref_p(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

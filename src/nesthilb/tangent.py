@@ -439,6 +439,7 @@ def theta_rank(nest: Nesting) -> int:
 TNT_CERTIFIED = "certified"
 TNT_FAILED_RATIONAL = "failed_over_rational"
 TNT_FAILED_PRIME = "failed_over_prime_needs_rational_confirm"
+TNT_NOT_ASSESSED = "not_assessed"
 
 
 @dataclass
@@ -492,16 +493,21 @@ def tnt_check(nest: Nesting, e_range: tuple[int, int] | None = None) -> TangentR
     Over a prime field a positive verdict certifies the rational one: kernel
     dimensions of integer systems can only shrink under lifting while the
     theta rank can only grow, so `zero above, full rank at -1` transfers.
-    A negative prime-field verdict is only a strong hint.
+    A negative prime-field verdict is only a strong hint.  An ``e_range``
+    that misses a degree of ``[tangent_window(nest)[0], -1]`` gives no
+    verdict: ``TNT_NOT_ASSESSED``.
     """
-    e_min, e_max = e_range if e_range is not None else tangent_window(nest)
+    window = tangent_window(nest)
+    e_min, e_max = e_range if e_range is not None else window
     degrees = {}
     for e in range(e_min, e_max + 1):
         degrees[e] = nested_tangent_graded(nest, e).dim
     rk = theta_rank(nest)
     below = sum(v for e, v in degrees.items() if e <= -2)
     positive = below == 0 and rk == degrees.get(-1, 0)
-    if positive:
+    if e_min > window[0] or e_max < -1:
+        verdict = TNT_NOT_ASSESSED
+    elif positive:
         verdict = TNT_CERTIFIED
     else:
         verdict = TNT_FAILED_RATIONAL if nest.fld.is_rational else TNT_FAILED_PRIME

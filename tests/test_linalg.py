@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nesthilb.ideals import Nesting, generic_ideal_with_hilbert_function
 from nesthilb.linalg import (DEFAULT_PRIME, FieldSpec, LinalgError, Mat, QQ,
                              left_mul_vecrows, right_mul_vecrows)
+from nesthilb.ring import RingCtx
+from nesthilb.tangent import nested_tangent_graded
 
 FP = FieldSpec.prime(DEFAULT_PRIME)
 
@@ -15,6 +18,20 @@ def test_rank_examples(fld):
     assert Mat.identity(fld, 3).rank() == 3
     assert Mat.zeros(fld, 4, 7).rank() == 0
     assert Mat.from_rows(fld, [[1, 2], [2, 4]]).rank() == 1
+    # zero rows among full-rank and rank-deficient nonzero rows
+    assert Mat.from_rows(fld, [[0, 0, 0, 0], [1, 0, 0, 2], [0, 0, 0, 0],
+                               [0, 1, 0, 0], [0, 0, 1, 1]]).rank() == 3
+    assert Mat.from_rows(fld, [[0, 0, 0], [1, 2, 3], [0, 0, 0], [2, 4, 6]]).rank() == 1
+
+
+def test_rational_rank_where_the_prime_divides_an_entry_denominator_or_minor():
+    # QQ rank first tries the rank mod DEFAULT_PRIME of the integer rows; it
+    # must fall back wherever that rank drops, and clear denominators first
+    p = DEFAULT_PRIME
+    assert Mat.from_rows(QQ, [[p]]).rank() == 1
+    assert Mat.from_rows(QQ, [[Fraction(1, p), 1], [0, 1]]).rank() == 2
+    assert Mat.from_rows(QQ, [[1, 1], [1, p + 1]]).rank() == 2
+    assert Mat.from_rows(QQ, [[0, 0], [p, 2 * p], [0, 0], [Fraction(-1, p), 0]]).rank() == 2
 
 
 @pytest.mark.parametrize("fld", [QQ, FP])
@@ -230,9 +247,15 @@ BIG = 1 << 300  # about the size of the entries tnt_qq's generic ideals produce
 
 def _entries(p):
     if p is None:  # integers and fractions, small and of about 300 bits
-        integer = st.one_of(st.integers(-9, 9), st.integers(-BIG, BIG))
+        # multiples of DEFAULT_PRIME, and fractions over it, send the rational
+        # rank past its mod-p shortcut
+        q = DEFAULT_PRIME
+        integer = st.one_of(st.integers(-9, 9), st.integers(-BIG, BIG),
+                            st.sampled_from([-1, q, -q, 2 * q, q + 1]),
+                            st.builds(lambda k: k * q, st.integers(-BIG, BIG)))
         return st.one_of(st.just(0), integer, st.builds(
-            Fraction, integer, st.one_of(st.integers(1, 9), st.integers(1, BIG))))
+            Fraction, integer, st.one_of(st.integers(1, 9), st.integers(1, BIG),
+                                         st.sampled_from([q, q * q]))))
     return st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
 
 
@@ -330,3 +353,19 @@ def test_row_split_matches_python_reference(case):
     red, piv, s = e_j.rref_with_transform()
     assert piv == want_piv
     assert s.matmul(e_j).to_lists() == want_red == red.to_lists()
+
+
+@pytest.mark.parametrize("e, shape, rank", [(-1, (74, 54), 32), (-2, (427, 27), 27)])
+def test_captured_constraint_matrices_match_python_reference(e, shape, rank):
+    # the constraint matrices of a generic (1,4,7,2) ideal over QQ, entries of
+    # about 300 bits: at e = -1 the rank is short of full (fallback path), at
+    # e = -2 it is full (mod-p shortcut)
+    ideal = generic_ideal_with_hilbert_function(RingCtx(4), QQ, (1, 4, 7, 2), seed=3)
+    cons = nested_tangent_graded(Nesting([ideal]), e).cons
+    assert (cons.nrows, cons.ncols) == shape
+    rows = cons.to_lists()
+    want_red, want_piv = _ref_rref(rows, cons.ncols, None)
+    assert len(want_piv) == rank == cons.rank()
+    red, piv = cons.rref()
+    assert piv == want_piv and red.to_lists() == want_red
+    assert cons.kernel_basis().to_lists() == _ref_kernel(rows, cons.ncols, None)

@@ -7,9 +7,11 @@ from nesthilb.ideals import (HomogeneousIdeal, Nesting, family_8points,
                              power_of_max_ideal, quotient_module,
                              subquotient_module, zero_ideal)
 from nesthilb.linalg import FieldSpec, Mat, QQ
+from nesthilb.parsing import parse_nesting_spec
 from nesthilb.ring import RingCtx
 from nesthilb.tangent import (NotStrictlySandwiched, TNT_CERTIFIED,
                               TNT_FAILED_PRIME, TNT_FAILED_RATIONAL,
+                              TNT_NOT_ASSESSED,
                               check_tangent_blocks, graded_hom, graded_hom_dims,
                               hom_dim_via_syzygies, nested_tangent_graded,
                               sandwich_identity_check, sandwich_insert,
@@ -38,6 +40,20 @@ def test_square_of_max_ideal_two_vars_fails_tnt():
     assert rep.theta_rank == 2 and rep.tnt == TNT_FAILED_RATIONAL
     rep_p = tnt_check(Nesting([power_of_max_ideal(ctx, FP, 2)]))
     assert rep_p.tnt == TNT_FAILED_PRIME
+
+
+@pytest.mark.parametrize("spec, e_range", [("8points", (0, 0)), ("I1:4,2 > I2:4", (-1, -1))])
+def test_tnt_check_gives_no_verdict_outside_its_window(spec, e_range):
+    # the verdict needs every degree from the window's lowest to -1
+    nest = parse_nesting_spec(spec, QQ)
+    full = tnt_check(nest)
+    assert full.tnt == TNT_CERTIFIED
+    part = tnt_check(nest, e_range=e_range)
+    assert part.tnt == TNT_NOT_ASSESSED
+    assert part.degrees == {e: full.degrees[e] for e in range(e_range[0], e_range[1] + 1)}
+    assert part.theta_rank == full.theta_rank
+    covering = tnt_check(nest, e_range=(tangent_window(nest)[0], -1))
+    assert covering.tnt == TNT_CERTIFIED
 
 
 def test_hom_of_residue_field_with_itself():
