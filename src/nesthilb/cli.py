@@ -74,7 +74,7 @@ def cmd_tnt(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    from .ideals import IdealError, subquotient_module, zero_ideal, _max_ideal_power
+    from .ideals import IdealError, quotient_module, subquotient_module, zero_ideal
     from .tangent import graded_hom_dims
 
     fld = _field(args)
@@ -87,8 +87,7 @@ def cmd_hom(args) -> int:
         if top_s.strip() == "R":
             if bot is None:
                 raise IdealError("R/0 is not finite")
-            return subquotient_module(
-                _max_ideal_power(bot.ctx, fld, 0, bot.socle_degree or 0), bot)
+            return quotient_module(bot)
         top = parse_ideal_spec(top_s.strip(), fld, n=args.n, ctx_cache=cache)
         if bot is None:
             hi = top.cutoff + 4 if args.hi is None else args.hi

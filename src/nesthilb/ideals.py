@@ -199,15 +199,14 @@ class HomogeneousIdeal:
             top = min(top, max(self.socle_degree, 0) + 1)
         for d in range(top + 1):
             try:
-                mine, _ = self.basis_at(d)
+                mine, piv = self.basis_at(d)
             except CutoffTooSmall:
                 raise CutoffTooSmall(
                     f"containment needs degree {d} beyond cutoff {self.cutoff}")
             theirs = other.bases[d] if d <= other.cutoff else None
             if theirs is None or theirs.nrows == 0:
                 continue
-            if not _rows_in_span(theirs, mine, self.pivots[d] if d <= self.cutoff
-                                 else list(range(self.ctx.dim(d)))):
+            if not _rows_in_span(theirs, mine, piv):
                 return False
         return True
 

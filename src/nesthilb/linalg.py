@@ -34,7 +34,9 @@ reversed; ``kernel_basis`` reads the reduced kernel basis off that split (see
 its docstring), and the relations among the rows of a matrix are the split of
 its transpose.  ``rref_with_transform`` takes a matrix of full row rank only,
 so its transform is square in the rank: the right half of the reduced
-``[self | identity]``.  These three have one body for both fields.
+``[self | identity]``.  These three have one body for both fields.  Each
+field multiplies through one routine, ``_sparse_mul`` or ``_matmul_mod``; the
+vec-row products are products with ``I ⊗ b`` and ``Tᵀ ⊗ I``.
 
 Everything is deterministic and exact: reduced row echelon forms are canonical
 for the row space and kernels are returned in reduced echelon form.  The only
@@ -311,25 +313,10 @@ class Mat:
         if self.ncols != other.nrows:
             raise LinalgError("matmul shape mismatch")
         if self.field.is_rational:
-            rows = []
-            for r in self.rows:
-                acc: dict[int, mpq] = {}
-                for k, v in r.items():
-                    for j, w in other.rows[k].items():
-                        t = acc.get(j, mpq(0)) + v * w
-                        if t == 0:
-                            acc.pop(j, None)
-                        else:
-                            acc[j] = t
-                rows.append(acc)
-            return Mat(self.field, self.nrows, other.ncols, rows=rows)
-        p = self.field.p
-        a = self.arr
-        b = other.arr
-        if a.size == 0 or b.size == 0:
-            return Mat.zeros(self.field, self.nrows, other.ncols)
-        out = _matmul_mod(a, b, p)
-        return Mat(self.field, self.nrows, other.ncols, arr=out)
+            return Mat(self.field, self.nrows, other.ncols,
+                       rows=_sparse_mul(self.rows, other.rows))
+        return Mat(self.field, self.nrows, other.ncols,
+                   arr=_matmul_mod(self.arr, other.arr, self.field.p))
 
     def sub(self, other: "Mat") -> "Mat":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -426,6 +413,23 @@ class Mat:
 
 
 # ------------------------------------------------------------------ QQ kernel
+
+
+def _sparse_mul(rows: Sequence[dict], other_rows) -> list[dict]:
+    """Rows of the product: row i sums v * other_rows[k] over the entries k: v of
+    rows[i] and drops the entries that cancel.  other_rows may be a dict of rows."""
+    out = []
+    for r in rows:
+        acc: dict[int, mpq] = {}
+        for k, v in r.items():
+            for j, w in other_rows[k].items():
+                t = acc.get(j, 0) + v * w
+                if t == 0:
+                    acc.pop(j, None)
+                else:
+                    acc[j] = t
+        out.append(acc)
+    return out
 
 
 def _integer_rows(rows: Iterable[dict]) -> list[dict[int, int]]:
@@ -601,26 +605,16 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def right_mul_vecrows(p: Mat, rows_inner: int, cols_inner: int, b: Mat) -> Mat:
     """Rows of p are vec(L) for L of shape (rows_inner, cols_inner); return the
-    matrix whose rows are vec(L @ b)."""
+    matrix whose rows are vec(L @ b), that is p times I ⊗ b."""
     q = p.nrows
     out_cols = rows_inner * b.ncols
     if p.field.is_rational:
-        rows = []
-        for r in p.rows:
-            acc: dict[int, object] = {}
-            for flat, v in r.items():
-                a, c = divmod(flat, cols_inner)
-                for c2, w in b.rows[c].items():
-                    key = a * b.ncols + c2
-                    t = acc.get(key, 0) + v * w
-                    if t == 0:
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = t
-            rows.append(acc)
-        return Mat(p.field, q, out_cols, rows=rows)
-    if q == 0 or out_cols == 0 or cols_inner == 0:
-        return Mat.zeros(p.field, q, out_cols)
+        # row k = a * cols_inner + c of I ⊗ b is row c of b, shifted to block a;
+        # only the rows that entries of p select are built
+        factor = {k: {k // cols_inner * b.ncols + c2: w
+                      for c2, w in b.rows[k % cols_inner].items()}
+                  for k in set().union(*p.rows)}
+        return Mat(p.field, q, out_cols, rows=_sparse_mul(p.rows, factor))
     x = p.arr.reshape(q * rows_inner, cols_inner)
     y = _matmul_mod(x, b.arr, p.field.p)
     return Mat(p.field, q, out_cols, arr=y.reshape(q, out_cols))
@@ -628,30 +622,16 @@ def right_mul_vecrows(p: Mat, rows_inner: int, cols_inner: int, b: Mat) -> Mat:
 
 def left_mul_vecrows(p: Mat, rows_inner: int, cols_inner: int, t: Mat) -> Mat:
     """Rows of p are vec(G) for G of shape (rows_inner, cols_inner); return the
-    matrix whose rows are vec(t @ G)."""
+    matrix whose rows are vec(t @ G), that is p times tᵀ ⊗ I."""
     q = p.nrows
     out_cols = t.nrows * cols_inner
     if p.field.is_rational:
-        tcols: list[list[tuple[int, object]]] = [[] for _ in range(rows_inner)]
-        for a2, r in enumerate(t.rows):
-            for a, v in r.items():
-                tcols[a].append((a2, v))
-        rows = []
-        for r in p.rows:
-            acc: dict[int, object] = {}
-            for flat, v in r.items():
-                a, c = divmod(flat, cols_inner)
-                for a2, w in tcols[a]:
-                    key = a2 * cols_inner + c
-                    s = acc.get(key, 0) + w * v
-                    if s == 0:
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = s
-            rows.append(acc)
-        return Mat(p.field, q, out_cols, rows=rows)
-    if q == 0 or out_cols == 0 or rows_inner == 0:
-        return Mat.zeros(p.field, q, out_cols)
+        # row k = a * cols_inner + c of tᵀ ⊗ I is column a of t, spread to offset c
+        tt = t.transpose()
+        factor = {k: {a2 * cols_inner + k % cols_inner: w
+                      for a2, w in tt.rows[k // cols_inner].items()}
+                  for k in set().union(*p.rows)}
+        return Mat(p.field, q, out_cols, rows=_sparse_mul(p.rows, factor))
     x = p.arr.reshape(q, rows_inner, cols_inner).transpose(1, 0, 2) \
         .reshape(rows_inner, q * cols_inner)
     y = _matmul_mod(t.arr, x, p.field.p)

@@ -16,11 +16,12 @@ oracle (``hom_dim_via_syzygies``).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable
 
 from .ideals import (FiniteGradedModule, HomogeneousIdeal, Nesting, NotMPrimary,
-                     power_of_max_ideal, subquotient_module, zero_ideal)
+                     power_of_max_ideal, quotient_module, subquotient_module,
+                     zero_ideal)
 from .linalg import FieldSpec, Mat, left_mul_vecrows, right_mul_vecrows
 from .ring import HomogeneousElement, diff_matrix, mult_map
 
@@ -131,18 +132,13 @@ class Target:
 
 
 @dataclass
-class _ChainTable:
-    blocks: dict[int, tuple[Mat, int, int]] = dataclass_field(default_factory=dict)
-    # d -> (P, s_d, t_d): rows of P are global parameters, columns vec(L_d)
-
-
-@dataclass
 class HomSolution:
     fld: FieldSpec
     e: int
     dim: int
     nparams: int
-    tables: list[_ChainTable]
+    # per chain, d -> (P, s_d, t_d): rows of P are global parameters, columns vec(L_d)
+    tables: list[dict[int, tuple[Mat, int, int]]]
     cons: Mat
     _kernel: Mat | None = None
 
@@ -163,7 +159,7 @@ class HomSolution:
             per_chain = []
             for table in self.tables:
                 blocks = {}
-                for d, (p, s, t) in sorted(table.blocks.items()):
+                for d, (p, s, t) in sorted(table.items()):
                     flat = vec.take_cols(list(range(p.nrows))).matmul(p)
                     blocks[d] = Mat.from_entries(
                         self.fld, s, t,
@@ -173,11 +169,11 @@ class HomSolution:
         return out
 
 
-def _process_chain(src, tgt, e: int, q0: int) -> tuple[_ChainTable, list[Mat], int]:
+def _process_chain(src, tgt, e: int, q0: int) -> tuple[dict, list[Mat], int]:
     """Parametrise all blocks of one Hom chain; returns (table, constraint blocks, q)."""
     fld = src.fld
     n = src.ctx.n
-    table = _ChainTable()
+    table: dict[int, tuple[Mat, int, int]] = {}
     cons: list[Mat] = []
     o = src.lo
     d_top = tgt.top - e
@@ -188,9 +184,9 @@ def _process_chain(src, tgt, e: int, q0: int) -> tuple[_ChainTable, list[Mat], i
     vec = s0 * t0
     p = Mat.vstack(fld, [Mat.zeros(fld, q, vec), Mat.identity(fld, vec)], vec)
     q += vec
-    table.blocks[o] = (p, s0, t0)
+    table[o] = (p, s0, t0)
     for d in range(o, d_top):
-        p, s_d, t_cur = table.blocks[d]
+        p, s_d, t_cur = table[d]
         s_next, t_next = src.dim(d + 1), tgt.dim(d + 1 + e)
         red, piv, s_mat, rows_j, rows_d, c_mat = src.e_struct(d)
         rho = len(piv)
@@ -232,7 +228,7 @@ def _process_chain(src, tgt, e: int, q0: int) -> tuple[_ChainTable, list[Mat], i
         new_part = Mat.from_entries(fld, len(free_rows) * t_next, vec_next, entries)
         p_next = Mat.vstack(fld, [old_part, new_part], vec_next)
         q += len(free_rows) * t_next
-        table.blocks[d + 1] = (p_next, s_next, t_next)
+        table[d + 1] = (p_next, s_next, t_next)
     return table, cons, q
 
 
@@ -254,7 +250,7 @@ def _solve(chains, links, e: int) -> HomSolution:
     """chains: list of (source, target); links: list of (upper_ideal, lower_ideal,
     upper_chain_index, lower_chain_index) nesting compatibilities."""
     fld = chains[0][0].fld
-    tables: list[_ChainTable] = []
+    tables: list[dict] = []
     cons_blocks: list[Mat] = []
     q = 0
     for src, tgt in chains:
@@ -269,12 +265,12 @@ def _solve(chains, links, e: int) -> HomSolution:
             if s_low == 0 or t_up == 0:
                 continue
             incl = _inclusion_coords(lower, upper, d)
-            pu = tu.blocks.get(d)
+            pu = tu.get(d)
             if pu is not None:
                 term_u = left_mul_vecrows(pu[0], pu[1], pu[2], incl)
             else:
                 term_u = Mat.zeros(fld, 0, s_low * t_up)
-            pl = tl.blocks.get(d)
+            pl = tl.get(d)
             if pl is not None and pl[2]:
                 lp = _lift_project(lower, upper, d + e)
                 term_l = right_mul_vecrows(pl[0], pl[1], pl[2], lp)
@@ -587,9 +583,7 @@ def sandwich_hom_term(nest: Nesting, j: int, k: int) -> dict[int, int]:
         target = subquotient_module(upper, mk)
         o_target = upper.order
     else:
-        from .ideals import _max_ideal_power
-
-        target = subquotient_module(_max_ideal_power(ctx, fld, 0, k - 1), mk)
+        target = quotient_module(mk)
         o_target = 0
     if j < nest.r:
         lower = nest.ideals[j]

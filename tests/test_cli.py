@@ -83,6 +83,13 @@ def test_hom_top_degree_zero_is_honoured(capsys):
     assert code == 0 and json.loads(out)["dims"] == {}
 
 
+@pytest.mark.parametrize("source, target", [("m^1:2 / 0", "R / m^0:2"),
+                                            ("R / m^0:2", "R / m^2:2")])
+def test_hom_into_or_out_of_the_zero_module(capsys, source, target):
+    code, out = run(capsys, "hom", source, target, "--json")
+    assert code == 0 and json.loads(out)["total"] == 0
+
+
 def test_sandwich_command(capsys):
     code, out = run(capsys, "sandwich", "I1:4,2 > I2:4", "-j", "1", "-k", "2",
                     "--json")

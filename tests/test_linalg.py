@@ -111,23 +111,73 @@ def test_rref_with_transform_reconstructs():
     assert s.matmul(m) == red
 
 
-@pytest.mark.parametrize("fld", [QQ, FP])
-def test_vecrow_helpers_match_direct_products(fld):
-    rng = np.random.default_rng(7)
-    s, t, t2 = 3, 4, 2
-    lam = [[int(v) for v in row] for row in rng.integers(-5, 5, size=(s, t))]
-    b = [[int(v) for v in row] for row in rng.integers(-5, 5, size=(t, t2))]
-    p = Mat.from_rows(fld, [[lam[i][j] for i in range(s) for j in range(t)]])
-    got = right_mul_vecrows(p, s, t, Mat.from_rows(fld, b))
-    direct = Mat.from_rows(fld, lam).matmul(Mat.from_rows(fld, b))
-    flat = [direct.to_lists()[i][j] for i in range(s) for j in range(t2)]
-    assert got.to_lists()[0] == flat
+def _dense_mul(a, b, ncols):
+    """a @ b on lists of lists of Fractions, b with ncols columns."""
+    return [[sum((v * b[k][j] for k, v in enumerate(row)), Fraction(0))
+             for j in range(ncols)] for row in a]
 
-    tr = [[int(v) for v in row] for row in rng.integers(-5, 5, size=(5, s))]
-    got2 = left_mul_vecrows(p, s, t, Mat.from_rows(fld, tr))
-    direct2 = Mat.from_rows(fld, tr).matmul(Mat.from_rows(fld, lam))
-    flat2 = [direct2.to_lists()[i][j] for i in range(5) for j in range(t)]
-    assert got2.to_lists()[0] == flat2
+
+def _in_field(rows, fld):
+    """Fraction rows as entries of fld: a/b is a * b^-1 mod p over GF(p)."""
+    if fld.is_rational:
+        return rows
+    p = fld.p
+    return [[v.numerator * pow(v.denominator, -1, p) % p for v in r] for r in rows]
+
+
+def _random_rows(rng, nrows, ncols):
+    return [[Fraction(int(v)) for v in row]
+            for row in rng.integers(-5, 5, size=(nrows, ncols))]
+
+
+_F = Fraction
+# (L, b, T) for L of shape s x t, b of shape t x t2 and T of shape nt x s, or
+# the shape (s, t, t2, nt) of random integer ones
+_PRODUCT_CASES = {
+    "random": (3, 4, 2, 5),
+    # one entry of L @ b and one of T @ L cancel to zero
+    "cancelling": ([[_F(1, 2), _F(1, 3)], [_F(1, 3), _F(1, 2)]],
+                   [[_F(2), _F(3)], [_F(-3), _F(-2)]], [[_F(2), _F(-3)], [_F(1), _F(1)]]),
+    "s=0": (0, 3, 2, 2),
+    "t=0": (2, 0, 3, 2),
+    "b.ncols=0": (2, 3, 0, 2),
+    "T.nrows=0": (2, 3, 2, 0),
+}
+
+
+@pytest.mark.parametrize("q", [0, 4], ids=["q0", "q4"])
+@pytest.mark.parametrize("case", list(_PRODUCT_CASES))
+@pytest.mark.parametrize("fld", [QQ, FP], ids=["QQ", "Fp"])
+def test_vecrow_helpers_match_direct_products(fld, case, q):
+    """Both vec-row products and Mat.matmul against a dense product of
+    Fractions, reduced mod p over GF(p), on q parameter rows."""
+    spec = _PRODUCT_CASES[case]
+    if isinstance(spec[0], int):
+        s, t, t2, nt = spec
+        rng = np.random.default_rng(7)
+        lam, b, tr = (_random_rows(rng, *shape) for shape in ((s, t), (t, t2), (nt, s)))
+    else:
+        lam, b, tr = spec
+        s, t, t2, nt = len(lam), len(b), len(b[0]), len(tr)
+
+    def params(m, width):  # rows vec(k * m) for k = 1 .. q - 1, then a zero row
+        return [[k * v for row in m for v in row] for k in range(1, q)] + [[0] * width] * (q > 0)
+
+    def mat(rows, ncols):
+        return Mat.from_rows(fld, _in_field(rows, fld), ncols=ncols)
+
+    def check(got, want, ncols):
+        assert (got.nrows, got.ncols) == (len(want), ncols)
+        assert got.to_lists() == _in_field(want, fld)
+        assert all(v != 0 for i in range(got.nrows) for v in got.row_items(i).values())
+
+    lb, tl = _dense_mul(lam, b, t2), _dense_mul(tr, lam, t)
+    p = mat(params(lam, s * t), s * t)
+    check(right_mul_vecrows(p, s, t, mat(b, t2)), params(lb, s * t2), s * t2)
+    check(left_mul_vecrows(p, s, t, mat(tr, s)), params(tl, nt * t), nt * t)
+    # the same products as matrices: t = 0 and s = 0 have an empty inner dimension
+    check(mat(lam, t).matmul(mat(b, t2)), lb, t2)
+    check(mat(tr, s).matmul(mat(lam, t)), tl, t)
 
 
 @pytest.mark.parametrize("fld", [QQ, FP])
