@@ -21,9 +21,6 @@ from .strata import census, census_csv, gap, thmC_report
 from .tangent import sandwich_identity_check, tnt_check
 from .verify import FIXTURES, VerifyConfig, run_verify
 
-THREADS_ENV = "NESTHILB_THREADS"
-
-
 def _field(args) -> FieldSpec:
     return FieldSpec.parse(args.field)
 
@@ -128,7 +125,14 @@ def cmd_gap(args) -> int:
 
 def cmd_census(args) -> int:
     fld = _field(args)
-    threads = max(1, int(os.environ.get(THREADS_ENV, "1")))
+    try:
+        threads = int(os.environ.get("NESTHILB_THREADS", "1"))
+    except ValueError:
+        raise ValueError("NESTHILB_THREADS must be an integer, got "
+                         f"{os.environ['NESTHILB_THREADS']!r}") from None
+    if threads > 1:  # each spawned worker reads these as it loads numpy
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+        os.environ.setdefault("OMP_NUM_THREADS", "1")
     produced = 0
     for rec in census((args.nmin, args.nmax), fld=fld, seed=args.seed,
                       store_path=args.store, threads=threads):

@@ -26,7 +26,6 @@ actions (``quotient_structure``, ``quotient_action``) and the relations of
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass
 
 from .linalg import FieldSpec, Mat
@@ -137,7 +136,6 @@ class HomogeneousIdeal:
             (-1 if self.is_m_primary else None)
         self._qstruct: dict[int, SubquotientStructure] = {}
         self._estruct: dict[int, tuple] = {}
-        self._estruct_lock = threading.Lock()
         self._qact: dict[tuple[int, int], Mat] = {}
 
     # ------------------------------------------------------------------ sizes

@@ -358,18 +358,22 @@ class Mat:
         return aug.take_cols(range(n)), piv, aug.take_cols(range(n, n + m))
 
     def rank(self) -> int:
+        # forward pass only, in place, with the shorter side as columns
         if not self.field.is_rational:
-            return _rank_p(self.arr, self.field.p)
+            a = self.arr.T if self.ncols > self.nrows else self.arr
+            return len(_eliminate_p(np.array(a, order="C"), self.field.p, back=False))
         rows = _integer_rows(self.rows)
         # an integer matrix has rank mod p at most its rank over QQ, and no
         # rank exceeds full: a full rank mod p is the rank over QQ
         full = min(len(rows), self.ncols)
-        a = np.zeros((len(rows), self.ncols), dtype=np.int64)
+        tall = len(rows) >= self.ncols
+        a = np.zeros((len(rows), self.ncols) if tall else (self.ncols, len(rows)), np.int64)
         for i, r in enumerate(rows):
             for j, v in r.items():
-                a[i, j] = v % DEFAULT_PRIME
-        if _rank_p(a, DEFAULT_PRIME) == full:
+                a[(i, j) if tall else (j, i)] = v % DEFAULT_PRIME
+        if len(_eliminate_p(a, DEFAULT_PRIME, back=False)) == full:
             return full
+        del a  # the integer forward pass reads the rows only
         return len(_rref_q(rows, back=False)[1])
 
     def _column_split(self) -> tuple[list[int], list[int], "Mat"]:
@@ -567,12 +571,6 @@ def _eliminate_p(a: np.ndarray, p: int, back: bool) -> list[int]:
                 steps = 0
     a %= p
     return pivots
-
-
-def _rank_p(arr: np.ndarray, p: int) -> int:
-    """Forward elimination only, over the shorter side as columns."""
-    a = arr.T if arr.shape[1] > arr.shape[0] else arr
-    return len(_eliminate_p(np.mod(a, p, order="C"), p, back=False))
 
 
 def _rref_p(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

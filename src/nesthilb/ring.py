@@ -22,8 +22,7 @@ class RingError(ValueError):
 class RingCtx:
     """The ring C[x_1..x_n] with memoised per-degree monomial bases.
 
-    Immutable once created; the caches only ever grow and always return the
-    same objects, so sharing a context between threads is safe.
+    Immutable once created; its caches only grow and return the same objects.
     """
 
     def __init__(self, n: int):

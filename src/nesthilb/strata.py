@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
+from multiprocessing import get_context
 
-from .ideals import Nesting, family_I1, family_I2
+from .ideals import HomogeneousIdeal, Nesting, family_I1, family_I2
 from .linalg import DEFAULT_PRIME, FieldSpec
 from .ring import RingCtx
 from .tangent import TNT_CERTIFIED, TangentReport, sandwich_insert, tnt_check
@@ -289,19 +289,22 @@ class CensusRecord:
         return out
 
 
-def _census_cell(n: int, s: int, fld: FieldSpec, seed: int,
-                 i2_cache: dict, i2_lock: threading.Lock) -> CensusRecord:
+_i2_slot: dict[tuple[int, str], HomogeneousIdeal] = {}  # the I2 of this process's last n
+
+
+def _census_cell(n: int, s: int, fld: FieldSpec, seed: int) -> CensusRecord:
     rec = CensusRecord(n=n, s=s, field=fld.label, seed=seed, gap=gap_formula(n, s))
+    key = (n, fld.label)
+    if key not in _i2_slot:  # a cell of another n frees the last n's I2
+        _i2_slot.clear()
     if 2 <= s <= n - 2:
         rec.verdict = gap(n, s).verdict
         t0 = time.monotonic()
         try:
-            with i2_lock:  # one I2, and so one e_struct cache, per n
-                if n not in i2_cache:
-                    ctx = RingCtx(n)
-                    i2_cache[n] = (ctx, family_I2(ctx, fld))
-            ctx, i2 = i2_cache[n]
-            nest = Nesting([family_I1(ctx, fld, s), i2])
+            if key not in _i2_slot:  # one I2, and so one e_struct cache, per n
+                _i2_slot[key] = family_I2(RingCtx(n), fld)
+            i2 = _i2_slot[key]
+            nest = Nesting([family_I1(i2.ctx, fld, s), i2])
             rep = tnt_check(nest)
             rec.t_minus_one = rep.t_at(-1)
             rec.t_nonneg = rep.t_nonneg
@@ -319,6 +322,11 @@ def _census_cell(n: int, s: int, fld: FieldSpec, seed: int,
     return rec
 
 
+def _usable_cores() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def census(n_range: tuple[int, int], fld: FieldSpec | None = None, seed: int = 0,
            store_path: str | None = None, threads: int = 1):
     """Stream census records over the (n, s) grid with s = 0..n, resumably.
@@ -326,9 +334,11 @@ def census(n_range: tuple[int, int], fld: FieldSpec | None = None, seed: int = 0
     Existing (n, s, field, seed) keys in the JSONL store are not recomputed
     unless their last record carries an error; a retry appends a new line.
     A torn final line, left by an interrupted append, is cut off first.
-    Records are appended and yielded in grid order regardless of the worker
-    count; the store has a single writer.  The cells of one n share one I2,
-    which is dropped once the last of them is yielded.
+    Records are appended and yielded in grid order by this process, the
+    store's one writer.  ``threads`` counts worker processes: up to min(threads,
+    pending cells, usable cores) start, by ``spawn``, so a calling script needs
+    an ``if __name__ == "__main__"`` guard and cannot be fed on stdin.  Each
+    process keeps the I2 of its last n; this one drops its own at the end.
     """
     fld = fld or FieldSpec.prime(DEFAULT_PRIME)
     done = set()
@@ -337,28 +347,23 @@ def census(n_range: tuple[int, int], fld: FieldSpec | None = None, seed: int = 0
                 if "error" not in rec}
     cells = [(n, s) for n in range(n_range[0], n_range[1] + 1)
              for s in range(0, n + 1) if (n, s, fld.label, seed) not in done]
+    workers = min(threads, len(cells), _usable_cores())
     out = open(store_path, "a") if store_path else None
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    i2_cache: dict = {}
-    i2_lock = threading.Lock()
-    last_s = dict(cells)  # the last pending cell of each n
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("spawn")) if workers > 1 else None
     try:
         for rec in (pool.map if pool else map)(
-                lambda cell: _census_cell(cell[0], cell[1], fld, seed, i2_cache, i2_lock),
-                cells):
+                _census_cell, [n for n, _ in cells], [s for _, s in cells],
+                [fld] * len(cells), [seed] * len(cells)):
             if out:
                 out.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
                 out.flush()
             yield rec
-            if rec.s == last_s[rec.n]:
-                # records come in grid order, so no cell of n is left to run
-                with i2_lock:
-                    i2_cache.pop(rec.n, None)
     finally:
         if pool:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
         if out:
             out.close()
+        _i2_slot.clear()
 
 
 def _read_store(store_path: str, cut_torn_tail: bool = False) -> dict[tuple, dict]:

@@ -15,7 +15,6 @@ oracle (``hom_dim_via_syzygies``).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,7 +38,7 @@ class NotStrictlySandwiched(ValueError):
 
 class _Source:
     """Degreewise carrier with variable actions; subclasses set ctx, fld, lo,
-    dim, act, the ``_estruct`` cache and the ``_estruct_lock`` that guards it."""
+    dim, act and the ``_estruct`` cache."""
 
     def e_struct(self, d: int) -> tuple[Mat, list[int], Mat, list[int], list[int], Mat]:
         """The multiplication relations out of degree d.  The rows of the
@@ -47,18 +46,15 @@ class _Source:
         from the last, and the others D, with E_D = C @ E_J.  Returns
         (R, piv, S, J, D, C): R is the rref of E_J, with pivots piv, and
         S @ E_J = R."""
-        with self._estruct_lock:  # census threads share one I2
-            st = self._estruct.get(d)
-            if st is None:
-                # E^T, built directly: its columns are the rows of E
-                et = Mat.hstack(self.fld, [self.act(j, d).transpose()
-                                           for j in range(self.ctx.n)])
-                rows_j, rows_d, c = et._column_split()
-                e_j = et.take_cols(rows_j).transpose()
-                del et  # as large as E: free it before the transform
-                st = (*e_j.rref_with_transform(), rows_j, rows_d, c)
-                self._estruct[d] = st
-        return st
+        if d not in self._estruct:
+            # E^T, built directly: its columns are the rows of E
+            et = Mat.hstack(self.fld, [self.act(j, d).transpose()
+                                       for j in range(self.ctx.n)])
+            rows_j, rows_d, c = et._column_split()
+            e_j = et.take_cols(rows_j).transpose()
+            del et  # as large as E: free it before the transform
+            self._estruct[d] = (*e_j.rref_with_transform(), rows_j, rows_d, c)
+        return self._estruct[d]
 
 
 class IdealSource(_Source):
@@ -70,7 +66,6 @@ class IdealSource(_Source):
         self.fld = ideal.fld
         self.lo = ideal.order
         self._estruct = ideal._estruct  # shared by every source over this ideal
-        self._estruct_lock = ideal._estruct_lock
 
     def dim(self, d: int) -> int:
         return self.ideal.dim_at(d)
@@ -88,7 +83,6 @@ class ModuleSource(_Source):
         self.fld = mod.fld
         self.lo = next((d for d in range(mod.lo, mod.hi + 1) if mod.dim(d)), mod.lo)
         self._estruct: dict[int, tuple] = {}
-        self._estruct_lock = threading.Lock()
 
     def dim(self, d: int) -> int:
         return self.mod.dim(d)
@@ -193,12 +187,13 @@ def _process_chain(src, tgt, e: int, q0: int) -> tuple[dict, list[Mat], int]:
         # required values on products: G = vstack_j (L_d @ B_j).  E L_{d+1} = G
         # holds iff R L_{d+1} = S G_J (the values on pivot rows) and G_D = C G_J
         if t_cur and t_next and s_d:
-            parts = [right_mul_vecrows(p, s_d, t_cur, tgt.act(j, d + e))
-                     for j in range(n)]
-            p_g = Mat.hstack(fld, parts)
-            p_gj = p_g.take_cols([a * t_next + c for a in rows_j for c in range(t_next)])
+            # one product L_d @ [B_0 | ... | B_{n-1}]: row j * s_d + u of E is block u * n + j
+            b = Mat.hstack(fld, [tgt.act(j, d + e) for j in range(n)])
+            p_g = right_mul_vecrows(p, s_d, t_cur, b)
+            first_col = lambda a: (a % s_d * n + a // s_d) * t_next
+            p_gj = p_g.take_cols([first_col(a) + c for a in rows_j for c in range(t_next)])
             p_vals = left_mul_vecrows(p_gj, rho, t_next, s_mat)
-            p_rel = p_g.take_cols([a * t_next + c for a in rows_d for c in range(t_next)]) \
+            p_rel = p_g.take_cols([first_col(a) + c for a in rows_d for c in range(t_next)]) \
                 .sub(left_mul_vecrows(p_gj, rho, t_next, c_mat))
         else:
             p_vals = Mat.zeros(fld, q, rho * t_next)

@@ -1,8 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nesthilb
 from nesthilb import cli
 from nesthilb.cli import build_parser, main
 
@@ -115,6 +120,32 @@ def test_census_csv_needs_store(capsys, tmp_path):
     assert ex.value.code == 2
     assert "--store" in capsys.readouterr().err
     assert not (tmp_path / "c.csv").exists()
+
+
+def test_census_with_two_worker_processes(capsys, tmp_path):
+    env = dict(os.environ, NESTHILB_THREADS="2")
+    src = str(Path(nesthilb.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    store = tmp_path / "c.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "nesthilb.cli", "census", "--nmin", "4", "--nmax", "5",
+         "--json", "--store", str(store)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, out = run(capsys, "census", "--nmin", "4", "--nmax", "5", "--json")
+    strip = lambda text: [{k: v for k, v in json.loads(line).items() if k != "elapsed_ms"}
+                          for line in text.splitlines()]
+    assert code == 0 and len(strip(out)) == 11
+    assert strip(proc.stdout) == strip(store.read_text()) == strip(out)
+
+
+def test_census_rejects_a_non_integer_worker_count(capsys, monkeypatch):
+    monkeypatch.setenv("NESTHILB_THREADS", "abc")
+    assert main(["census", "--nmin", "4", "--nmax", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("nesthilb census: error: NESTHILB_THREADS must be an "
+                            "integer, got 'abc'\n")
 
 
 def test_verify_filter_unknown(capsys, monkeypatch):

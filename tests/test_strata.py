@@ -1,8 +1,5 @@
 import gc
 import json
-import sys
-import threading
-import time
 import weakref
 from collections import Counter
 
@@ -20,6 +17,7 @@ from nesthilb.strata import (GAP_BOUNDARY, GAP_INCONCLUSIVE, GAP_STRICT,
                              compressed_1n2_dim, gap, gap_formula, reduce_to_embedding_dim,
                              nested_stratum_dim_1s_1n2, nonreducedness_certificate,
                              smoothable_dim, thmC_report, two_step_stratum_dim)
+from nesthilb.tangent import tnt_check
 
 FP = FieldSpec.prime(32003)
 
@@ -175,48 +173,50 @@ def test_census_store_roundtrip(tmp_path):
     assert "4^4" in csv
 
 
-def test_census_threaded_matches_serial(tmp_path):
-    serial = [r.to_json() for r in census((4, 4), fld=FP, seed=0)]
-    threaded = [r.to_json() for r in census((4, 4), fld=FP, seed=0, threads=3)]
-    strip = lambda rows: [{k: v for k, v in r.items() if k != "elapsed_ms"}
-                          for r in rows]
-    assert strip(serial) == strip(threaded)
+def test_census_threaded_matches_serial(tmp_path, monkeypatch):
+    monkeypatch.setattr(strata, "_usable_cores", lambda: 2)  # a pool even on one core
+    strip = lambda rows: [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in rows]
+    runs = {}
+    for workers in (1, 2):
+        store = tmp_path / f"census{workers}.jsonl"
+        yielded = [r.to_json() for r in census((6, 7), fld=FP, seed=0,
+                                               store_path=str(store), threads=workers)]
+        stored = [json.loads(line) for line in store.read_text().splitlines()]
+        assert stored == yielded
+        runs[workers] = strip(yielded)
+    assert [(r["n"], r["s"]) for r in runs[1]] == \
+        [(n, s) for n in (6, 7) for s in range(n + 1)]
+    assert runs[2] == runs[1]
 
 
-def test_census_threads_share_one_i2_and_its_relations(monkeypatch):
+def test_census_builds_one_i2_per_n_and_shares_its_relations(monkeypatch):
     counts = Counter()
-    lock = threading.Lock()
     build_i2, transform = strata.family_I2, Mat.rref_with_transform
 
-    def slow_family_i2(ctx, fld):
-        with lock:
-            counts[f"I2:{ctx.n}"] += 1
-        time.sleep(0.2)  # keep every worker inside the build window
+    def counted_family_i2(ctx, fld):
+        counts[f"I2:{ctx.n}"] += 1
         return build_i2(ctx, fld)
 
     def counted_transform(m):
-        with lock:
-            counts["transform"] += 1
+        counts["transform"] += 1
         return transform(m)
 
-    monkeypatch.setattr(strata, "family_I2", slow_family_i2)
+    monkeypatch.setattr(strata, "family_I2", counted_family_i2)
     monkeypatch.setattr(Mat, "rref_with_transform", counted_transform)
-    serial = [r.to_json() for r in census((6, 7), fld=FP, seed=0)]
-    serial_counts = dict(counts)
+    recs = list(census((6, 7), fld=FP, seed=0))
+    census_counts = dict(counts)
     counts.clear()
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threaded = [r.to_json() for r in census((6, 7), fld=FP, seed=0, threads=3)]
-    finally:
-        sys.setswitchinterval(switch)
-    assert serial_counts["I2:6"] == serial_counts["I2:7"] == 1
-    assert dict(counts) == serial_counts
-    assert all("error" not in r for r in threaded) and len(threaded) == len(serial)
+    for n in (6, 7):  # the same cells, each n on one I2 built by hand
+        ctx = RingCtx(n)
+        i2 = build_i2(ctx, FP)
+        for s in range(2, n - 1):
+            tnt_check(Nesting([family_I1(ctx, FP, s), i2]))
+    assert census_counts["I2:6"] == census_counts["I2:7"] == 1
+    assert census_counts["transform"] == counts["transform"]
+    assert all(r.error is None for r in recs)
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_census_frees_each_i2_after_the_last_cell_of_its_n(monkeypatch, threads):
+def test_census_frees_each_i2_after_the_last_cell_of_its_n(monkeypatch):
     build_i2 = strata.family_I2
     built = {}
 
@@ -227,12 +227,56 @@ def test_census_frees_each_i2_after_the_last_cell_of_its_n(monkeypatch, threads)
 
     monkeypatch.setattr(strata, "family_I2", tracked_family_i2)
     alive = []
-    for rec in census((6, 7), fld=FP, seed=0, threads=threads):
+    for rec in census((6, 7), fld=FP, seed=0):
         if rec.n == 7:  # every n = 6 record has been yielded
             gc.collect()
             alive.append(built[6]() is not None)
     assert sorted(built) == [6, 7]
     assert alive and not any(alive)
+    gc.collect()
+    assert built[7]() is None  # the census empties the slot when it returns
+
+
+def test_census_parent_builds_no_i2_under_a_pool(monkeypatch):
+    def no_family_i2(ctx, fld):
+        raise AssertionError("the parent built an I2")
+
+    # spawned workers import strata afresh and do not see this patch
+    monkeypatch.setattr(strata, "family_I2", no_family_i2)
+    monkeypatch.setattr(strata, "_usable_cores", lambda: 2)
+    recs = list(census((6, 6), fld=FP, seed=0, threads=2))
+    assert [r.s for r in recs] == list(range(7))
+    assert all(r.error is None for r in recs)
+    assert [r.tnt for r in recs if 2 <= r.s <= 4] == ["certified"] * 3
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    def __init__(self, seen, max_workers, mp_context=None):
+        seen.append(max_workers)
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+    def shutdown(self, **kwargs):
+        pass
+
+
+@pytest.mark.parametrize("threads, cores, expected", [
+    (64, 2, [2]),   # capped by the cores
+    (64, 64, [5]),  # capped by the 5 cells of n = 4
+    (3, 64, [3]),
+    (2, 1, []),     # one usable core: no pool
+    (1, 64, []),
+])
+def test_census_caps_its_worker_count(monkeypatch, threads, cores, expected):
+    seen = []
+    monkeypatch.setattr(strata, "ProcessPoolExecutor",
+                        lambda *a, **kw: _RecordingPool(seen, *a, **kw))
+    monkeypatch.setattr(strata, "_usable_cores", lambda: cores)
+    recs = list(census((4, 4), fld=FP, seed=0, threads=threads))
+    assert seen == expected and len(recs) == 5
 
 
 def test_census_resumes_after_a_torn_final_line(tmp_path):
