@@ -9,10 +9,9 @@ from .ideals import (FiniteGradedModule, HilbertFunction, HomogeneousIdeal,
                      power_of_max_ideal, quotient_module, subquotient_module)
 from .resolutions import (BettiTable, betti_table, has_linear_syzygies,
                           minimal_generators)
-from .tangent import (GradedHom, TangentReport, graded_hom, graded_hom_dims,
-                      hom_dim_via_syzygies, nested_tangent_graded,
-                      sandwich_identity_check, sandwich_insert, tangent_graded,
-                      theta_rank, tnt_check)
+from .tangent import (TangentReport, graded_hom_dims, hom_dim_via_syzygies,
+                      nested_tangent_graded, sandwich_identity_check,
+                      sandwich_insert, tangent_graded, theta_rank, tnt_check)
 from .strata import (CensusRecord, GapReport, census, census_csv,
                      compressed_1n2_dim, gap, gap_formula, reduce_to_embedding_dim,
                      nested_stratum_dim_1s_1n2, nonreducedness_certificate,
@@ -30,9 +29,9 @@ __all__ = [
     "ideal_from_generators", "power_of_max_ideal", "quotient_module",
     "subquotient_module",
     "BettiTable", "betti_table", "has_linear_syzygies", "minimal_generators",
-    "GradedHom", "TangentReport", "graded_hom", "graded_hom_dims",
-    "hom_dim_via_syzygies", "nested_tangent_graded", "sandwich_identity_check",
-    "sandwich_insert", "tangent_graded", "theta_rank", "tnt_check",
+    "TangentReport", "graded_hom_dims", "hom_dim_via_syzygies",
+    "nested_tangent_graded", "sandwich_identity_check", "sandwich_insert",
+    "tangent_graded", "theta_rank", "tnt_check",
     "CensusRecord", "GapReport", "census", "census_csv", "compressed_1n2_dim",
     "gap", "gap_formula", "reduce_to_embedding_dim", "nested_stratum_dim_1s_1n2",
     "nonreducedness_certificate", "smoothable_dim", "thmC_report",

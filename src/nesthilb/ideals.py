@@ -233,12 +233,20 @@ class HomogeneousIdeal:
             self._qstruct[d] = st
         return st
 
+    def coords(self, rows: Mat, d: int) -> Mat:
+        """Coordinates in the stored basis of I_d of rows that lie in I_d:
+        their entries at its pivots.  Above the cutoff of an m-primary ideal
+        that basis is the identity, so the rows are their own coordinates."""
+        if d <= self.cutoff:
+            return rows.take_cols(self.basis_at(d)[1])
+        self.dim_at(d)  # a truncated ideal raises CutoffTooSmall here
+        return rows
+
     def action(self, j: int, d: int) -> Mat:
         """Multiplication by x_j as a map I_d -> I_{d+1} in the stored bases,
         built on each call."""
         basis, _ = self.basis_at(d)
-        _, piv_next = self.basis_at(d + 1)
-        return scatter_rows(self.ctx, basis, j, d).take_cols(piv_next)
+        return self.coords(scatter_rows(self.ctx, basis, j, d), d + 1)
 
     def quotient_action(self, j: int, c: int) -> Mat:
         """Multiplication by x_j as a map (R/I)_c -> (R/I)_{c+1} in the
@@ -551,6 +559,12 @@ class FiniteGradedModule:
             return self.dims[d - self.lo]
         return 0
 
+    @property
+    def top(self) -> int:
+        """The last nonzero degree, lo - 1 for the zero module."""
+        return max((d for d in range(self.lo, self.hi + 1) if self.dim(d)),
+                   default=self.lo - 1)
+
     def action(self, j: int, d: int) -> Mat:
         if self.lo <= d < self.hi:
             return self.actions[d - self.lo][j]
@@ -583,36 +597,25 @@ def subquotient_module(a: HomogeneousIdeal, b: HomogeneousIdeal,
     if not a.contains(b):
         raise NotNested("second ideal is not contained in the first")
     ctx, fld = a.ctx, a.fld
-    structs = {}
-    for d in range(hi + 1):
-        ba, pa = a.basis_at(d)
-        bb, pb = b.basis_at(d)
-        try:
-            structs[d] = SubquotientStructure(ctx.dim(d), ba, pa, bb, pb)
-        except NotNested:
-            raise NotNested(f"containment fails in degree {d}")
-        if not _rows_in_span(bb, ba, pa):
-            raise NotNested(f"containment fails in degree {d}")
-    lo_candidates = [d for d in range(hi + 1) if structs[d].qdim]
-    lo = min(lo_candidates, default=0)
+    structs = [SubquotientStructure(ctx.dim(d), *a.basis_at(d), *b.basis_at(d))
+               for d in range(hi + 1)]
+    lo = next((d for d in range(hi + 1) if structs[d].qdim), 0)
     dims = [structs[d].qdim for d in range(lo, hi + 1)]
-    actions = []
-    for d in range(lo, hi):
-        row_mats = []
-        for j in range(ctx.n):
-            lifted = scatter_rows(ctx, structs[d].lift, j, d)
-            row_mats.append(structs[d + 1].project_rows(lifted))
-        actions.append(row_mats)
+    actions = [[structs[d + 1].project_rows(scatter_rows(ctx, structs[d].lift, j, d))
+                for j in range(ctx.n)] for d in range(lo, hi)]
     return FiniteGradedModule(ctx, fld, lo, hi, dims, actions)
 
 
 def quotient_module(i: HomogeneousIdeal, hi: int | None = None) -> FiniteGradedModule:
-    """R/I as a finite graded module (I must be m-primary unless hi is given)."""
+    """R/I in the ideal's canonical quotient coordinates, with its cached
+    actions (I must be m-primary unless hi is given)."""
     if hi is None:
         if not i.is_m_primary:
             raise NotMPrimary("quotient of a truncated ideal needs an explicit top degree")
         hi = i.socle_degree
-    return subquotient_module(_max_ideal_power(i.ctx, i.fld, 0, max(hi, 0)), i, hi=hi)
+    dims = [i.qdim(d) for d in range(hi + 1)]
+    actions = [[i.quotient_action(j, d) for j in range(i.ctx.n)] for d in range(hi)]
+    return FiniteGradedModule(i.ctx, i.fld, 0, hi, dims, actions)
 
 
 # --------------------------------------------------------------------- nesting

@@ -89,11 +89,12 @@ class FieldSpec:
         t = text.strip().lower()
         if t in ("rational", "qq", "q"):
             return FieldSpec.rational()
-        if t.startswith("prime:"):
-            return FieldSpec.prime(int(t.split(":", 1)[1]))
-        if t.startswith("f") and t[1:].isdigit():
-            return FieldSpec.prime(int(t[1:]))
-        raise LinalgError(f"cannot parse field spec {text!r}")
+        modulus = t[len("prime:"):] if t.startswith("prime:") else t[1:] if t[:1] == "f" else ""
+        try:
+            p = int(modulus)
+        except ValueError:
+            raise LinalgError(f"cannot parse field spec {text!r}") from None
+        return FieldSpec.prime(p)
 
     @property
     def is_rational(self) -> bool:

@@ -209,11 +209,12 @@ def parse_ideal_spec(spec: str, fld: FieldSpec, n: int | None = None,
         params = dict(_split_params(body))
         if "q" not in params or "seed" not in params:
             raise IdealSpecError("generic needs q=(...) and seed=<int>")
-        q = tuple(int(t) for t in params["q"].strip("()").split(",") if t.strip())
+        q = tuple(_spec_int(t, spec) for t in params["q"].strip("()").split(",") if t.strip())
         _no_cutoff(spec, cutoff)
-        nn = int(params["n"]) if "n" in params else (n if n is not None else q[1] if len(q) > 1 else 1)
+        nn = _spec_int(params["n"], spec) if "n" in params else \
+            (n if n is not None else q[1] if len(q) > 1 else 1)
         return generic_ideal_with_hilbert_function(ctx_for(nn), fld, q,
-                                                   int(params["seed"]))
+                                                   _spec_int(params["seed"], spec))
     if spec == "8points":
         _no_cutoff(spec, cutoff)
         return family_8points(ctx_for(4), fld)
@@ -243,6 +244,14 @@ def _no_cutoff(spec: str, cutoff: int | None) -> None:
     """Refuse a cutoff for a builtin whose construction does not read one."""
     if cutoff is not None:
         raise IdealSpecError(f"a cutoff does not apply to {spec!r}")
+
+
+def _spec_int(text: str, spec: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise IdealSpecError(f"cannot parse ideal spec {spec!r}: {text.strip()!r} "
+                             "is not an integer") from None
 
 
 def _spec_n(head: str, n: int | None) -> int:

@@ -340,6 +340,8 @@ def census(n_range: tuple[int, int], fld: FieldSpec | None = None, seed: int = 0
     an ``if __name__ == "__main__"`` guard and cannot be fed on stdin.  Each
     process keeps the I2 of its last n; this one drops its own at the end.
     """
+    if n_range[0] < 4:  # the domain of gap()
+        raise StrataError(f"census needs n >= 4, got nmin={n_range[0]}")
     fld = fld or FieldSpec.prime(DEFAULT_PRIME)
     done = set()
     if store_path and os.path.exists(store_path):

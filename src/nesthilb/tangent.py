@@ -16,12 +16,11 @@ oracle (``hom_dim_via_syzygies``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .ideals import (FiniteGradedModule, HomogeneousIdeal, Nesting, NotMPrimary,
                      power_of_max_ideal, quotient_module, subquotient_module,
                      zero_ideal)
-from .linalg import FieldSpec, Mat, left_mul_vecrows, right_mul_vecrows
+from .linalg import Mat, left_mul_vecrows, right_mul_vecrows
 from .ring import HomogeneousElement, diff_matrix, mult_map
 
 
@@ -99,72 +98,14 @@ class ModuleSource(_Source):
         return top
 
 
-@dataclass(frozen=True)
-class Target:
-    """Degreewise target of a Hom chain: dimensions up to ``top`` and the
-    variable actions between consecutive degrees."""
-
-    top: int
-    dim: Callable[[int], int]
-    act: Callable[[int, int], Mat]
-
-    @staticmethod
-    def quotient(ideal: HomogeneousIdeal) -> "Target":
-        """R/I for a certified m-primary ideal I."""
-        if not ideal.is_m_primary:
-            raise NotMPrimary("tangent targets need certified m-primary ideals")
-        return Target(ideal.socle_degree, ideal.qdim, ideal.quotient_action)
-
-    @staticmethod
-    def module(mod: FiniteGradedModule) -> "Target":
-        top = max((d for d in range(mod.lo, mod.hi + 1) if mod.dim(d)),
-                  default=mod.lo - 1)
-        return Target(top, mod.dim, mod.action)
-
-
 # ------------------------------------------------------------ chain solving
 
 
-@dataclass
-class HomSolution:
-    fld: FieldSpec
-    e: int
-    dim: int
-    nparams: int
-    # per chain, d -> (P, s_d, t_d): rows of P are global parameters, columns vec(L_d)
-    tables: list[dict[int, tuple[Mat, int, int]]]
-    cons: Mat
-    _kernel: Mat | None = None
-
-    def kernel(self) -> Mat:
-        if self._kernel is None:
-            if self.cons.nrows == 0:
-                self._kernel = Mat.identity(self.fld, self.nparams)
-            else:
-                self._kernel = self.cons.kernel_basis()
-        return self._kernel
-
-    def basis_blocks(self) -> list[list[dict[int, Mat]]]:
-        """Per basis tangent vector, per chain, the degree -> block map."""
-        ker = self.kernel()
-        out = []
-        for k in range(ker.nrows):
-            vec = ker.take_rows([k])
-            per_chain = []
-            for table in self.tables:
-                blocks = {}
-                for d, (p, s, t) in sorted(table.items()):
-                    flat = vec.take_cols(list(range(p.nrows))).matmul(p)
-                    blocks[d] = Mat.from_entries(
-                        self.fld, s, t,
-                        ((j // t, j % t, v) for j, v in flat.row_items(0).items()))
-                per_chain.append(blocks)
-            out.append(per_chain)
-        return out
-
-
-def _process_chain(src, tgt, e: int, q0: int) -> tuple[dict, list[Mat], int]:
-    """Parametrise all blocks of one Hom chain; returns (table, constraint blocks, q)."""
+def _process_chain(src, tgt: FiniteGradedModule, e: int,
+                   q0: int) -> tuple[dict, list[Mat], int]:
+    """Parametrise all blocks of one Hom chain into tgt; returns (table,
+    constraint blocks, q).  The table maps d to (P, s_d, t_d): the rows of P
+    are global parameters, its columns vec(L_d)."""
     fld = src.fld
     n = src.ctx.n
     table: dict[int, tuple[Mat, int, int]] = {}
@@ -188,7 +129,7 @@ def _process_chain(src, tgt, e: int, q0: int) -> tuple[dict, list[Mat], int]:
         # holds iff R L_{d+1} = S G_J (the values on pivot rows) and G_D = C G_J
         if t_cur and t_next and s_d:
             # one product L_d @ [B_0 | ... | B_{n-1}]: row j * s_d + u of E is block u * n + j
-            b = Mat.hstack(fld, [tgt.act(j, d + e) for j in range(n)])
+            b = Mat.hstack(fld, [tgt.action(j, d + e) for j in range(n)])
             p_g = right_mul_vecrows(p, s_d, t_cur, b)
             first_col = lambda a: (a % s_d * n + a // s_d) * t_next
             p_gj = p_g.take_cols([first_col(a) + c for a in rows_j for c in range(t_next)])
@@ -229,9 +170,7 @@ def _process_chain(src, tgt, e: int, q0: int) -> tuple[dict, list[Mat], int]:
 
 def _inclusion_coords(lower: HomogeneousIdeal, upper: HomogeneousIdeal, d: int) -> Mat:
     """Coordinates of the basis of (lower)_d inside the basis of (upper)_d."""
-    b, _ = lower.basis_at(d)
-    _, piv = upper.basis_at(d)
-    return b.take_cols(piv)
+    return upper.coords(lower.basis_at(d)[0], d)
 
 
 def _lift_project(lower: HomogeneousIdeal, upper: HomogeneousIdeal, c: int) -> Mat:
@@ -241,8 +180,9 @@ def _lift_project(lower: HomogeneousIdeal, upper: HomogeneousIdeal, c: int) -> M
     return st_up.project_rows(st_low.lift)
 
 
-def _solve(chains, links, e: int) -> HomSolution:
-    """chains: list of (source, target); links: list of (upper_ideal, lower_ideal,
+def _solve(chains, links, e: int) -> int:
+    """The dimension of the degree-e solutions.  chains: list of (source,
+    target module); links: list of (upper_ideal, lower_ideal,
     upper_chain_index, lower_chain_index) nesting compatibilities."""
     fld = chains[0][0].fld
     tables: list[dict] = []
@@ -277,8 +217,7 @@ def _solve(chains, links, e: int) -> HomSolution:
                 cons_blocks.append(block)
     padded = [_pad_cols(b, q) for b in cons_blocks if b.nrows]
     cons = Mat.vstack(fld, padded, q) if padded else Mat.zeros(fld, 0, q)
-    dim = q - cons.rank() if cons.nrows else q
-    return HomSolution(fld, e, dim, q, tables, cons)
+    return q - cons.rank() if cons.nrows else q
 
 
 def _pad_rows(m: Mat, nrows: int) -> Mat:
@@ -296,51 +235,32 @@ def _pad_cols(m: Mat, ncols: int) -> Mat:
 # ------------------------------------------------------------- graded homs
 
 
-@dataclass
-class GradedHom:
-    """A basis of degree-e module homomorphisms, stored blockwise."""
-
-    e: int
-    dim: int
-    basis: list[dict[int, Mat]]
-
-    def __len__(self):
-        return self.dim
-
-
-def graded_hom(source: FiniteGradedModule, target: FiniteGradedModule,
-               e: int) -> GradedHom:
-    """Hom_R(source, target)_e via the degreewise solver."""
-    sol = _solve([(ModuleSource(source), Target.module(target))], [], e)
-    return GradedHom(e, sol.dim, [bb[0] for bb in sol.basis_blocks()])
-
-
 def graded_hom_dims(source: FiniteGradedModule, target: FiniteGradedModule
                     ) -> dict[int, int]:
     """All nonzero degrees of Hom_R(source, target), certified by windowing."""
     src = ModuleSource(source)
-    tgt = Target.module(target)
     lo_t = next((d for d in range(target.lo, target.hi + 1) if target.dim(d)),
                 target.lo)
     e_min = lo_t - src.gen_top()
-    e_max = tgt.top - src.lo
+    e_max = target.top - src.lo
     out = {}
     for e in range(e_min, e_max + 1):
-        d = _solve([(src, tgt)], [], e).dim
+        d = _solve([(src, target)], [], e)
         if d:
             out[e] = d
     return out
 
 
-def tangent_graded(ideal: HomogeneousIdeal, e: int) -> HomSolution:
-    """Hom_R(I, R/I)_e, the weight-e tangent space at a single fat point."""
+def tangent_graded(ideal: HomogeneousIdeal, e: int) -> int:
+    """dim Hom_R(I, R/I)_e, the weight-e tangent space at a single fat point."""
     if not ideal.is_m_primary:
         raise NotMPrimary("tangent computation needs a certified m-primary ideal")
-    return _solve([(IdealSource(ideal), Target.quotient(ideal))], [], e)
+    return _solve([(IdealSource(ideal), quotient_module(ideal))], [], e)
 
 
-def nested_tangent_graded(nest: Nesting, e: int) -> HomSolution:
-    chains = [(IdealSource(i), Target.quotient(i)) for i in nest.ideals]
+def nested_tangent_graded(nest: Nesting, e: int) -> int:
+    """The weight-e tangent dimension at a nesting."""
+    chains = [(IdealSource(i), quotient_module(i)) for i in nest.ideals]
     links = [(nest.ideals[i], nest.ideals[i + 1], i, i + 1)
              for i in range(nest.r - 1)]
     return _solve(chains, links, e)
@@ -376,7 +296,7 @@ def check_tangent_blocks(nest: Nesting, e: int,
     """Full constraint residual check (module-hom plus nesting), exact."""
     ctx, fld = nest.ctx, nest.fld
     for ideal, blocks in zip(nest.ideals, per_chain):
-        qt = Target.quotient(ideal)
+        qt = quotient_module(ideal)
         # at d = qt.top - e the target of x_j is zero: nothing to check
         for d in range(ideal.order, qt.top - e):
             cur = blocks.get(d, Mat.zeros(fld, ideal.dim_at(d), qt.dim(d + e)))
@@ -384,7 +304,7 @@ def check_tangent_blocks(nest: Nesting, e: int,
                                               qt.dim(d + 1 + e)))
             for j in range(ctx.n):
                 lhs = ideal.action(j, d).matmul(nxt)
-                rhs = cur.matmul(qt.act(j, d + e))
+                rhs = cur.matmul(qt.action(j, d + e))
                 if not lhs.sub(rhs).is_zero():
                     return False
     for i in range(nest.r - 1):
@@ -492,7 +412,7 @@ def tnt_check(nest: Nesting, e_range: tuple[int, int] | None = None) -> TangentR
     e_min, e_max = e_range if e_range is not None else window
     degrees = {}
     for e in range(e_min, e_max + 1):
-        degrees[e] = nested_tangent_graded(nest, e).dim
+        degrees[e] = nested_tangent_graded(nest, e)
     rk = theta_rank(nest)
     below = sum(v for e, v in degrees.items() if e <= -2)
     positive = below == 0 and rk == degrees.get(-1, 0)

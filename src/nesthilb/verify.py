@@ -176,7 +176,7 @@ def fx_prepend_max_formula(cfg: VerifyConfig) -> str:
         rep = tnt_check(Nesting([ideal]))
         assert rep.tnt == TNT_CERTIFIED, (n, q, seed, rep.degrees, rep.theta_rank)
         m = power_of_max_ideal(ctx, fld, 1)
-        t1 = nested_tangent_graded(Nesting([m, ideal]), -1).dim
+        t1 = nested_tangent_graded(Nesting([m, ideal]), -1)
         h1 = ideal.hilbert_function()(1)
         assert t1 == n + h1, (n, q, seed, t1, n + h1)
         checked += 1
@@ -220,7 +220,7 @@ def fx_property_suites(cfg: VerifyConfig) -> str:
         e_lo = -ideal.max_gen_degree
         e_hi = max(ideal.socle_degree - ideal.order, -1)
         for e in range(e_lo - 1, e_hi + 2):
-            a = tangent_graded(ideal, e).dim
+            a = tangent_graded(ideal, e)
             b = hom_dim_via_syzygies(ideal, e)
             assert a == b, (n, q, e, a, b)
             if e in (e_lo - 1, e_hi + 1):
@@ -250,8 +250,8 @@ def fx_property_suites(cfg: VerifyConfig) -> str:
         np_ = build(FieldSpec.prime(DEFAULT_PRIME))
         wq = tangent_window(nq)
         for e in range(wq[0], wq[1] + 1):
-            dq = nested_tangent_graded(nq, e).dim
-            dp = nested_tangent_graded(np_, e).dim
+            dq = nested_tangent_graded(nq, e)
+            dp = nested_tangent_graded(np_, e)
             assert dq == dp, (build.__name__, e, dq, dp)
     return "oracle x25, euler x5, commutation x3, field consistency x3"
 

@@ -139,6 +139,13 @@ def test_census_with_two_worker_processes(capsys, tmp_path):
     assert strip(proc.stdout) == strip(store.read_text()) == strip(out)
 
 
+def test_census_below_n_4_exits_2_before_opening_its_store(capsys, tmp_path):
+    store = tmp_path / "S"
+    assert main(["census", "--nmin", "3", "--nmax", "4", "--store", str(store)]) == 2
+    assert "census needs n >= 4" in capsys.readouterr().err
+    assert not store.exists()
+
+
 def test_census_rejects_a_non_integer_worker_count(capsys, monkeypatch):
     monkeypatch.setenv("NESTHILB_THREADS", "abc")
     assert main(["census", "--nmin", "4", "--nmax", "4"]) == 2
@@ -222,6 +229,14 @@ def test_unread_flags_are_rejected(capsys, argv):
     (["hilb", "delta:4", "--cutoff", "0"], "generator of degree 2 above cutoff 0"),
     (["hilb", "J:4", "--cutoff", "0"], "generator of degree 2 above cutoff 0"),
     (["hilb", "twistedcone", "--cutoff", "0"], "generator of degree 2 above cutoff 0"),
+    (["hilb", "I2:4", "--field", "prime:abc"], "cannot parse field spec 'prime:abc'"),
+    (["hilb", "generic:q=(1,4,x),seed=1"],
+     "cannot parse ideal spec 'generic:q=(1,4,x),seed=1': 'x' is not an integer"),
+    (["hilb", "generic:q=(1,4,2),seed=x"],
+     "cannot parse ideal spec 'generic:q=(1,4,2),seed=x': 'x' is not an integer"),
+    (["hilb", "generic:q=(1,4,2),seed=1,n=abc"],
+     "cannot parse ideal spec 'generic:q=(1,4,2),seed=1,n=abc': 'abc' is not an integer"),
+    (["census", "--nmin", "2", "--nmax", "3", "--json"], "census needs n >= 4, got nmin=2"),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, argv, message):
     code = main(argv)

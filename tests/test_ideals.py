@@ -101,6 +101,39 @@ def test_quotient_module_of_unit_like_ideal():
     assert mod.check_commuting()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: family_8points(RingCtx(4), QQ),
+    lambda: generic_ideal_with_hilbert_function(RingCtx(3), FP, (1, 3, 6, 5), seed=9),
+    lambda: power_of_max_ideal(RingCtx(2), FP, 0),
+])
+def test_quotient_module_matches_the_subquotient_of_the_unit_ideal(build):
+    # R/I from the ideal's own quotient actions, against A/B with A = R
+    ideal = build()
+    top = max(ideal.socle_degree, 0)
+    unit = ideal_from_generators(ideal.ctx, ideal.fld, _gens(ideal.ctx, ideal.fld, "1"),
+                                 cutoff=top)
+    mod, ref = quotient_module(ideal), subquotient_module(unit, ideal)
+    assert (mod.lo, mod.hi, mod.dims) == (ref.lo, ref.hi, ref.dims)
+    assert mod.top == ref.top == ideal.socle_degree
+    for d in range(mod.lo - 1, mod.hi + 1):
+        for j in range(ideal.ctx.n):
+            assert mod.action(j, d) == ref.action(j, d)
+
+
+def test_action_above_the_cutoff():
+    # above the cutoff an m-primary ideal is all of R_{d+1}: the coordinates
+    # of x_j * I_d are its entries; a truncated ideal refuses
+    ctx = RingCtx(3)
+    m2 = power_of_max_ideal(ctx, QQ, 2)
+    assert m2.cutoff == 2
+    assert m2.action(1, 2) == scatter_rows(ctx, m2.basis_at(2)[0], 1, 2)
+    assert m2.action(1, 3) == scatter_rows(ctx, m2.basis_at(3)[0], 1, 3)
+    cone = family_twisted_cubic_cone(RingCtx(4), QQ, cutoff=3)
+    cone.action(0, 2)
+    with pytest.raises(CutoffTooSmall):
+        cone.action(0, 3)
+
+
 @pytest.mark.parametrize("fld", [QQ, FP])
 def test_generic_ideal_reproduces_profile(fld):
     ctx = RingCtx(4)

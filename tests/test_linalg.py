@@ -406,12 +406,18 @@ def test_row_split_matches_python_reference(case):
 
 
 @pytest.mark.parametrize("e, shape, rank", [(-1, (74, 54), 32), (-2, (427, 27), 27)])
-def test_captured_constraint_matrices_match_python_reference(e, shape, rank):
+def test_captured_constraint_matrices_match_python_reference(e, shape, rank, monkeypatch):
     # the constraint matrices of a generic (1,4,7,2) ideal over QQ, entries of
     # about 300 bits: at e = -1 the rank is short of full (fallback path), at
-    # e = -2 it is full (mod-p shortcut)
+    # e = -2 it is full (mod-p shortcut).  The solve ends in the one Mat.rank
+    # call on its constraint matrix, which captures it
     ideal = generic_ideal_with_hilbert_function(RingCtx(4), QQ, (1, 4, 7, 2), seed=3)
-    cons = nested_tangent_graded(Nesting([ideal]), e).cons
+    captured = []
+    mat_rank = Mat.rank
+    monkeypatch.setattr(Mat, "rank", lambda m: captured.append(m) or mat_rank(m))
+    nested_tangent_graded(Nesting([ideal]), e)
+    monkeypatch.undo()
+    (cons,) = captured
     assert (cons.nrows, cons.ncols) == shape
     rows = cons.to_lists()
     want_red, want_piv = _ref_rref(rows, cons.ncols, None)

@@ -3,8 +3,7 @@ import pytest
 from nesthilb import ideals
 from nesthilb.ideals import (family_8points, family_I2,
                              generic_ideal_with_hilbert_function,
-                             ideal_from_generators, power_of_max_ideal, quotient_module,
-                             zero_ideal)
+                             ideal_from_generators, power_of_max_ideal, zero_ideal)
 from nesthilb.linalg import FieldSpec, Mat, QQ
 from nesthilb.parsing import parse_ideal_spec, parse_polynomial
 from nesthilb.resolutions import (NotTwoStep, betti_table, has_linear_syzygies,
@@ -38,30 +37,21 @@ def test_minimal_generator_counts():
     assert len(gens2) == 8 and all(d == 2 for d, _ in gens2)
 
 
-def _ring_inside_quotient_module(monkeypatch):
-    """The ideal R that quotient_module takes the quotient R/I of."""
-    rings = []
-    subquotient = ideals.subquotient_module
-    monkeypatch.setattr(ideals, "subquotient_module",
-                        lambda a, b, hi=None: rings.append(a) or subquotient(a, b, hi=hi))
-    quotient_module(family_8points(RingCtx(4), FP))
-    return rings[0]
-
-
 @pytest.mark.parametrize("build, degrees", [
-    (lambda mp: family_8points(RingCtx(4), QQ), {2: 7}),
-    (lambda mp: family_I2(RingCtx(5), FP), {2: 13}),
-    (lambda mp: generic_ideal_with_hilbert_function(RingCtx(3), QQ, (1, 3, 6, 8, 4), seed=7),
+    (lambda: family_8points(RingCtx(4), QQ), {2: 7}),
+    (lambda: family_I2(RingCtx(5), FP), {2: 13}),
+    (lambda: generic_ideal_with_hilbert_function(RingCtx(3), QQ, (1, 3, 6, 8, 4), seed=7),
      {3: 2, 4: 5}),
-    (lambda mp: generic_ideal_with_hilbert_function(RingCtx(3), FP, (1, 3, 6, 8, 4), seed=7),
+    (lambda: generic_ideal_with_hilbert_function(RingCtx(3), FP, (1, 3, 6, 8, 4), seed=7),
      {3: 2, 4: 5}),
-    (lambda mp: power_of_max_ideal(RingCtx(3), FP, 2), {2: 6}),
-    (lambda mp: zero_ideal(RingCtx(3), QQ, 3), {}),
-    (_ring_inside_quotient_module, {0: 1}),
+    (lambda: power_of_max_ideal(RingCtx(3), FP, 2), {2: 6}),
+    (lambda: zero_ideal(RingCtx(3), QQ, 3), {}),
+    # the unit ideal R, stored to degree 2
+    (lambda: ideals._max_ideal_power(RingCtx(4), FP, 0, 2), {0: 1}),
 ], ids=["from_generators-8points-QQ", "from_generators-I2-Fp", "generic-QQ", "generic-Fp",
         "power_of_max_ideal-Fp", "zero_ideal-QQ", "R-via-quotient_module-Fp"])
-def test_generators_against_span_arithmetic(build, degrees, monkeypatch):
-    ideal = build(monkeypatch)
+def test_generators_against_span_arithmetic(build, degrees):
+    ideal = build()
     ctx, fld = ideal.ctx, ideal.fld
     # independent recomputation from raw spans: the rows of I_d at pivots that
     # R_1 * I_{d-1} does not have, as many as dim I_d - rank(R_1 * I_{d-1})

@@ -93,18 +93,7 @@ def test_mult_map_is_additive(n, d, data):
         ctx, QQ, a, {m: c1 + c2 for m, c1, c2 in zip(monos, coeffs1, coeffs2)})
     lhs = mult_map(ctx, fg, d)
     rhs_a, rhs_b = mult_map(ctx, f, d), mult_map(ctx, g, d)
-    total = Mat.from_entries(QQ, lhs.nrows, lhs.ncols, [])
-    for i, r in enumerate(rhs_a.rows):
-        for j, v in r.items():
-            total.rows[i][j] = total.rows[i].get(j, 0) + v
-    for i, r in enumerate(rhs_b.rows):
-        for j, v in r.items():
-            t = total.rows[i].get(j, 0) + v
-            if t == 0:
-                total.rows[i].pop(j, None)
-            else:
-                total.rows[i][j] = t
-    assert lhs == total
+    assert lhs.sub(rhs_a).sub(rhs_b).is_zero()
 
 
 @pytest.mark.parametrize("fld", [QQ, FP])

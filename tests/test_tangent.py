@@ -12,7 +12,7 @@ from nesthilb.ring import RingCtx
 from nesthilb.tangent import (NotStrictlySandwiched, TNT_CERTIFIED,
                               TNT_FAILED_PRIME, TNT_FAILED_RATIONAL,
                               TNT_NOT_ASSESSED,
-                              check_tangent_blocks, graded_hom, graded_hom_dims,
+                              check_tangent_blocks, graded_hom_dims,
                               hom_dim_via_syzygies, nested_tangent_graded,
                               sandwich_identity_check, sandwich_insert,
                               tangent_graded, tangent_window, theta_blocks,
@@ -25,7 +25,7 @@ FP = FieldSpec.prime(32003)
 def test_tangent_at_the_maximal_ideal():
     ctx = RingCtx(3)
     m = power_of_max_ideal(ctx, QQ, 1)
-    assert tangent_graded(m, -1).dim == 3
+    assert tangent_graded(m, -1) == 3
     rep = tnt_check(Nesting([m]))
     assert rep.degrees == {-1: 3} and rep.theta_rank == 3
     assert rep.tnt == TNT_CERTIFIED
@@ -34,8 +34,8 @@ def test_tangent_at_the_maximal_ideal():
 def test_square_of_max_ideal_two_vars_fails_tnt():
     ctx = RingCtx(2)
     m2 = power_of_max_ideal(ctx, QQ, 2)
-    assert tangent_graded(m2, -1).dim == 6  # Hom_C(R_2, R_1)
-    assert tangent_graded(m2, -2).dim == 0
+    assert tangent_graded(m2, -1) == 6  # Hom_C(R_2, R_1)
+    assert tangent_graded(m2, -2) == 0
     rep = tnt_check(Nesting([m2]))
     assert rep.theta_rank == 2 and rep.tnt == TNT_FAILED_RATIONAL
     rep_p = tnt_check(Nesting([power_of_max_ideal(ctx, FP, 2)]))
@@ -60,7 +60,6 @@ def test_hom_of_residue_field_with_itself():
     ctx = RingCtx(2)
     m = power_of_max_ideal(ctx, QQ, 1)
     k = quotient_module(m)  # one-dimensional in degree zero
-    assert graded_hom(k, k, 0).dim == 1
     assert graded_hom_dims(k, k) == {0: 1}
 
 
@@ -73,21 +72,19 @@ def test_power_truncation_hom_matches_bilinear_count():
     target = quotient_module(mk)
     dims = graded_hom_dims(source, target)
     assert dims == {-1: 6}
-    hom = graded_hom(source, target, -1)
-    assert hom.dim == 6 and len(hom.basis) == 6
 
 
 def test_nested_r1_reduces_to_single():
     ctx = RingCtx(4)
     z = family_8points(ctx, QQ)
     for e in range(-3, 2):
-        assert nested_tangent_graded(Nesting([z]), e).dim == tangent_graded(z, e).dim
+        assert nested_tangent_graded(Nesting([z]), e) == tangent_graded(z, e)
 
 
 def test_chain_with_equal_ideals_diagonalises():
     ctx = RingCtx(3)
     m = power_of_max_ideal(ctx, QQ, 1)
-    assert nested_tangent_graded(Nesting([m, m]), -1).dim == 3
+    assert nested_tangent_graded(Nesting([m, m]), -1) == 3
 
 
 def test_maximal_over_square_has_unconstrained_sum():
@@ -96,8 +93,8 @@ def test_maximal_over_square_has_unconstrained_sum():
     ctx = RingCtx(3)
     m = power_of_max_ideal(ctx, QQ, 1)
     m2 = power_of_max_ideal(ctx, QQ, 2)
-    assert tangent_graded(m2, -1).dim == 18
-    assert nested_tangent_graded(Nesting([m, m2]), -1).dim == 21
+    assert tangent_graded(m2, -1) == 18
+    assert nested_tangent_graded(Nesting([m, m2]), -1) == 21
 
 
 def test_theta_examples():
@@ -168,8 +165,8 @@ FIXTURE_NESTS = [
 def test_window_edges_vanish(build):
     nest = build(QQ)
     e_min, e_max = tangent_window(nest)
-    assert nested_tangent_graded(nest, e_min - 1).dim == 0
-    assert nested_tangent_graded(nest, e_max + 1).dim == 0
+    assert nested_tangent_graded(nest, e_min - 1) == 0
+    assert nested_tangent_graded(nest, e_max + 1) == 0
 
 
 @pytest.mark.parametrize("build", FIXTURE_NESTS)
@@ -177,7 +174,7 @@ def test_prime_field_dimensions_match_rational(build):
     nq, np_ = build(QQ), build(FP)
     e_min, e_max = tangent_window(nq)
     for e in range(e_min, e_max + 1):
-        assert nested_tangent_graded(nq, e).dim == nested_tangent_graded(np_, e).dim
+        assert nested_tangent_graded(nq, e) == nested_tangent_graded(np_, e)
 
 
 @settings(max_examples=12, deadline=None)
@@ -190,7 +187,7 @@ def test_oracle_equivalence_random(profile, seed):
     e_lo = -ideal.max_gen_degree
     e_hi = max(ideal.socle_degree - ideal.order, -1)
     for e in range(e_lo, e_hi + 1):
-        assert tangent_graded(ideal, e).dim == hom_dim_via_syzygies(ideal, e)
+        assert tangent_graded(ideal, e) == hom_dim_via_syzygies(ideal, e)
 
 
 def test_sandwich_insert_colengths():
@@ -260,20 +257,3 @@ def test_ex32_sandwich_with_square():
     assert rep.enlarged.t_at(-1) == 4 + 4
     assert rep.identity_discrepancy == 0
     assert rep.t_nonneg_unchanged
-
-
-def test_graded_hom_basis_members_are_module_maps():
-    ctx = RingCtx(2)
-    mk = power_of_max_ideal(ctx, QQ, 2)
-    source = subquotient_module(mk, zero_ideal(ctx, QQ, cutoff=5), hi=5)
-    target = quotient_module(mk)
-    hom = graded_hom(source, target, -1)
-    for blocks in hom.basis:
-        for d in sorted(blocks)[:-1]:
-            cur, nxt = blocks[d], blocks.get(d + 1)
-            if nxt is None:
-                continue
-            for j in range(2):
-                lhs = source.action(j, d).matmul(nxt)
-                rhs = cur.matmul(target.action(j, d - 1))
-                assert lhs.sub(rhs).is_zero()
