@@ -2,20 +2,30 @@
 
 Two backends share one matrix interface:
 
-* rationals -- rows stored as sparse ``{col: mpq}`` dicts (gmpy2 fractions,
-  or ``fractions.Fraction`` without gmpy2).  The ideals showing up in practice
-  are monomial or binomial to a large extent, so sparse rows stay short.
-  Elimination runs fraction-free on integer rows, in the sense of Bareiss
-  (Math. Comp. 22, 1968): each row is cleared of denominators and divided by
-  the gcd of its entries, a pivot row clears a row by cross-multiplication,
-  and the result is divided by its content again.  Only the finished rows
-  are divided by their pivot entries, and the reduced echelon form is
-  canonical, so it is the one fraction arithmetic gives.  ``rank`` runs the
-  forward pass only, after one exact shortcut: it reduces the integer rows
-  mod ``DEFAULT_PRIME`` and returns their rank there if it is min(nonzero
-  rows, columns).  A minor that vanishes over QQ vanishes mod p, so the rank
-  mod p is at most the rank over QQ, which is at most that minimum; below it
-  the integer forward pass decides.
+* rationals -- each row is a sparse dict ``{col: int}`` of integer numerators
+  over one positive denominator, kept in the parallel list ``Mat.dens``.  A
+  row is stored in lowest terms: the gcd of its denominator and numerators is
+  1, and an empty row has denominator 1, so equal matrices store equal data.
+  The ideals showing up in practice are monomial or binomial to a large
+  extent, so sparse rows stay short.  Every operation works on integers and
+  brings each output row to lowest terms once, at its end: a product scales
+  row k of its right factor by ``L // den_k``, with L the lcm of the
+  denominators of the rows an input row reads, and accumulates integers;
+  ``sub``, ``transpose`` and the column selections likewise.  Fractions
+  (``mpq``) appear only at the interface: the builders take ints and
+  Fractions (``to_field``), and ``row_items`` and ``to_lists`` return
+  Fractions.  Elimination runs fraction-free on the primitive parts of the
+  numerator rows, in the sense of Bareiss (Math. Comp. 22, 1968): a pivot
+  row clears a row by cross-multiplication, and the result is divided by its
+  content again.  A finished row of ``rref`` is stored as its numerators
+  over its pivot entry; the reduced echelon form is canonical, so it is the
+  one fraction arithmetic gives.  Scaling a row does not change the rank, so
+  ``rank`` reads the numerators and ignores ``dens``.  It runs the forward
+  pass only, after one exact shortcut: it reduces the numerators mod
+  ``DEFAULT_PRIME`` and returns their rank there if it is min(nonzero rows,
+  columns).  A minor that vanishes over QQ vanishes mod p, so the rank mod p
+  is at most the rank over QQ, which is at most that minimum; below it the
+  integer forward pass decides.
 * GF(p) -- dense numpy int64 arrays with entries reduced to [0, p).
   Elimination is a forward pass (one vectorised row update per pivot) and,
   for reduced forms, a back pass over the pivot rows.  Reduction mod p is
@@ -46,16 +56,13 @@ carrier for GF(p) products, chunked so every intermediate stays below 2^53.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from fractions import Fraction as mpq
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
-
-try:
-    from gmpy2 import mpq
-except ImportError:  # pragma: no cover - gmpy2 is a hard dependency in practice
-    from fractions import Fraction as mpq
 
 
 class LinalgError(ValueError):
@@ -133,22 +140,46 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def to_field(fld: FieldSpec, v):
+    """The exact entry v as an element of fld: an int or a Fraction over QQ, a
+    residue in [0, p) over GF(p), where a/b is a * b^-1.  Only integers and
+    Fractions are exact entries; anything else (a float, say) is refused, as
+    is a fraction whose denominator p divides."""
+    if type(v) is int:
+        return v if fld.p is None else v % fld.p
+    if not isinstance(v, mpq):
+        try:
+            v = operator.index(v)  # numpy integers
+        except TypeError:
+            raise LinalgError(f"not an exact entry (int or Fraction): {v!r}") from None
+        return v if fld.p is None else v % fld.p
+    if fld.p is None:
+        return v
+    if v.denominator % fld.p == 0:
+        raise LinalgError(f"{v} has no value mod {fld.p}")
+    return v.numerator * pow(v.denominator, -1, fld.p) % fld.p
+
+
 class Mat:
     """Immutable-by-convention exact matrix over a :class:`FieldSpec`.
 
-    Rational data lives in ``self.rows`` (list of ``{col: mpq}``), prime-field
-    data in ``self.arr`` (2-d int64 ndarray).  The storage format is private to
-    this module: other code reads entries through ``row_items``/``to_lists``.
-    Do not mutate after handing a matrix to other code.
+    Rational data lives in ``self.rows`` (list of ``{col: int}`` numerators)
+    over ``self.dens`` (one denominator per row, lowest terms), prime-field
+    data in ``self.arr`` (2-d int64 ndarray).  The storage format is private
+    to this module: other code reads entries through ``row_items``/``to_lists``.
+    Do not mutate after handing a matrix to other code; rows may be shared
+    between matrices.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "arr")
+    __slots__ = ("field", "nrows", "ncols", "rows", "dens", "arr")
 
-    def __init__(self, field: FieldSpec, nrows: int, ncols: int, rows=None, arr=None):
+    def __init__(self, field: FieldSpec, nrows: int, ncols: int, rows=None, dens=None,
+                 arr=None):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows
+        self.dens = dens
         self.arr = arr
 
     # ---------------------------------------------------------------- builders
@@ -156,62 +187,75 @@ class Mat:
     @staticmethod
     def zeros(field: FieldSpec, nrows: int, ncols: int) -> "Mat":
         if field.is_rational:
-            return Mat(field, nrows, ncols, rows=[{} for _ in range(nrows)])
+            return Mat(field, nrows, ncols, rows=[{} for _ in range(nrows)], dens=[1] * nrows)
         return Mat(field, nrows, ncols, arr=np.zeros((nrows, ncols), dtype=np.int64))
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Mat":
         if field.is_rational:
-            return Mat(field, n, n, rows=[{i: mpq(1)} for i in range(n)])
+            return Mat(field, n, n, rows=[{i: 1} for i in range(n)], dens=[1] * n)
         return Mat(field, n, n, arr=np.eye(n, dtype=np.int64))
 
     @staticmethod
     def from_rows(field: FieldSpec, data: Sequence[Sequence], ncols: int | None = None) -> "Mat":
-        """Build from dense row lists of ints / fractions."""
+        """Build from dense row lists of ints / Fractions."""
         nrows = len(data)
         if ncols is None:
             ncols = len(data[0]) if nrows else 0
         if field.is_rational:
-            rows = []
+            rows, dens = [], []
             for r in data:
-                d = {}
+                vals = {}
                 for j, v in enumerate(r):
-                    q = mpq(v)
-                    if q != 0:
-                        d[j] = q
-                rows.append(d)
-            return Mat(field, nrows, ncols, rows=rows)
+                    if type(v) is not int:
+                        v = to_field(field, v)
+                    if v:
+                        vals[j] = v
+                nums, den = _over_one_den(vals)
+                rows.append(nums)
+                dens.append(den)
+            return Mat(field, nrows, ncols, rows=rows, dens=dens)
         p = field.p
         arr = np.zeros((nrows, ncols), dtype=np.int64)
         for i, r in enumerate(data):
             for j, v in enumerate(r):
-                arr[i, j] = int(v) % p
+                arr[i, j] = v % p if type(v) is int else to_field(field, v)
         return Mat(field, nrows, ncols, arr=arr)
 
     @staticmethod
     def from_entries(field: FieldSpec, nrows: int, ncols: int,
                      entries: Iterable[tuple[int, int, object]]) -> "Mat":
-        m = Mat.zeros(field, nrows, ncols)
+        """Build from (row, col, value) triples; values at one position add up."""
         if field.is_rational:
+            acc: list[dict] = [{} for _ in range(nrows)]
             for i, j, v in entries:
-                q = mpq(v)
-                if q != 0:
-                    m.rows[i][j] = m.rows[i].get(j, mpq(0)) + q
-                    if m.rows[i][j] == 0:
-                        del m.rows[i][j]
-        else:
-            p = field.p
-            for i, j, v in entries:
-                m.arr[i, j] = (m.arr[i, j] + int(v)) % p
+                if type(v) is not int:
+                    v = to_field(field, v)
+                if v:
+                    r = acc[i]
+                    t = r.get(j, 0) + v
+                    if t:
+                        r[j] = t
+                    else:
+                        del r[j]
+            rows = [_over_one_den(r) for r in acc]
+            return Mat(field, nrows, ncols, rows=[r for r, _ in rows], dens=[d for _, d in rows])
+        m = Mat.zeros(field, nrows, ncols)
+        p = field.p
+        for i, j, v in entries:
+            if type(v) is not int:
+                v = to_field(field, v)
+            m.arr[i, j] = (m.arr[i, j] + v) % p
         return m
 
     @staticmethod
     def vstack(field: FieldSpec, mats: Sequence["Mat"], ncols: int) -> "Mat":
         if field.is_rational:
-            rows = []
+            rows, dens = [], []
             for m in mats:
-                rows.extend(dict(r) for r in m.rows)
-            return Mat(field, len(rows), ncols, rows=rows)
+                rows.extend(m.rows)
+                dens.extend(m.dens)
+            return Mat(field, len(rows), ncols, rows=rows, dens=dens)
         arrs = [m.arr for m in mats if m.nrows]
         if not arrs:
             return Mat.zeros(field, 0, ncols)
@@ -221,14 +265,21 @@ class Mat:
     def hstack(field: FieldSpec, mats: Sequence["Mat"]) -> "Mat":
         nrows = mats[0].nrows
         if field.is_rational:
-            rows = [{} for _ in range(nrows)]
-            off = 0
-            for m in mats:
-                for i, r in enumerate(m.rows):
-                    for j, v in r.items():
-                        rows[i][off + j] = v
-                off += m.ncols
-            return Mat(field, nrows, off, rows=rows)
+            # each part of row i over the lcm of its parts' denominators: some
+            # part has no factor of the lcm left over, so it stays lowest terms
+            rows, dens = [], []
+            for i in range(nrows):
+                den = lcm(*(m.dens[i] for m in mats))
+                row = {}
+                off = 0
+                for m in mats:
+                    f = den // m.dens[i]
+                    for j, v in m.rows[i].items():
+                        row[off + j] = v * f
+                    off += m.ncols
+                rows.append(row)
+                dens.append(den)
+            return Mat(field, nrows, sum(m.ncols for m in mats), rows=rows, dens=dens)
         return Mat(field, nrows, sum(m.ncols for m in mats),
                    arr=np.hstack([m.arr for m in mats]))
 
@@ -236,26 +287,29 @@ class Mat:
 
     def take_rows(self, idx: Sequence[int]) -> "Mat":
         if self.field.is_rational:
-            return Mat(self.field, len(idx), self.ncols,
-                       rows=[dict(self.rows[i]) for i in idx])
+            return Mat(self.field, len(idx), self.ncols, rows=[self.rows[i] for i in idx],
+                       dens=[self.dens[i] for i in idx])
         return Mat(self.field, len(idx), self.ncols, arr=self.arr[list(idx)])
 
     def take_cols(self, idx: Sequence[int]) -> "Mat":
         if self.field.is_rational:
-            pos = {c: k for k, c in enumerate(idx)}
-            rows = []
-            for r in self.rows:
-                rows.append({pos[j]: v for j, v in r.items() if j in pos})
-            return Mat(self.field, self.nrows, len(idx), rows=rows)
+            return self.remap_cols(len(idx), [(c, k) for k, c in enumerate(idx)])
         return Mat(self.field, self.nrows, len(idx), arr=self.arr[:, list(idx)])
 
     def transpose(self) -> "Mat":
         if self.field.is_rational:
             rows = [{} for _ in range(self.ncols)]
-            for i, r in enumerate(self.rows):
+            dens = [1] * self.ncols
+            for i, (r, d) in enumerate(zip(self.rows, self.dens)):
                 for j, v in r.items():
                     rows[j][i] = v
-            return Mat(self.field, self.ncols, self.nrows, rows=rows)
+                    if d != 1:
+                        dens[j] = lcm(dens[j], d)
+            for j, den in enumerate(dens):  # bring column j over one denominator
+                if den != 1:
+                    rows[j], dens[j] = _lowest_terms(
+                        {i: v * (den // self.dens[i]) for i, v in rows[j].items()}, den)
+            return Mat(self.field, self.ncols, self.nrows, rows=rows, dens=dens)
         return Mat(self.field, self.ncols, self.nrows, arr=self.arr.T.copy())
 
     def remap_cols(self, dest_width: int, pairs: Sequence[tuple[int, int]]) -> "Mat":
@@ -263,9 +317,14 @@ class Mat:
         destination columns are zero."""
         if self.field.is_rational:
             src2dest = dict(pairs)
-            rows = [{src2dest[j]: v for j, v in r.items() if j in src2dest}
-                    for r in self.rows]
-            return Mat(self.field, self.nrows, dest_width, rows=rows)
+            rows, dens = [], []
+            for r, d in zip(self.rows, self.dens):
+                nums = {src2dest[j]: v for j, v in r.items() if j in src2dest}
+                if d != 1:
+                    nums, d = _lowest_terms(nums, d)
+                rows.append(nums)
+                dens.append(d)
+            return Mat(self.field, self.nrows, dest_width, rows=rows, dens=dens)
         out = np.zeros((self.nrows, dest_width), dtype=np.int64)
         if pairs:
             src, dest = zip(*pairs)
@@ -275,7 +334,8 @@ class Mat:
     def row_items(self, i: int) -> dict[int, object]:
         """The nonzero entries {col: value} of row i."""
         if self.field.is_rational:
-            return dict(self.rows[i])
+            d = self.dens[i]
+            return {j: mpq(v, d) for j, v in self.rows[i].items()}
         return {int(j): int(self.arr[i, j]) for j in np.flatnonzero(self.arr[i])}
 
     def is_zero(self) -> bool:
@@ -284,22 +344,23 @@ class Mat:
         return not self.arr.any()
 
     def to_lists(self) -> list[list]:
-        out = []
         if self.field.is_rational:
-            zero = mpq(0)
-            for r in self.rows:
-                out.append([r.get(j, zero) for j in range(self.ncols)])
-        else:
-            out = [[int(v) for v in row] for row in self.arr]
-        return out
+            out = []
+            for i in range(self.nrows):
+                r = [mpq(0)] * self.ncols
+                for j, v in self.row_items(i).items():
+                    r[j] = v
+                out.append(r)
+            return out
+        return [[int(v) for v in row] for row in self.arr]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat) or self.field != other.field:
             return NotImplemented
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             return False
-        if self.field.is_rational:
-            return all(a == b for a, b in zip(self.rows, other.rows))
+        if self.field.is_rational:  # lowest terms make the stored form canonical
+            return self.dens == other.dens and self.rows == other.rows
         return bool(np.array_equal(self.arr, other.arr))
 
     def __hash__(self):
@@ -314,8 +375,8 @@ class Mat:
         if self.ncols != other.nrows:
             raise LinalgError("matmul shape mismatch")
         if self.field.is_rational:
-            return Mat(self.field, self.nrows, other.ncols,
-                       rows=_sparse_mul(self.rows, other.rows))
+            rows, dens = _sparse_mul(self.rows, self.dens, other.rows, other.dens)
+            return Mat(self.field, self.nrows, other.ncols, rows=rows, dens=dens)
         return Mat(self.field, self.nrows, other.ncols,
                    arr=_matmul_mod(self.arr, other.arr, self.field.p))
 
@@ -323,17 +384,25 @@ class Mat:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise LinalgError("sub shape mismatch")
         if self.field.is_rational:
-            rows = []
-            for r, s in zip(self.rows, other.rows):
-                d = dict(r)
+            rows, dens = [], []
+            for r, d, s, e in zip(self.rows, self.dens, other.rows, other.dens):
+                if not s:
+                    rows.append(r)
+                    dens.append(d)
+                    continue
+                den = lcm(d, e)
+                f, g = den // d, den // e
+                out = {j: v * f for j, v in r.items()}
                 for j, v in s.items():
-                    t = d.get(j, mpq(0)) - v
-                    if t == 0:
-                        d.pop(j, None)
+                    t = out.get(j, 0) - v * g
+                    if t:
+                        out[j] = t
                     else:
-                        d[j] = t
-                rows.append(d)
-            return Mat(self.field, self.nrows, self.ncols, rows=rows)
+                        del out[j]
+                out, den = _lowest_terms(out, den)
+                rows.append(out)
+                dens.append(den)
+            return Mat(self.field, self.nrows, self.ncols, rows=rows, dens=dens)
         return Mat(self.field, self.nrows, self.ncols,
                    arr=(self.arr - other.arr) % self.field.p)
 
@@ -342,9 +411,15 @@ class Mat:
     def rref(self) -> tuple["Mat", list[int]]:
         """Reduced row echelon form without its zero rows, and its pivots."""
         if self.field.is_rational:
-            rows, piv = _rref_q(_integer_rows(self.rows), back=True)
-            rows = [{j: mpq(v, r[c]) for j, v in r.items()} for r, c in zip(rows, piv)]
-            return Mat(self.field, len(rows), self.ncols, rows=rows), piv
+            rows, piv = _rref_q(self.rows, back=True)
+            dens = []
+            for i, c in enumerate(piv):  # a primitive row over its pivot entry
+                d = rows[i][c]
+                if d < 0:
+                    rows[i] = {j: -v for j, v in rows[i].items()}
+                    d = -d
+                dens.append(d)
+            return Mat(self.field, len(rows), self.ncols, rows=rows, dens=dens), piv
         arr, piv = _rref_p(self.arr, self.field.p)
         return Mat(self.field, arr.shape[0], self.ncols, arr=arr), piv
 
@@ -363,9 +438,10 @@ class Mat:
         if not self.field.is_rational:
             a = self.arr.T if self.ncols > self.nrows else self.arr
             return len(_eliminate_p(np.array(a, order="C"), self.field.p, back=False))
-        rows = _integer_rows(self.rows)
-        # an integer matrix has rank mod p at most its rank over QQ, and no
-        # rank exceeds full: a full rank mod p is the rank over QQ
+        # scaling a row keeps its rank: the numerators stand for the rows.  An
+        # integer matrix has rank mod p at most its rank over QQ, and no rank
+        # exceeds full: a full rank mod p is the rank over QQ
+        rows = [r for r in self.rows if r]
         full = min(len(rows), self.ncols)
         tall = len(rows) >= self.ncols
         a = np.zeros((len(rows), self.ncols) if tall else (self.ncols, len(rows)), np.int64)
@@ -420,34 +496,46 @@ class Mat:
 # ------------------------------------------------------------------ QQ kernel
 
 
-def _sparse_mul(rows: Sequence[dict], other_rows) -> list[dict]:
-    """Rows of the product: row i sums v * other_rows[k] over the entries k: v of
-    rows[i] and drops the entries that cancel.  other_rows may be a dict of rows."""
-    out = []
-    for r in rows:
-        acc: dict[int, mpq] = {}
+def _sparse_mul(rows: Sequence[dict], dens: Sequence[int], other_rows, other_dens
+                ) -> tuple[list[dict], list[int]]:
+    """Numerator rows and denominators of the product.  Row i reads the rows k
+    of other that its entries name; with L the lcm of their denominators, it
+    sums v * (L // other_dens[k]) * other_rows[k] over the entries k: v of
+    rows[i] in integers, over the denominator dens[i] * L, and is brought to
+    lowest terms once.  other_rows and other_dens may be dicts."""
+    out, out_dens = [], []
+    for r, d in zip(rows, dens):
+        big = lcm(*(other_dens[k] for k in r))
+        acc: dict[int, int] = {}
         for k, v in r.items():
+            dk = other_dens[k]
+            if dk != big:
+                v *= big // dk
             for j, w in other_rows[k].items():
-                t = acc.get(j, 0) + v * w
-                if t == 0:
-                    acc.pop(j, None)
-                else:
-                    acc[j] = t
-        out.append(acc)
-    return out
+                acc[j] = acc.get(j, 0) + v * w
+        nums, den = _lowest_terms({j: t for j, t in acc.items() if t}, d * big)
+        out.append(nums)
+        out_dens.append(den)
+    return out, out_dens
 
 
-def _integer_rows(rows: Iterable[dict]) -> list[dict[int, int]]:
-    """The nonzero rows, each scaled to coprime integers: multiplied by the
-    lcm of its denominators, then divided by the gcd of its entries."""
-    out = []
-    for r in rows:
-        if not r:
-            continue
-        den = lcm(*(v.denominator for v in r.values()))
-        ints = {j: int(v.numerator * (den // v.denominator)) for j, v in r.items()}
-        out.append(_primitive(ints))
-    return out
+def _over_one_den(vals: dict) -> tuple[dict[int, int], int]:
+    """Nonzero ints and Fractions {col: v} as numerators over their lcm
+    denominator.  That is lowest terms: for each prime power q^a of the lcm,
+    the entry whose denominator q^a divides keeps a numerator prime to q."""
+    den = lcm(*(v.denominator for v in vals.values()))
+    return {j: v.numerator * (den // v.denominator) for j, v in vals.items()}, den
+
+
+def _lowest_terms(nums: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """nums / den divided by the gcd of den and the numerators; an empty row
+    gets denominator 1."""
+    if den == 1 or not nums:
+        return nums, 1
+    g = gcd(den, *nums.values())
+    if g == 1:
+        return nums, den
+    return {j: v // g for j, v in nums.items()}, den // g
 
 
 def _primitive(r: dict[int, int]) -> dict[int, int]:
@@ -472,8 +560,10 @@ def _clear(r: dict[int, int], pivot: dict[int, int], c: int) -> dict[int, int]:
     return _primitive(r) if r else r
 
 
-def _rref_q(rows: list[dict[int, int]], back: bool) -> tuple[list[dict[int, int]], list[int]]:
-    """Fraction-free elimination on primitive integer rows (``_integer_rows``).
+def _rref_q(rows: Iterable[dict[int, int]], back: bool
+            ) -> tuple[list[dict[int, int]], list[int]]:
+    """Fraction-free elimination of integer rows, which it copies and divides
+    by their contents first: the input rows are not changed.
 
     A row is cleared against a pivot row by cross-multiplication and then
     divided by its content, so its entries stay coprime integers.  Zero rows
@@ -483,7 +573,9 @@ def _rref_q(rows: list[dict[int, int]], back: bool) -> tuple[list[dict[int, int]
     done: list[tuple[int, dict]] = []  # (pivot col, row)
     buckets: dict[int, list[dict]] = {}
     for r in rows:
-        buckets.setdefault(min(r), []).append(r)
+        if r:
+            prim = _primitive(r)
+            buckets.setdefault(min(r), []).append(dict(r) if prim is r else prim)
     while buckets:
         c = min(buckets)
         group = buckets.pop(c)
@@ -610,10 +702,12 @@ def right_mul_vecrows(p: Mat, rows_inner: int, cols_inner: int, b: Mat) -> Mat:
     if p.field.is_rational:
         # row k = a * cols_inner + c of I ⊗ b is row c of b, shifted to block a;
         # only the rows that entries of p select are built
+        ks = set().union(*p.rows)
         factor = {k: {k // cols_inner * b.ncols + c2: w
-                      for c2, w in b.rows[k % cols_inner].items()}
-                  for k in set().union(*p.rows)}
-        return Mat(p.field, q, out_cols, rows=_sparse_mul(p.rows, factor))
+                      for c2, w in b.rows[k % cols_inner].items()} for k in ks}
+        rows, dens = _sparse_mul(p.rows, p.dens, factor,
+                                 {k: b.dens[k % cols_inner] for k in ks})
+        return Mat(p.field, q, out_cols, rows=rows, dens=dens)
     x = p.arr.reshape(q * rows_inner, cols_inner)
     y = _matmul_mod(x, b.arr, p.field.p)
     return Mat(p.field, q, out_cols, arr=y.reshape(q, out_cols))
@@ -627,10 +721,12 @@ def left_mul_vecrows(p: Mat, rows_inner: int, cols_inner: int, t: Mat) -> Mat:
     if p.field.is_rational:
         # row k = a * cols_inner + c of tᵀ ⊗ I is column a of t, spread to offset c
         tt = t.transpose()
+        ks = set().union(*p.rows)
         factor = {k: {a2 * cols_inner + k % cols_inner: w
-                      for a2, w in tt.rows[k // cols_inner].items()}
-                  for k in set().union(*p.rows)}
-        return Mat(p.field, q, out_cols, rows=_sparse_mul(p.rows, factor))
+                      for a2, w in tt.rows[k // cols_inner].items()} for k in ks}
+        rows, dens = _sparse_mul(p.rows, p.dens, factor,
+                                 {k: tt.dens[k // cols_inner] for k in ks})
+        return Mat(p.field, q, out_cols, rows=rows, dens=dens)
     x = p.arr.reshape(q, rows_inner, cols_inner).transpose(1, 0, 2) \
         .reshape(rows_inner, q * cols_inner)
     y = _matmul_mod(t.arr, x, p.field.p)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .linalg import FieldSpec, Mat, mpq
+from .linalg import FieldSpec, Mat, mpq, to_field
 
 
 class RingError(ValueError):
@@ -170,12 +170,11 @@ class HomogeneousElement:
 
 
 def _scalar(fld: FieldSpec, v) -> object | None:
-    """Normalise v into the field; None encodes zero."""
-    if fld.is_rational:
-        q = mpq(v)
-        return None if q == 0 else q
-    r = int(v) % fld.p
-    return None if r == 0 else r
+    """Normalise v into the field (``to_field``); None encodes zero."""
+    q = to_field(fld, v)
+    if not q:
+        return None
+    return mpq(q) if fld.is_rational else q
 
 
 def _scalar_add(fld: FieldSpec, a, b) -> object | None:

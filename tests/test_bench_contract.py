@@ -16,8 +16,18 @@ def _load_spans():
     return module
 
 
-def _check_tracer_covers_a_traced_tangent_solve(field):
+def _check_tracer_covers_a_traced_tangent_solve(field, monkeypatch):
     tracer = _load_spans().Tracer()
+    # the constraint matrices the tracer counts, captured under its wrapper
+    captured = []
+    rank = nesthilb.linalg.Mat.rank
+
+    def capturing_rank(m):
+        if tracer.innermost() == "tangent.cons_rank":
+            captured.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(nesthilb.linalg.Mat, "rank", capturing_rank)
     tracer.install(nesthilb)
     try:
         rep = tracer.op("tnt", lambda: nesthilb.tnt_check(nesthilb.parse_nesting_spec(
@@ -32,12 +42,17 @@ def _check_tracer_covers_a_traced_tangent_solve(field):
     # drops out of the per-layer metrics
     assert summary["tangent.cons_rows"] > 0
     assert summary["tangent.cons_rank_s"] > 0
+    # the tracer counts nonzeros from the storage itself: a storage change
+    # that miscounts them must fail here
+    assert captured
+    assert summary["tangent.cons_nnz"] == sum(
+        len(m.row_items(i)) for m in captured for i in range(m.nrows))
 
 
-def test_tracer_covers_a_traced_tangent_solve():
-    _check_tracer_covers_a_traced_tangent_solve("prime:32003")
+def test_tracer_covers_a_traced_tangent_solve(monkeypatch):
+    _check_tracer_covers_a_traced_tangent_solve("prime:32003", monkeypatch)
 
 
-def test_tracer_covers_a_traced_rational_tangent_solve():
+def test_tracer_covers_a_traced_rational_tangent_solve(monkeypatch):
     # the constraint rank and the transform take other paths over QQ
-    _check_tracer_covers_a_traced_tangent_solve("rational")
+    _check_tracer_covers_a_traced_tangent_solve("rational", monkeypatch)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -192,6 +193,119 @@ def test_row_items_lists_nonzero_entries(fld):
         assert back == Mat.from_entries(fld, 1, 4, ((0, j, v) for j, v in row.items()))
 
 
+def _assert_stored_form(m):
+    """The QQ storage invariant: each row is nonzero integer numerators over
+    a denominator d >= 1 in lowest terms, and an empty row has d = 1."""
+    if not m.field.is_rational:
+        return
+    assert len(m.rows) == len(m.dens) == m.nrows
+    for r, d in zip(m.rows, m.dens):
+        assert type(d) is int and d >= 1
+        assert all(type(v) is int and v != 0 and 0 <= j < m.ncols for j, v in r.items())
+        assert gcd(d, *r.values()) == 1  # gcd(d) = d: an empty row has d = 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), *(st.integers(0, 3) for _ in range(5)))
+def test_rational_storage_matches_fraction_reference(data, s, t, t2, nt, q):
+    """Products, differences, builders and reshaping on the numerator rows
+    against the same operations on lists of Fractions, with empty shapes."""
+    def entry():
+        return data.draw(_entries(None))
+
+    lam, b, tr = ([[entry() for _ in range(m)] for _ in range(n)]
+                  for n, m in ((s, t), (t, t2), (nt, s)))
+    # rows that share some entries with lam: their differences partly cancel
+    other = [[v if data.draw(st.booleans()) else entry() for v in r] for r in lam]
+
+    def mat(rows, ncols):
+        m = Mat.from_rows(QQ, rows, ncols=ncols)
+        _assert_stored_form(m)
+        return m
+
+    def check(got, want, ncols):
+        _assert_stored_form(got)
+        assert (got.nrows, got.ncols) == (len(want), ncols)
+        assert got.to_lists() == want
+        assert got == Mat.from_rows(QQ, want, ncols=ncols)  # one stored form
+
+    m_lam, m_b, m_tr = mat(lam, t), mat(b, t2), mat(tr, s)
+    check(m_lam.matmul(m_b), _dense_mul(lam, b, t2), t2)
+    check(m_tr.matmul(m_lam), _dense_mul(tr, lam, t), t)
+    check(m_lam.sub(mat(other, t)),
+          [[Fraction(x) - y for x, y in zip(r, o)] for r, o in zip(lam, other)], t)
+    check(m_lam.sub(m_lam), [[Fraction(0)] * t for _ in range(s)], t)
+    # vec-row products: parameter rows vec(k * L) and a zero row
+    params = [[Fraction(k) * v for row in lam for v in row] for k in range(1, q)]
+    params += [[Fraction(0)] * (s * t)] * (q > 0)
+    m_p = mat(params, s * t)
+    blocks = [[row[a * t:(a + 1) * t] for a in range(s)] for row in params]  # the L
+
+    def vec(mats):
+        return [[v for row in m for v in row] for m in mats]
+
+    check(right_mul_vecrows(m_p, s, t, m_b), vec(_dense_mul(l, b, t2) for l in blocks), s * t2)
+    check(left_mul_vecrows(m_p, s, t, m_tr), vec(_dense_mul(tr, l, t) for l in blocks), nt * t)
+    # entries split in two that sum back, and pairs that cancel to zero
+    entries = []
+    for i, row in enumerate(lam):
+        for j, v in enumerate(row):
+            w = entry()
+            entries += [(i, j, w), (i, j, v - w), (i, j, -w), (i, j, w)]
+    check(Mat.from_entries(QQ, s, t, entries), [[Fraction(v) for v in r] for r in lam], t)
+    # reshaping
+    full = [[Fraction(v) for v in r] for r in lam]
+    check(m_lam.transpose(), [[r[j] for r in full] for j in range(t)], s)
+    rows_idx = data.draw(st.lists(st.integers(0, s - 1), max_size=4)) if s else []
+    check(m_lam.take_rows(rows_idx), [full[i] for i in rows_idx], t)
+    cols_idx = data.draw(st.lists(st.integers(0, t - 1), unique=True, max_size=3)) if t else []
+    check(m_lam.take_cols(cols_idx), [[r[j] for j in cols_idx] for r in full], len(cols_idx))
+    dest = [c + 1 for c in cols_idx]
+    want = [[Fraction(0)] * (t + 1) for _ in range(s)]
+    for r, w in zip(full, want):
+        for c, d in zip(cols_idx, dest):
+            w[d] = r[c]
+    check(m_lam.remap_cols(t + 1, list(zip(cols_idx, dest))), want, t + 1)
+    check(Mat.hstack(QQ, [m_lam, mat(other, t)]),
+          [r + [Fraction(v) for v in o] for r, o in zip(full, other)], 2 * t)
+    check(Mat.vstack(QQ, [m_lam, mat(other, t)], t),
+          full + [[Fraction(v) for v in o] for o in other], t)
+
+
+def test_rational_storage_is_canonical():
+    # equal matrices built by different routes store the same rows
+    half = Mat.from_rows(QQ, [[Fraction(2, 4)]])
+    assert half == Mat.from_rows(QQ, [[Fraction(3, 2)]]).matmul(Mat.from_rows(QQ, [[Fraction(1, 3)]]))
+    assert half == Mat.from_entries(QQ, 1, 1, [(0, 0, Fraction(5, 6)), (0, 0, Fraction(-1, 3))])
+    m = Mat.from_rows(QQ, [[Fraction(1, 3), Fraction(5, 6)], [0, 4]])
+    zero = m.sub(m)
+    assert zero == Mat.zeros(QQ, 2, 2) and zero.dens == [1, 1]
+    assert m.transpose().transpose() == m
+    assert m.take_cols([1]) == Mat.from_rows(QQ, [[Fraction(5, 6)], [4]])
+    assert m.take_cols([0]) == Mat.from_rows(QQ, [[Fraction(1, 3)], [0]])
+    for out in (half, zero, m.transpose(), m.take_cols([0])):
+        _assert_stored_form(out)
+
+
+@pytest.mark.parametrize("fld", [QQ, FieldSpec.prime(7)], ids=["QQ", "F7"])
+def test_entries_are_exact_or_refused(fld):
+    # a/b is a * b^-1 mod p over GF(p); floats are refused over both fields,
+    # and so is a denominator that p divides
+    want = Fraction(1, 2) if fld.is_rational else 4
+    for build in (lambda v: Mat.from_rows(fld, [[v]]),
+                  lambda v: Mat.from_entries(fld, 1, 1, [(0, 0, v)])):
+        assert build(Fraction(1, 2)).to_lists() == [[want]]
+        assert build(np.int64(9)).to_lists() == [[9 if fld.is_rational else 2]]
+        bad = [2.5, 0.1, 2.0, np.float64(1.0), "1/2"]
+        if not fld.is_rational:
+            bad.append(Fraction(3, 14))
+        for v in bad:
+            with pytest.raises(LinalgError):
+                build(v)
+    assert Mat.from_rows(fld, [[Fraction(1, 2), 1]]).matmul(
+        Mat.from_rows(fld, [[2], [-1]])).is_zero()
+
+
 def test_remap_cols():
     m = Mat.from_rows(QQ, [[1, 2, 3]])
     out = m.remap_cols(5, [(0, 4), (2, 0)])
@@ -277,7 +391,10 @@ def _check_against_reference(rows, ncols, p):
     assert piv == want_piv
     assert red.to_lists() == want_red
     assert m.rank() == len(want_piv)
-    assert m.kernel_basis().to_lists() == _ref_kernel(rows, ncols, p)
+    ker = m.kernel_basis()
+    assert ker.to_lists() == _ref_kernel(rows, ncols, p)
+    for out in (m, red, ker):
+        _assert_stored_form(out)
     if len(want_piv) < len(rows):  # rank-deficient, zero rows, or no columns
         with pytest.raises(LinalgError):
             m.rref_with_transform()
@@ -286,6 +403,8 @@ def _check_against_reference(rows, ncols, p):
     assert t_piv == want_piv
     assert r_mat.to_lists() == want_red
     assert t_mat.to_lists() == _ref_rref_with_transform(rows, ncols, p)[2]
+    _assert_stored_form(r_mat)
+    _assert_stored_form(t_mat)
     # the contract: T is square in the rank, invertible, and T @ m = R
     assert (t_mat.nrows, t_mat.ncols) == (len(rows), len(rows))
     assert t_mat.matmul(m).to_lists() == want_red

@@ -102,3 +102,20 @@ def test_element_printing_roundtrip(fld):
     f = parse_polynomial("2*x1^2 - x2*x3 + 5*x3^2", ctx, fld)
     again = parse_polynomial(str(f), ctx, fld)
     assert again.coeffs == f.coeffs and again.degree == f.degree
+
+
+def test_scalars_are_exact_or_refused():
+    # coefficients go through the same conversion as matrix entries
+    from fractions import Fraction
+
+    from nesthilb.linalg import LinalgError
+    from nesthilb.ring import _scalar
+
+    f7 = FieldSpec.prime(7)
+    assert _scalar(f7, Fraction(1, 2)) == 4
+    assert _scalar(f7, 14) is None
+    assert _scalar(QQ, Fraction(2, 4)) == Fraction(1, 2)
+    assert _scalar(QQ, 0) is None
+    for fld, bad in ((f7, Fraction(1, 7)), (f7, 0.5), (QQ, 0.1), (QQ, 2.0)):
+        with pytest.raises(LinalgError):
+            _scalar(fld, bad)
