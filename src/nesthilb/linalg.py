@@ -26,25 +26,38 @@ Two backends share one matrix interface:
   columns).  A minor that vanishes over QQ vanishes mod p, so the rank mod p
   is at most the rank over QQ, which is at most that minimum; below it the
   integer forward pass decides.
-* GF(p) -- dense numpy int64 arrays with entries reduced to [0, p).
-  Elimination is a forward pass (one vectorised row update per pivot) and,
-  for reduced forms, a back pass over the pivot rows.  Reduction mod p is
-  deferred: a step reduces only its pivot row and pivot column, and every
-  other entry takes the update unreduced.  Each update is below p^2 in
-  magnitude, so the live block is reduced every K(p) = (2^63 - 1 - p) //
-  (p - 1)^2 steps to stay inside int64 (K = 1024 at the largest accepted
-  prime, about 9e9 at 32003, where it never fires) and once at the end.
-  ``rank`` runs the forward pass only, on the transpose when that has fewer
-  columns.
+* GF(p) -- dense numpy int64 arrays with entries reduced to [0, p).  An
+  elimination picks its path by density.  At most 1/20 of the entries
+  nonzero (``Mat._on_sparse_rows``), it reads the rows off the array as
+  sparse rows and runs the elimination the rationals run, with a monic
+  pivot row; the relation matrices of the census are below 0.5 % dense, and
+  a dense pass over them spends its time scanning empty columns.  Denser matrices, such
+  as the syzygy matrices of the Betti tables, fill in under sparse
+  elimination, so they take the dense path: a forward pass (one vectorised
+  row update per pivot) and, for reduced forms, a back pass over the pivot
+  rows.  There reduction mod p is deferred: a step reduces only its pivot
+  row and pivot column, and every other entry takes the update unreduced.
+  Each update is below p^2 in magnitude, so the live block is reduced every
+  K(p) = (2^63 - 1 - p) // (p - 1)^2 steps to stay inside int64 (K = 1024 at
+  the largest accepted prime, about 9e9 at 32003, where it never fires) and
+  once at the end.  ``rank`` always takes the dense forward pass, on the
+  transpose when that has fewer columns.
 
-Each question is answered by one elimination.  ``_column_split`` splits the
-columns into independent and dependent ones, and writes each dependent column
-in terms of the independent ones, from the rref of the matrix with its columns
-reversed; ``kernel_basis`` reads the reduced kernel basis off that split (see
-its docstring), and the relations among the rows of a matrix are the split of
-its transpose.  ``rref_with_transform`` takes a matrix of full row rank only,
-so its transform is square in the rank: the right half of the reduced
-``[self | identity]``.  These three have one body for both fields.  Each
+Each question is answered by one elimination.  The sparse path has one body
+for both fields, ``_rref_rows``: rows wait in buckets by their lead column,
+the first row of the lowest bucket is the pivot row, and the back pass runs
+bottom-up, each row clearing only the pivot columns it holds.  Over QQ a row
+is cleared fraction-free, over GF(p) by r - r[c] * pivot mod p.
+``_column_split`` splits the columns into independent and dependent ones,
+and writes each dependent column in terms of the independent ones, from the
+rref of the matrix with its columns reversed; ``kernel_basis`` reads the
+reduced kernel basis off that split (see its docstring), and the relations
+among the rows of a matrix are the split of its transpose.
+``rref_with_transform`` takes a matrix of full row rank only, so its
+transform is square in the rank: the right half of the reduced ``[self |
+identity]``.  On sparse GF(p) input neither the split nor the transform builds
+a dense intermediate: the split keys column j as n-1-j instead of reversing
+the matrix, and the transform keys the identity entry of row i as n+i.  Each
 field multiplies through one routine, ``_sparse_mul`` or ``_matmul_mod``; the
 vec-row products are products with ``I ⊗ b`` and ``Tᵀ ⊗ I``.
 
@@ -56,6 +69,7 @@ carrier for GF(p) products, chunked so every intermediate stays below 2^53.
 
 from __future__ import annotations
 
+import heapq
 import operator
 from dataclasses import dataclass
 from fractions import Fraction as mpq
@@ -198,10 +212,14 @@ class Mat:
 
     @staticmethod
     def from_rows(field: FieldSpec, data: Sequence[Sequence], ncols: int | None = None) -> "Mat":
-        """Build from dense row lists of ints / Fractions."""
+        """Build from dense row lists of ints / Fractions, each of length ncols
+        (by default the length of the first row)."""
         nrows = len(data)
         if ncols is None:
             ncols = len(data[0]) if nrows else 0
+        for i, r in enumerate(data):
+            if len(r) != ncols:
+                raise LinalgError(f"row {i} has {len(r)} entries, not {ncols}")
         if field.is_rational:
             rows, dens = [], []
             for r in data:
@@ -410,28 +428,37 @@ class Mat:
 
     def rref(self) -> tuple["Mat", list[int]]:
         """Reduced row echelon form without its zero rows, and its pivots."""
-        if self.field.is_rational:
-            rows, piv = _rref_q(self.rows, back=True)
-            dens = []
-            for i, c in enumerate(piv):  # a primitive row over its pivot entry
-                d = rows[i][c]
-                if d < 0:
-                    rows[i] = {j: -v for j, v in rows[i].items()}
-                    d = -d
-                dens.append(d)
-            return Mat(self.field, len(rows), self.ncols, rows=rows, dens=dens), piv
-        arr, piv = _rref_p(self.arr, self.field.p)
-        return Mat(self.field, arr.shape[0], self.ncols, arr=arr), piv
+        fld, n = self.field, self.ncols
+        if not self._on_sparse_rows():
+            arr, piv = _rref_p(self.arr, fld.p)
+            return Mat(fld, arr.shape[0], n, arr=arr), piv
+        rows, piv = _rref_rows(self._fresh_rows(), True, fld.p)
+        if fld.is_rational:
+            return Mat(fld, len(rows), n, rows=rows, dens=_over_pivots(rows, piv)), piv
+        return Mat(fld, len(rows), n, arr=_to_array(rows, n)), piv
 
     def rref_with_transform(self) -> tuple["Mat", list[int], "Mat"]:
         """Return (R, pivots, S) for a matrix of full row rank: R is its
         reduced echelon form and S the invertible square matrix with
-        S @ self = R, read off the reduced ``[self | identity]``."""
-        m, n = self.nrows, self.ncols
-        aug, piv = Mat.hstack(self.field, [self, Mat.identity(self.field, m)]).rref()
+        S @ self = R, read off the reduced ``[self | identity]``.  On sparse
+        GF(p) rows the identity entry of row i is keyed n + i, so the dense
+        ``[self | identity]`` and its rref are never built."""
+        fld, m, n = self.field, self.nrows, self.ncols
+        if fld.is_rational or not self._on_sparse_rows():
+            aug, piv = Mat.hstack(fld, [self, Mat.identity(fld, m)]).rref()
+            red, s = aug.take_cols(range(n)), aug.take_cols(range(n, n + m))
+        else:
+            rows = self._fresh_rows()
+            for i, r in enumerate(rows):
+                r[n + i] = 1
+            rows, piv = _rref_rows(rows, True, fld.p)
+            red = Mat(fld, m, n, arr=_to_array([{j: v for j, v in r.items() if j < n}
+                                                for r in rows], n))
+            s = Mat(fld, m, m, arr=_to_array([{j - n: v for j, v in r.items() if j >= n}
+                                              for r in rows], m))
         if piv and piv[-1] >= n:
             raise LinalgError("rref_with_transform needs a matrix of full row rank")
-        return aug.take_cols(range(n)), piv, aug.take_cols(range(n, n + m))
+        return red, piv, s
 
     def rank(self) -> int:
         # forward pass only, in place, with the shorter side as columns
@@ -451,7 +478,7 @@ class Mat:
         if len(_eliminate_p(a, DEFAULT_PRIME, back=False)) == full:
             return full
         del a  # the integer forward pass reads the rows only
-        return len(_rref_q(rows, back=False)[1])
+        return len(_rref_rows(self._fresh_rows(), False, None)[1])
 
     def _column_split(self) -> tuple[list[int], list[int], "Mat"]:
         """Split the columns of self into independent columns J, chosen
@@ -465,15 +492,53 @@ class Mat:
         R' a non-pivot column c is the sum of R'[i, c] times pivot column i,
         so C[k, i] = R'[i, n-1-D[k]].  That entry is zero unless pivot i lies
         left of n-1-D[k] in R', that is unless J[i] > D[k]: the first
-        relations are the shortest.
+        relations are the shortest.  On sparse rows neither the reversed
+        matrix nor R' is built: the rows are keyed n-1-j, and C is written
+        from the entries of the finished rows past their pivots.
         """
-        n = self.ncols
-        red, rpiv = self.take_cols(range(n - 1, -1, -1)).rref()
-        pivset = set(rpiv)
-        rfree = [c for c in range(n) if c not in pivset]
-        c = red.take_cols(rfree)
-        del red  # the rref can be as large as self; free it before the transpose
-        return [n - 1 - j for j in rpiv], [n - 1 - j for j in rfree], c.transpose()
+        fld, n = self.field, self.ncols
+        if not self._on_sparse_rows():
+            red, rpiv = _rref_p(self.arr[:, ::-1], fld.p)
+            rfree = _non_pivots(n, rpiv)
+            c = Mat(fld, len(rfree), len(rpiv), arr=np.ascontiguousarray(red.T[rfree]))
+        else:
+            rows, rpiv = _rref_rows(self._fresh_rows(reverse=True), True, fld.p)
+            rfree = _non_pivots(n, rpiv)
+            pos = {c: k for k, c in enumerate(rfree)}
+            dens = _over_pivots(rows, rpiv) if fld.is_rational else None  # may negate rows
+            # row i of C^T: the entries of row i of R' past its pivot, all in
+            # non-pivot columns; over QQ still over the pivot entry
+            ct = [{pos[c]: v for c, v in r.items() if c != lead} for r, lead in zip(rows, rpiv)]
+            if fld.is_rational:
+                c = Mat(fld, len(rpiv), len(rfree), rows=ct, dens=dens).transpose()
+            else:
+                c = Mat(fld, len(rfree), len(rpiv), arr=_to_array(ct, len(rfree), transposed=True))
+        return [n - 1 - j for j in rpiv], [n - 1 - j for j in rfree], c
+
+    def _on_sparse_rows(self) -> bool:
+        """Whether an elimination of self runs on sparse rows: always over QQ,
+        over GF(p) when at most 1/_SPARSE_RATIO of the entries are nonzero."""
+        return self.field.is_rational or \
+            np.count_nonzero(self.arr) * _SPARSE_RATIO <= self.arr.size
+
+    def _fresh_rows(self, reverse: bool = False) -> list[dict[int, int]]:
+        """One new {col: int} dict per row for ``_rref_rows`` to consume: the
+        primitive parts of the numerators over QQ, the nonzero entries over
+        GF(p), read off the array with one ``np.flatnonzero``.  With ``reverse``
+        column j is keyed n-1-j."""
+        last = self.ncols - 1
+        if self.field.is_rational:
+            prims = (_primitive(r) for r in self.rows)
+            if reverse:
+                return [{last - j: v for j, v in r.items()} for r in prims]
+            return [dict(r) for r in prims]
+        flat = self.arr.ravel()
+        at = np.flatnonzero(flat)
+        ii, jj = np.divmod(at, self.ncols)
+        vals = flat[at].tolist()
+        cols = (last - jj if reverse else jj).tolist()
+        ends = np.cumsum(np.bincount(ii, minlength=self.nrows)).tolist()
+        return [dict(zip(cols[s:e], vals[s:e])) for s, e in zip([0] + ends, ends)]
 
     def kernel_basis(self) -> "Mat":
         """Rows = reduced-echelon basis of the right kernel {v : self @ v = 0}.
@@ -560,44 +625,109 @@ def _clear(r: dict[int, int], pivot: dict[int, int], c: int) -> dict[int, int]:
     return _primitive(r) if r else r
 
 
-def _rref_q(rows: Iterable[dict[int, int]], back: bool
-            ) -> tuple[list[dict[int, int]], list[int]]:
-    """Fraction-free elimination of integer rows, which it copies and divides
-    by their contents first: the input rows are not changed.
+def _clear_p(r: dict[int, int], pivot: dict[int, int], c: int, p: int) -> dict[int, int]:
+    """r - r[c] * pivot mod p, in place, for a monic pivot row: column c of
+    the result is zero."""
+    f = r[c]
+    for j, v in pivot.items():
+        t = (r.get(j, 0) - f * v) % p
+        if t:
+            r[j] = t
+        else:
+            r.pop(j, None)
+    return r
 
-    A row is cleared against a pivot row by cross-multiplication and then
-    divided by its content, so its entries stay coprime integers.  Zero rows
-    are dropped and pivots ascend.  With ``back`` each pivot column is also
-    cleared above its pivot: each row is then a multiple of its row of the
-    reduced echelon form.  Without it only the pivots are meaningful."""
+
+def _rref_rows(rows: Iterable[dict[int, int]], back: bool, p: int | None
+               ) -> tuple[list[dict[int, int]], list[int]]:
+    """Bucket elimination of sparse integer rows over QQ (p None) or GF(p).
+    It consumes the rows: over QQ they must be primitive, over GF(p)
+    reduced mod p.
+
+    Each row waits in the bucket of its lead column; the first row of the
+    lowest bucket becomes its pivot row and clears the others, which move on
+    to the buckets of their new lead columns.  Over QQ a row is cleared by
+    cross-multiplication and divided by its content, so its entries stay
+    coprime integers (``_clear``); over GF(p) the pivot row is made monic
+    and a row is cleared by r - r[c] * pivot (``_clear_p``).  Zero rows are
+    dropped and pivots ascend.  With ``back`` each pivot column is also
+    cleared above its pivot, bottom row first: a row clears only the pivot
+    columns it holds, and since the rows below it are already reduced, no
+    clear brings in a pivot column.  Each row is then a multiple of its row
+    of the reduced echelon form, that row itself over GF(p).  Without
+    ``back`` only the pivots are meaningful."""
+    clear = _clear if p is None else (lambda r, pivot, c: _clear_p(r, pivot, c, p))
     done: list[tuple[int, dict]] = []  # (pivot col, row)
     buckets: dict[int, list[dict]] = {}
     for r in rows:
         if r:
-            prim = _primitive(r)
-            buckets.setdefault(min(r), []).append(dict(r) if prim is r else prim)
-    while buckets:
-        c = min(buckets)
+            buckets.setdefault(min(r), []).append(r)
+    leads = list(buckets)  # a heap of the bucket keys: a cleared row's lead only grows
+    heapq.heapify(leads)
+    while leads:
+        c = heapq.heappop(leads)
         group = buckets.pop(c)
         pivot = group[0]
+        if p is not None and pivot[c] != 1:
+            inv = pow(pivot[c], -1, p)
+            for j, v in pivot.items():
+                pivot[j] = v * inv % p
         done.append((c, pivot))
         for r in group[1:]:
-            r = _clear(r, pivot, c)
+            r = clear(r, pivot, c)
             if r:
-                buckets.setdefault(min(r), []).append(r)
+                lead = min(r)
+                if lead in buckets:
+                    buckets[lead].append(r)
+                else:
+                    buckets[lead] = [r]
+                    heapq.heappush(leads, lead)
     done.sort(key=lambda t: t[0])
     pivots = [c for c, _ in done]
     out = [r for _, r in done]
-    if back:  # back substitution for reduced form
-        for i in range(len(out) - 1, 0, -1):
-            c = pivots[i]
-            for k in range(i):
-                if c in out[k]:
-                    out[k] = _clear(out[k], out[i], c)
+    if back:
+        row_of = {c: i for i, c in enumerate(pivots)}
+        for k in range(len(out) - 2, -1, -1):
+            lead = pivots[k]
+            for c in [c for c in out[k] if c != lead and c in row_of]:
+                out[k] = clear(out[k], out[row_of[c]], c)
     return out, pivots
 
 
+def _over_pivots(rows: list[dict[int, int]], pivots: list[int]) -> list[int]:
+    """Denominators that store the finished primitive rows of ``_rref_rows``
+    as reduced rows: each row over its pivot entry, negated in place where
+    that entry is negative."""
+    dens = []
+    for i, c in enumerate(pivots):
+        d = rows[i][c]
+        if d < 0:
+            rows[i] = {j: -v for j, v in rows[i].items()}
+            d = -d
+        dens.append(d)
+    return dens
+
+
+def _non_pivots(n: int, pivots: list[int]) -> list[int]:
+    pivset = set(pivots)
+    return [c for c in range(n) if c not in pivset]
+
+
 # ---------------------------------------------------------------- GF(p) kernel
+
+
+# a GF(p) elimination runs on sparse rows when at most 1/_SPARSE_RATIO of its
+# entries are nonzero (Mat._on_sparse_rows), and on the dense array otherwise
+_SPARSE_RATIO = 20
+
+
+def _to_array(rows: list[dict[int, int]], ncols: int, transposed: bool = False) -> np.ndarray:
+    """The int64 array with the rows {col: v}, or its transpose."""
+    ii = [i for i, r in enumerate(rows) for _ in range(len(r))]
+    jj = [j for r in rows for j in r]
+    out = np.zeros((ncols, len(rows)) if transposed else (len(rows), ncols), np.int64)
+    out[(jj, ii) if transposed else (ii, jj)] = [v for r in rows for v in r.values()]
+    return out
 
 
 def _flush_interval(p: int) -> int:

@@ -35,6 +35,12 @@ class UnknownVariable(ValueError):
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>x_?\d+)|(?P<op>[-+*^()]))")
+# the builtin ideal specs and the head "name(N)", compiled once at import
+_POWER_SPEC = re.compile(r"m\^(\d+):(\d+)")
+_CUTOFF_SPEC = re.compile(r"(delta|J):(\d+)")
+_I2_SPEC = re.compile(r"I2:(\d+)")
+_I1_SPEC = re.compile(r"I1:(\d+),(\d+)")
+_HEAD_N = re.compile(r"\w+\((\d+)\)")
 
 
 def _tokenize(text: str):
@@ -221,19 +227,19 @@ def parse_ideal_spec(spec: str, fld: FieldSpec, n: int | None = None,
     if spec == "twistedcone":
         return family_twisted_cubic_cone(ctx_for(4), fld,
                                          cutoff=3 if cutoff is None else cutoff)
-    m = re.fullmatch(r"m\^(\d+):(\d+)", spec)
+    m = _POWER_SPEC.fullmatch(spec)
     if m:
         _no_cutoff(spec, cutoff)
         return power_of_max_ideal(ctx_for(int(m.group(2))), fld, int(m.group(1)))
-    m = re.fullmatch(r"(delta|J):(\d+)", spec)
+    m = _CUTOFF_SPEC.fullmatch(spec)
     if m:
         build = family_delta if m.group(1) == "delta" else family_J
         return build(ctx_for(int(m.group(2))), fld, cutoff=6 if cutoff is None else cutoff)
-    m = re.fullmatch(r"I2:(\d+)", spec)
+    m = _I2_SPEC.fullmatch(spec)
     if m:
         _no_cutoff(spec, cutoff)
         return family_I2(ctx_for(int(m.group(1))), fld)
-    m = re.fullmatch(r"I1:(\d+),(\d+)", spec)
+    m = _I1_SPEC.fullmatch(spec)
     if m:
         _no_cutoff(spec, cutoff)
         return family_I1(ctx_for(int(m.group(1))), fld, int(m.group(2)))
@@ -255,7 +261,7 @@ def _spec_int(text: str, spec: str) -> int:
 
 
 def _spec_n(head: str, n: int | None) -> int:
-    m = re.fullmatch(r"\w+\((\d+)\)", head)
+    m = _HEAD_N.fullmatch(head)
     if m:
         return int(m.group(1))
     if n is None:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nesthilb import linalg
 from nesthilb.ideals import Nesting, generic_ideal_with_hilbert_function
 from nesthilb.linalg import (DEFAULT_PRIME, FieldSpec, LinalgError, Mat, QQ,
                              left_mul_vecrows, right_mul_vecrows)
@@ -302,6 +303,11 @@ def test_entries_are_exact_or_refused(fld):
         for v in bad:
             with pytest.raises(LinalgError):
                 build(v)
+    # ragged rows are refused, not padded with zeros or cut short
+    for rows, ncols in (([[1, 2], [3]], None), ([[1], [2, 3]], None), ([[1, 2]], 1),
+                        ([[1, 2], [3, 4]], 3)):
+        with pytest.raises(LinalgError, match="row"):
+            Mat.from_rows(fld, rows, ncols)
     assert Mat.from_rows(fld, [[Fraction(1, 2), 1]]).matmul(
         Mat.from_rows(fld, [[2], [-1]])).is_zero()
 
@@ -428,15 +434,34 @@ def _entries(p):
     return st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
 
 
+def _sparse_rows(draw, nrows, ncols, nonzero):
+    """nrows rows of width ncols >= 20 with 1-3 nonzeros each, at most
+    nrows * ncols // 20 in all."""
+    budget = nrows * ncols // 20
+    rows = [[0] * ncols for _ in range(nrows)]
+    for r in rows:
+        k = min(draw(st.integers(1, 3)), budget)
+        budget -= k
+        for j in draw(st.lists(st.integers(0, ncols - 1), min_size=k, max_size=k, unique=True)):
+            r[j] = draw(nonzero)
+    return rows
+
+
 @st.composite
 def matrices(draw, fields, size):
-    """A random, zero or rank-deficient matrix over a field drawn from fields."""
+    """A random, zero, rank-deficient or sparse matrix over a field drawn from
+    fields.  The first three are at most size x size and mostly dense; a
+    sparse one is up to 12 x 40 with 1-3 nonzeros a row and at most 1/20 of
+    its entries nonzero, so GF(p) eliminates it on sparse rows."""
     p = draw(st.sampled_from(fields))
     norm = _normaliser(p)
     nrows, ncols = draw(st.integers(0, size)), draw(st.integers(0, size))
     entry = _entries(p)
-    kind = draw(st.sampled_from(["any", "zero", "rank_deficient"]))
-    if kind == "zero":
+    kind = draw(st.sampled_from(["any", "zero", "rank_deficient", "sparse"]))
+    if kind == "sparse":
+        nrows, ncols = draw(st.integers(1, 12)), draw(st.integers(20, 40))
+        rows = _sparse_rows(draw, nrows, ncols, entry.filter(bool))
+    elif kind == "zero":
         rows = [[0] * ncols for _ in range(nrows)]
     elif kind == "rank_deficient":
         k = draw(st.integers(0, max(0, min(nrows, ncols) - 1)))
@@ -500,12 +525,9 @@ def test_deferred_reduction_survives_int64_at_the_largest_prime(kind):
     assert t_mat.to_lists() == want_t
 
 
-@settings(max_examples=200, deadline=None)
-@given(matrices([None, 2, 3, DEFAULT_PRIME, 94906249], 6))
-def test_row_split_matches_python_reference(case):
+def _check_split_against_reference(rows, ncols, p):
     # the relations e_struct reads: the rows of E split into independent rows
     # J, chosen greedily from the last, and the others D, with E_D = C @ E_J
-    rows, ncols, p = case
     fld = QQ if p is None else FieldSpec.prime(p)
     e = Mat.from_rows(fld, rows, ncols)
     rows_j, rows_d, c = e.transpose()._column_split()
@@ -519,9 +541,42 @@ def test_row_split_matches_python_reference(case):
         assert (i in rows_j) == (len(_ref_rref(rows[i:], ncols, p)[1]) > later)
     e_j = e.take_rows(rows_j)
     assert e.take_rows(rows_d) == c.matmul(e_j)
+    _assert_stored_form(c)
     red, piv, s = e_j.rref_with_transform()
     assert piv == want_piv
     assert s.matmul(e_j).to_lists() == want_red == red.to_lists()
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices([None, 2, 3, DEFAULT_PRIME, 94906249], 6))
+def test_row_split_matches_python_reference(case):
+    _check_split_against_reference(*case)
+
+
+@pytest.mark.parametrize("kind", ["sparse", "dense"])
+def test_prime_field_eliminations_take_both_paths(kind, monkeypatch):
+    # a GF(p) elimination runs on sparse rows (_rref_rows) when at most 1/20
+    # of the entries are nonzero, as in the sparse kind of `matrices`, and on
+    # the dense array (_rref_p) otherwise: the reference checks reach both
+    p = DEFAULT_PRIME
+    rng = np.random.default_rng(3)
+    if kind == "sparse":  # 18 nonzeros in 12 x 40
+        rows = [[0] * 40 for _ in range(12)]
+        for i, r in enumerate(rows):
+            for j in rng.choice(40, size=1 + i % 2, replace=False):
+                r[j] = int(rng.integers(1, p))
+    else:
+        rows = rng.integers(0, p, size=(7, 7)).tolist()
+    calls = {"_rref_rows": 0, "_rref_p": 0}
+    for name in calls:
+        def counted(*args, _name=name, _orig=getattr(linalg, name)):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    _check_against_reference(rows, len(rows[0]), p)
+    _check_split_against_reference(rows, len(rows[0]), p)
+    ran, idle = ("_rref_rows", "_rref_p") if kind == "sparse" else ("_rref_p", "_rref_rows")
+    assert calls[ran] > 0 and calls[idle] == 0
 
 
 @pytest.mark.parametrize("e, shape, rank", [(-1, (74, 54), 32), (-2, (427, 27), 27)])
