@@ -55,9 +55,8 @@ reduced kernel basis off that split (see its docstring), and the relations
 among the rows of a matrix are the split of its transpose.
 ``rref_with_transform`` takes a matrix of full row rank only, so its
 transform is square in the rank: the right half of the reduced ``[self |
-identity]``.  On sparse GF(p) input neither the split nor the transform builds
-a dense intermediate: the split keys column j as n-1-j instead of reversing
-the matrix, and the transform keys the identity entry of row i as n+i.  Each
+identity]``.  On sparse rows the split builds no dense intermediate: it keys
+column j as n-1-j instead of reversing the matrix.  Each
 field multiplies through one routine, ``_sparse_mul`` or ``_matmul_mod``; the
 vec-row products are products with ``I ⊗ b`` and ``Tᵀ ⊗ I``.
 
@@ -440,25 +439,12 @@ class Mat:
     def rref_with_transform(self) -> tuple["Mat", list[int], "Mat"]:
         """Return (R, pivots, S) for a matrix of full row rank: R is its
         reduced echelon form and S the invertible square matrix with
-        S @ self = R, read off the reduced ``[self | identity]``.  On sparse
-        GF(p) rows the identity entry of row i is keyed n + i, so the dense
-        ``[self | identity]`` and its rref are never built."""
-        fld, m, n = self.field, self.nrows, self.ncols
-        if fld.is_rational or not self._on_sparse_rows():
-            aug, piv = Mat.hstack(fld, [self, Mat.identity(fld, m)]).rref()
-            red, s = aug.take_cols(range(n)), aug.take_cols(range(n, n + m))
-        else:
-            rows = self._fresh_rows()
-            for i, r in enumerate(rows):
-                r[n + i] = 1
-            rows, piv = _rref_rows(rows, True, fld.p)
-            red = Mat(fld, m, n, arr=_to_array([{j: v for j, v in r.items() if j < n}
-                                                for r in rows], n))
-            s = Mat(fld, m, m, arr=_to_array([{j - n: v for j, v in r.items() if j >= n}
-                                              for r in rows], m))
+        S @ self = R, read off the reduced ``[self | identity]``."""
+        m, n = self.nrows, self.ncols
+        aug, piv = Mat.hstack(self.field, [self, Mat.identity(self.field, m)]).rref()
         if piv and piv[-1] >= n:
             raise LinalgError("rref_with_transform needs a matrix of full row rank")
-        return red, piv, s
+        return aug.take_cols(range(n)), piv, aug.take_cols(range(n, n + m))
 
     def rank(self) -> int:
         # forward pass only, in place, with the shorter side as columns
@@ -498,9 +484,9 @@ class Mat:
         """
         fld, n = self.field, self.ncols
         if not self._on_sparse_rows():
-            red, rpiv = _rref_p(self.arr[:, ::-1], fld.p)
+            red, rpiv = Mat(fld, self.nrows, n, arr=self.arr[:, ::-1]).rref()
             rfree = _non_pivots(n, rpiv)
-            c = Mat(fld, len(rfree), len(rpiv), arr=np.ascontiguousarray(red.T[rfree]))
+            c = Mat(fld, len(rfree), len(rpiv), arr=np.ascontiguousarray(red.arr.T[rfree]))
         else:
             rows, rpiv = _rref_rows(self._fresh_rows(reverse=True), True, fld.p)
             rfree = _non_pivots(n, rpiv)
