@@ -78,7 +78,7 @@ class HilbertFunction:
     def __call__(self, d: int) -> int:
         if 0 <= d < len(self.entries):
             return self.entries[d]
-        if self.truncated:
+        if self.truncated and d >= 0:
             raise CutoffTooSmall(f"profile truncated before degree {d}")
         return 0
 
@@ -560,6 +560,11 @@ class FiniteGradedModule:
         return 0
 
     @property
+    def bottom(self) -> int:
+        """The first nonzero degree, lo for the zero module."""
+        return next((d for d in range(self.lo, self.hi + 1) if self.dim(d)), self.lo)
+
+    @property
     def top(self) -> int:
         """The last nonzero degree, lo - 1 for the zero module."""
         return max((d for d in range(self.lo, self.hi + 1) if self.dim(d)),
@@ -570,19 +575,16 @@ class FiniteGradedModule:
             return self.actions[d - self.lo][j]
         return Mat.zeros(self.fld, self.dim(d), self.dim(d + 1))
 
-    def commutation_residuals(self) -> list[Mat]:
-        """x_i then x_j minus x_j then x_i, for all pairs and degrees."""
-        out = []
+    def check_commuting(self) -> bool:
+        """x_i then x_j equals x_j then x_i, for all pairs and degrees."""
         for d in range(self.lo, self.hi - 1):
             for i in range(self.ctx.n):
                 for j in range(i + 1, self.ctx.n):
                     a = self.action(i, d).matmul(self.action(j, d + 1))
                     b = self.action(j, d).matmul(self.action(i, d + 1))
-                    out.append(a.sub(b))
-        return out
-
-    def check_commuting(self) -> bool:
-        return all(r.is_zero() for r in self.commutation_residuals())
+                    if not a.sub(b).is_zero():
+                        return False
+        return True
 
 
 def subquotient_module(a: HomogeneousIdeal, b: HomogeneousIdeal,
@@ -606,13 +608,12 @@ def subquotient_module(a: HomogeneousIdeal, b: HomogeneousIdeal,
     return FiniteGradedModule(ctx, fld, lo, hi, dims, actions)
 
 
-def quotient_module(i: HomogeneousIdeal, hi: int | None = None) -> FiniteGradedModule:
+def quotient_module(i: HomogeneousIdeal) -> FiniteGradedModule:
     """R/I in the ideal's canonical quotient coordinates, with its cached
-    actions (I must be m-primary unless hi is given)."""
-    if hi is None:
-        if not i.is_m_primary:
-            raise NotMPrimary("quotient of a truncated ideal needs an explicit top degree")
-        hi = i.socle_degree
+    actions (I must be m-primary)."""
+    if not i.is_m_primary:
+        raise NotMPrimary("quotient of a truncated ideal has no top degree")
+    hi = i.socle_degree
     dims = [i.qdim(d) for d in range(hi + 1)]
     actions = [[i.quotient_action(j, d) for j in range(i.ctx.n)] for d in range(hi)]
     return FiniteGradedModule(i.ctx, i.fld, 0, hi, dims, actions)

@@ -8,9 +8,12 @@ only new unknowns once multiplication relations are eliminated), and the
 leftover compatibility conditions form one exact linear system whose kernel
 dimension is the graded tangent dimension.
 
-Tangent vectors are represented by their degreewise blocks, never by
-generator images; the generator/syzygy route exists separately as a test
-oracle (``hom_dim_via_syzygies``).
+Families of tangent vectors are tables ``{d: (P, s_d, t_d)}``, one per ideal
+of the chain: row k of P is vec of the block L_d of the k-th vector, never
+generator images.  The solver's parameters and the n derivations d/dx_j of
+the theta check share this form and one set of nesting-link equations; the
+generator/syzygy route exists separately as a test oracle
+(``hom_dim_via_syzygies``).
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ class ModuleSource(_Source):
         self.mod = mod
         self.ctx = mod.ctx
         self.fld = mod.fld
-        self.lo = next((d for d in range(mod.lo, mod.hi + 1) if mod.dim(d)), mod.lo)
+        self.lo = mod.bottom
         self._estruct: dict[int, tuple] = {}
 
     def dim(self, d: int) -> int:
@@ -180,20 +183,15 @@ def _lift_project(lower: HomogeneousIdeal, upper: HomogeneousIdeal, c: int) -> M
     return st_up.project_rows(st_low.lift)
 
 
-def _solve(chains, links, e: int) -> int:
-    """The dimension of the degree-e solutions.  chains: list of (source,
-    target module); links: list of (upper_ideal, lower_ideal,
-    upper_chain_index, lower_chain_index) nesting compatibilities."""
-    fld = chains[0][0].fld
-    tables: list[dict] = []
-    cons_blocks: list[Mat] = []
-    q = 0
-    for src, tgt in chains:
-        table, cons, q = _process_chain(src, tgt, e, q)
-        tables.append(table)
-        cons_blocks.extend(cons)
+def _link_blocks(links, tables: list[dict], e: int):
+    """For each nesting link and degree d, the residual of the link equation
+    on tables of one row layout: the matrix whose row k is
+    vec(L_low_d @ (R/lower -> R/upper) - incl @ L_up_d) for the k-th row of
+    the tables, with missing rows read as zero.  links: list of (upper_ideal,
+    lower_ideal, upper_table_index, lower_table_index)."""
     for upper, lower, iu, il in links:
         tu, tl = tables[iu], tables[il]
+        fld = upper.fld
         for d in range(lower.order, upper.socle_degree - e + 1):
             s_low = lower.dim_at(d)
             t_up = upper.qdim(d + e)
@@ -212,9 +210,23 @@ def _solve(chains, links, e: int) -> int:
             else:
                 term_l = Mat.zeros(fld, 0, s_low * t_up)
             h = max(term_u.nrows, term_l.nrows)
-            block = _pad_rows(term_l, h).sub(_pad_rows(term_u, h)).transpose()
-            if block.nrows:
-                cons_blocks.append(block)
+            yield _pad_rows(term_l, h).sub(_pad_rows(term_u, h))
+
+
+def _solve(chains, links, e: int) -> int:
+    """The dimension of the degree-e solutions.  chains: list of (source,
+    target module); links: list of (upper_ideal, lower_ideal,
+    upper_chain_index, lower_chain_index) nesting compatibilities."""
+    fld = chains[0][0].fld
+    tables: list[dict] = []
+    cons_blocks: list[Mat] = []
+    q = 0
+    for src, tgt in chains:
+        table, cons, q = _process_chain(src, tgt, e, q)
+        tables.append(table)
+        cons_blocks.extend(cons)
+    # a link block with no parameter rows still adds its zero constraint rows
+    cons_blocks.extend(b.transpose() for b in _link_blocks(links, tables, e))
     padded = [_pad_cols(b, q) for b in cons_blocks if b.nrows]
     cons = Mat.vstack(fld, padded, q) if padded else Mat.zeros(fld, 0, q)
     return q - cons.rank() if cons.nrows else q
@@ -239,9 +251,7 @@ def graded_hom_dims(source: FiniteGradedModule, target: FiniteGradedModule
                     ) -> dict[int, int]:
     """All nonzero degrees of Hom_R(source, target), certified by windowing."""
     src = ModuleSource(source)
-    lo_t = next((d for d in range(target.lo, target.hi + 1) if target.dim(d)),
-                target.lo)
-    e_min = lo_t - src.gen_top()
+    e_min = target.bottom - src.gen_top()
     e_max = target.top - src.lo
     out = {}
     for e in range(e_min, e_max + 1):
@@ -261,87 +271,63 @@ def tangent_graded(ideal: HomogeneousIdeal, e: int) -> int:
 def nested_tangent_graded(nest: Nesting, e: int) -> int:
     """The weight-e tangent dimension at a nesting."""
     chains = [(IdealSource(i), quotient_module(i)) for i in nest.ideals]
-    links = [(nest.ideals[i], nest.ideals[i + 1], i, i + 1)
-             for i in range(nest.r - 1)]
-    return _solve(chains, links, e)
+    return _solve(chains, _nesting_links(nest), e)
+
+
+def _nesting_links(nest: Nesting) -> list[tuple]:
+    """(upper, lower, i, i + 1) for each consecutive pair of the chain."""
+    return [(nest.ideals[i], nest.ideals[i + 1], i, i + 1) for i in range(nest.r - 1)]
 
 
 # ------------------------------------------------------------------- theta
 
 
-def theta_blocks(nest: Nesting) -> list[list[dict[int, Mat]]]:
-    """For each variable, the degree -1 tangent tuple induced by d/dx_j."""
+def theta_tables(nest: Nesting) -> list[dict[int, tuple[Mat, int, int]]]:
+    """The degree -1 tangent tuples of the n derivations d/dx_j: per ideal, a
+    table {d: (P, s_d, t_d)} whose row j is vec of the block I_d -> (R/I)_{d-1}
+    of d/dx_j."""
     ctx, fld = nest.ctx, nest.fld
-    out = []
-    for j in range(ctx.n):
-        per_chain = []
-        for ideal in nest.ideals:
-            blocks = {}
-            for d in range(ideal.order, ideal.socle_degree + 2):
-                t = ideal.qdim(d - 1)
-                s = ideal.dim_at(d)
-                if t == 0 or s == 0:
-                    blocks[d] = Mat.zeros(fld, s, t)
-                    continue
+    tables = []
+    for ideal in nest.ideals:
+        table = {}
+        for d in range(ideal.order, ideal.socle_degree + 2):
+            s, t = ideal.dim_at(d), ideal.qdim(d - 1)
+            entries = []
+            if s and t:
                 basis, _ = ideal.basis_at(d)
-                deriv = basis.matmul(diff_matrix(ctx, fld, j, d))
-                blocks[d] = ideal.quotient_structure(d - 1).project_rows(deriv)
-            per_chain.append(blocks)
-        out.append(per_chain)
-    return out
+                proj = ideal.quotient_structure(d - 1)
+                for j in range(ctx.n):
+                    block = proj.project_rows(basis.matmul(diff_matrix(ctx, fld, j, d)))
+                    entries.extend((j, u * t + c, v) for u in range(s)
+                                   for c, v in block.row_items(u).items())
+            table[d] = (Mat.from_entries(fld, ctx.n, s * t, entries), s, t)
+        tables.append(table)
+    return tables
 
 
-def check_tangent_blocks(nest: Nesting, e: int,
-                         per_chain: list[dict[int, Mat]]) -> bool:
-    """Full constraint residual check (module-hom plus nesting), exact."""
-    ctx, fld = nest.ctx, nest.fld
-    for ideal, blocks in zip(nest.ideals, per_chain):
-        qt = quotient_module(ideal)
-        # at d = qt.top - e the target of x_j is zero: nothing to check
-        for d in range(ideal.order, qt.top - e):
-            cur = blocks.get(d, Mat.zeros(fld, ideal.dim_at(d), qt.dim(d + e)))
-            nxt = blocks.get(d + 1, Mat.zeros(fld, ideal.dim_at(d + 1),
-                                              qt.dim(d + 1 + e)))
-            for j in range(ctx.n):
-                lhs = ideal.action(j, d).matmul(nxt)
-                rhs = cur.matmul(qt.action(j, d + e))
+def check_tangent_blocks(nest: Nesting, tables: list[dict[int, tuple[Mat, int, int]]]
+                         ) -> bool:
+    """Exact check that every row of the degree -1 tables (one per ideal, as
+    theta_tables builds them) is a tangent vector: module homs and nesting."""
+    for ideal, table in zip(nest.ideals, tables):
+        # at d = socle + 1 the target (R/I)_d of x_j is zero: nothing to check
+        for d in range(ideal.order, ideal.socle_degree + 1):
+            cur, nxt = table[d], table[d + 1]
+            for j in range(nest.ctx.n):
+                lhs = left_mul_vecrows(*nxt, ideal.action(j, d))
+                rhs = right_mul_vecrows(*cur, ideal.quotient_action(j, d - 1))
                 if not lhs.sub(rhs).is_zero():
                     return False
-    for i in range(nest.r - 1):
-        upper, lower = nest.ideals[i], nest.ideals[i + 1]
-        bu, bl = per_chain[i], per_chain[i + 1]
-        for d in range(lower.order, upper.socle_degree - e + 1):
-            s_low = lower.dim_at(d)
-            t_up = upper.qdim(d + e)
-            if s_low == 0 or t_up == 0:
-                continue
-            incl = _inclusion_coords(lower, upper, d)
-            term_u = incl.matmul(bu.get(d, Mat.zeros(fld, upper.dim_at(d), t_up)))
-            low_block = bl.get(d)
-            if low_block is None or low_block.ncols == 0:
-                term_l = Mat.zeros(fld, s_low, t_up)
-            else:
-                term_l = low_block.matmul(_lift_project(lower, upper, d + e))
-            if not term_u.sub(term_l).is_zero():
-                return False
-    return True
+    return all(b.is_zero() for b in _link_blocks(_nesting_links(nest), tables, -1))
 
 
 def theta_rank(nest: Nesting) -> int:
     """Rank of the span of the n derivative directions in degree -1."""
-    vecs = theta_blocks(nest)
-    rows = []
-    for per_chain in vecs:
-        if not check_tangent_blocks(nest, -1, per_chain):
-            raise TangentError("theta image violates the tangent constraints")
-        flat: list = []
-        for blocks in per_chain:
-            for d in sorted(blocks):
-                flat.extend(v for row in blocks[d].to_lists() for v in row)
-        rows.append(flat)
-    if not rows or not rows[0]:
-        return 0
-    return Mat.from_rows(nest.fld, rows).rank()
+    tables = theta_tables(nest)
+    if not check_tangent_blocks(nest, tables):
+        raise TangentError("theta image violates the tangent constraints")
+    theta = Mat.hstack(nest.fld, [table[d][0] for table in tables for d in sorted(table)])
+    return theta.rank() if theta.ncols else 0
 
 
 # ------------------------------------------------------------- TNT reports
@@ -500,14 +486,9 @@ def sandwich_hom_term(nest: Nesting, j: int, k: int) -> dict[int, int]:
     else:
         target = quotient_module(mk)
         o_target = 0
-    if j < nest.r:
-        lower = nest.ideals[j]
-        hi = 2 * k - 1 - o_target + 1
-        source = subquotient_module(mk, lower, hi=max(hi, k))
-    else:
-        hi = 2 * k - 1 - o_target + 1
-        source = subquotient_module(mk, zero_ideal(ctx, fld, max(hi, k)), hi=max(hi, k))
-    return graded_hom_dims(source, target)
+    hi = max(2 * k - o_target, k)
+    lower = nest.ideals[j] if j < nest.r else zero_ideal(ctx, fld, hi)
+    return graded_hom_dims(subquotient_module(mk, lower, hi=hi), target)
 
 
 def sandwich_identity_check(nest: Nesting, j: int, k: int) -> SandwichReport:

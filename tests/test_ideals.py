@@ -41,6 +41,23 @@ def test_determinantal_families():
         h.size  # colength undefined for truncations
 
 
+def test_profiles_are_zero_in_negative_degrees():
+    # a truncated profile covers every degree below its cutoff, negative ones too
+    ctx = RingCtx(4)
+    delta = family_delta(ctx, QQ, cutoff=3)
+    h = delta.hilbert_function()
+    assert h.truncated and h(-1) == 0 and h(3) == 4
+    assert delta.dim_at(-1) == 0 and ctx.dim(-1) == 0
+    assert family_I2(ctx, QQ).hilbert_function()(-1) == 0
+    with pytest.raises(CutoffTooSmall):
+        h(4)
+
+
+def test_quotient_module_refuses_a_truncated_ideal():
+    with pytest.raises(NotMPrimary):
+        quotient_module(family_delta(RingCtx(4), QQ, cutoff=4))
+
+
 def test_power_of_max_ideal_profiles():
     ctx = RingCtx(3)
     assert tuple(power_of_max_ideal(ctx, QQ, 1).hilbert_function().entries) == (1,)

@@ -8,15 +8,15 @@ from nesthilb.ideals import (HomogeneousIdeal, Nesting, family_8points,
                              subquotient_module, zero_ideal)
 from nesthilb.linalg import FieldSpec, Mat, QQ
 from nesthilb.parsing import parse_nesting_spec
-from nesthilb.ring import RingCtx
+from nesthilb.ring import RingCtx, diff_matrix
 from nesthilb.tangent import (NotStrictlySandwiched, TNT_CERTIFIED,
                               TNT_FAILED_PRIME, TNT_FAILED_RATIONAL,
                               TNT_NOT_ASSESSED,
                               check_tangent_blocks, graded_hom_dims,
                               hom_dim_via_syzygies, nested_tangent_graded,
                               sandwich_identity_check, sandwich_insert,
-                              tangent_graded, tangent_window, theta_blocks,
-                              theta_rank, tnt_check)
+                              tangent_graded, tangent_window, theta_rank,
+                              theta_tables, tnt_check)
 from nesthilb.verify import sharpness_ideal
 
 FP = FieldSpec.prime(32003)
@@ -106,11 +106,66 @@ def test_theta_examples():
     assert theta_rank(nest) == 4
 
 
-def test_theta_blocks_satisfy_all_constraints():
+def test_theta_tables_satisfy_all_constraints():
     ctx = RingCtx(4)
     nest = Nesting([family_I1(ctx, QQ, 2), family_I2(ctx, QQ)])
-    for per_chain in theta_blocks(nest):
-        assert check_tangent_blocks(nest, -1, per_chain)
+    assert check_tangent_blocks(nest, theta_tables(nest))
+
+
+def _block(table, d, k, fld):
+    """Row k of table[d], unfolded to the s_d x t_d block it is vec of."""
+    p, s, t = table[d]
+    return Mat.from_entries(fld, s, t, [(a // t, a % t, v)
+                                        for a, v in p.row_items(k).items()])
+
+
+@pytest.mark.parametrize("fld", [QQ, FP], ids=["QQ", "F32003"])
+def test_theta_tables_solve_the_defining_equations(fld):
+    # the equations written out block by block with Mat.matmul, not through
+    # the vec-row products: row j is d/dx_j projected to R/I, it commutes with
+    # every x_i, and it agrees along the nesting
+    ctx = RingCtx(4)
+    nest = Nesting([family_I1(ctx, fld, 2), family_I2(ctx, fld)])
+    tables = theta_tables(nest)
+    for ideal, table in zip(nest.ideals, tables):
+        assert sorted(table) == list(range(ideal.order, ideal.socle_degree + 2))
+        for d in table:
+            assert table[d][0].nrows == ctx.n
+            assert table[d][1:] == (ideal.dim_at(d), ideal.qdim(d - 1))
+            for j in range(ctx.n):
+                deriv = ideal.basis_at(d)[0].matmul(diff_matrix(ctx, fld, j, d))
+                want = ideal.quotient_structure(d - 1).project_rows(deriv)
+                assert _block(table, d, j, fld) == want
+        for d in range(ideal.order, ideal.socle_degree + 1):
+            for j in range(ctx.n):
+                cur, nxt = _block(table, d, j, fld), _block(table, d + 1, j, fld)
+                for i in range(ctx.n):
+                    lhs = ideal.action(i, d).matmul(nxt)
+                    assert lhs == cur.matmul(ideal.quotient_action(i, d - 1))
+    upper, lower = nest.ideals
+    for d in range(lower.order, upper.socle_degree + 2):
+        incl = upper.coords(lower.basis_at(d)[0], d)
+        st_low, st_up = lower.quotient_structure(d - 1), upper.quotient_structure(d - 1)
+        lift_project = st_up.project_rows(st_low.lift)
+        for j in range(ctx.n):
+            low = _block(tables[1], d, j, fld)
+            assert incl.matmul(_block(tables[0], d, j, fld)) == low.matmul(lift_project)
+
+
+def test_theta_rank_builds_each_action_once(monkeypatch):
+    # the check applies each x_j action of I_d to all n derivations at once
+    ctx = RingCtx(6)
+    nest = Nesting([family_I1(ctx, FP, 2), family_I2(ctx, FP)])
+    built = []
+    action = HomogeneousIdeal.action
+
+    def recording(ideal, j, d):
+        built.append((id(ideal), j, d))
+        return action(ideal, j, d)
+
+    monkeypatch.setattr(HomogeneousIdeal, "action", recording)
+    assert theta_rank(nest) == 6
+    assert built and len(built) == len(set(built))
 
 
 def test_theta_check_builds_no_action_into_an_empty_target(monkeypatch):
@@ -131,27 +186,66 @@ def test_theta_check_builds_no_action_into_an_empty_target(monkeypatch):
     assert all(ideal.qdim(d) > 0 for ideal, _, d in built)
 
 
-@pytest.mark.parametrize("fld", [QQ, FP], ids=["QQ", "F32003"])
-def test_check_tangent_blocks_rejects_a_changed_entry(fld):
-    # each changed entry sits on a basis row of I_d that lies in R_1 * I_{d-1},
-    # so the relation out of degree d - 1 sees it; d runs up to socle + 1, the
-    # last degree whose target (R/I)_{d-1} is non-empty
-    ctx = RingCtx(4)
-    nest = Nesting([family_I1(ctx, fld, 2), family_I2(ctx, fld)])
-    theta = theta_blocks(nest)[0]
-    changed = 0
+def _changed(tables, k, d, row, col, fld):
+    """A copy of the tables with 1 subtracted at (row, col) of tables[k][d]."""
+    bad = [dict(table) for table in tables]
+    p, s, t = tables[k][d]
+    bad[k][d] = (p.sub(Mat.from_entries(fld, p.nrows, p.ncols, [(row, col, 1)])), s, t)
+    return bad
+
+
+def _changed_entries(nest):
+    """(ideal index k, degree d, basis row r) with row r of I_d's basis in
+    R_1 * I_{d-1}, so that the relation out of degree d - 1 sees a change on
+    that row; d runs up to socle + 1, the last degree whose target
+    (R/I)_{d-1} is non-empty."""
+    out = []
     for k, ideal in enumerate(nest.ideals):
         for d in range(ideal.order + 1, ideal.socle_degree + 2):
             assert ideal.qdim(d - 1) > 0
             r = next(i for i, p in enumerate(ideal.pivots[d])
                      if p not in ideal.gen_pivots[d])
-            block = theta[k][d]
-            bad = [dict(blocks) for blocks in theta]
-            bad[k][d] = block.sub(Mat.from_entries(fld, block.nrows, block.ncols,
-                                                   [(r, 0, 1)]))
-            assert not check_tangent_blocks(nest, -1, bad)
-            changed += 1
+            out.append((k, d, r))
+    return out
+
+
+@pytest.mark.parametrize("fld", [QQ, FP], ids=["QQ", "F32003"])
+def test_check_tangent_blocks_rejects_a_changed_entry(fld):
+    # one changed entry of the first derivation's block (r, 0) of I_d
+    ctx = RingCtx(4)
+    nest = Nesting([family_I1(ctx, fld, 2), family_I2(ctx, fld)])
+    tables = theta_tables(nest)
+    changed = 0
+    for k, d, r in _changed_entries(nest):
+        t = tables[k][d][2]
+        assert not check_tangent_blocks(nest, _changed(tables, k, d, 0, r * t, fld))
+        changed += 1
     assert changed >= 2
+
+
+@pytest.mark.parametrize("fld", [QQ, FP], ids=["QQ", "F32003"])
+def test_check_tangent_blocks_rejects_one_bad_row_among_valid_ones(fld):
+    # every row is checked: a change in any single row fails the whole table,
+    # while the other n - 1 rows stay valid derivations
+    ctx = RingCtx(4)
+    nest = Nesting([family_I1(ctx, fld, 2), family_I2(ctx, fld)])
+    tables = theta_tables(nest)
+    assert check_tangent_blocks(nest, tables)
+    k, d, r = _changed_entries(nest)[-1]
+    t = tables[k][d][2]
+    for row in range(ctx.n):
+        bad = _changed(tables, k, d, row, r * t + t - 1, fld)
+        assert not check_tangent_blocks(nest, bad)
+        others = [i for i in range(ctx.n) if i != row]
+        rest = [{e: (p.take_rows(others), *shape) for e, (p, *shape) in table.items()}
+                for table in bad]
+        assert check_tangent_blocks(nest, rest)
+    # rows 0 and 1 swapped in the lower ideal only: each ideal's rows still
+    # commute with every x_j, and only the nesting link sees the swap
+    swap = [1, 0] + list(range(2, ctx.n))
+    lower = {e: (p.take_rows(swap), *shape) for e, (p, *shape) in tables[1].items()}
+    assert check_tangent_blocks(Nesting([nest.ideals[1]]), [lower])
+    assert not check_tangent_blocks(nest, [tables[0], lower])
 
 
 FIXTURE_NESTS = [
