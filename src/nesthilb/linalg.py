@@ -13,19 +13,25 @@ Two backends share one matrix interface:
   denominators of the rows an input row reads, and accumulates integers;
   ``sub``, ``transpose`` and the column selections likewise.  Fractions
   (``mpq``) appear only at the interface: the builders take ints and
-  Fractions (``to_field``), and ``row_items`` and ``to_lists`` return
-  Fractions.  Elimination runs fraction-free on the primitive parts of the
-  numerator rows, in the sense of Bareiss (Math. Comp. 22, 1968): a pivot
-  row clears a row by cross-multiplication, and the result is divided by its
-  content again.  A finished row of ``rref`` is stored as its numerators
+  Fractions (``to_field``), and ``row_items`` returns Fractions.
+  Elimination runs fraction-free on the primitive parts of the numerator
+  rows, in the sense of Bareiss (Math. Comp. 22, 1968): a pivot row clears a
+  row by cross-multiplication, and the result is divided by its content
+  again.  A finished row of ``rref`` is stored as its numerators
   over its pivot entry; the reduced echelon form is canonical, so it is the
   one fraction arithmetic gives.  Scaling a row does not change the rank, so
-  ``rank`` reads the numerators and ignores ``dens``.  It runs the forward
-  pass only, after one exact shortcut: it reduces the numerators mod
-  ``DEFAULT_PRIME`` and returns their rank there if it is min(nonzero rows,
-  columns).  A minor that vanishes over QQ vanishes mod p, so the rank mod p
-  is at most the rank over QQ, which is at most that minimum; below it the
-  integer forward pass decides.
+  ``rank`` reads the numerators and ignores ``dens``, and settles it mod
+  primes where it can (``_modular_rank``).  A minor that vanishes over QQ
+  vanishes mod p, so the rank r_p mod p is at most the rank over QQ: if r_p
+  is min(nonzero rows, columns), it is the rank.  Otherwise the reduced
+  kernel mod p, of the rows or of their transpose, is lifted to QQ by CRT
+  over a fixed short list of primes near 2^26.5 and rational
+  reconstruction (Wang, SYMSAC 1981), and checked exactly: if the rows
+  annihilate the lifted kernel, whose identity block on the free columns
+  makes its vectors independent, the rank is at most r_p, so it is r_p.
+  The kernels mod p take the dense path, never sparse rows, on which a
+  constraint matrix a few percent nonzero fills in.  No step guesses: where
+  no kernel lifts and checks, the integer forward pass decides.
 * GF(p) -- dense numpy int64 arrays with entries reduced to [0, p).  An
   elimination picks its path by density.  At most 1/20 of the entries
   nonzero (``Mat._on_sparse_rows``), it reads the rows off the array as
@@ -72,7 +78,7 @@ import heapq
 import operator
 from dataclasses import dataclass
 from fractions import Fraction as mpq
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -179,7 +185,7 @@ class Mat:
     Rational data lives in ``self.rows`` (list of ``{col: int}`` numerators)
     over ``self.dens`` (one denominator per row, lowest terms), prime-field
     data in ``self.arr`` (2-d int64 ndarray).  The storage format is private
-    to this module: other code reads entries through ``row_items``/``to_lists``.
+    to this module: other code reads entries through ``row_items``.
     Do not mutate after handing a matrix to other code; rows may be shared
     between matrices.
     """
@@ -360,17 +366,6 @@ class Mat:
             return all(not r for r in self.rows)
         return not self.arr.any()
 
-    def to_lists(self) -> list[list]:
-        if self.field.is_rational:
-            out = []
-            for i in range(self.nrows):
-                r = [mpq(0)] * self.ncols
-                for j, v in self.row_items(i).items():
-                    r[j] = v
-                out.append(r)
-            return out
-        return [[int(v) for v in row] for row in self.arr]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat) or self.field != other.field:
             return NotImplemented
@@ -450,21 +445,13 @@ class Mat:
         # forward pass only, in place, with the shorter side as columns
         if not self.field.is_rational:
             a = self.arr.T if self.ncols > self.nrows else self.arr
-            return len(_eliminate_p(np.array(a, order="C"), self.field.p, back=False))
-        # scaling a row keeps its rank: the numerators stand for the rows.  An
-        # integer matrix has rank mod p at most its rank over QQ, and no rank
-        # exceeds full: a full rank mod p is the rank over QQ
+            return len(_forward_p(np.array(a, order="C"), self.field.p))
+        # scaling a row keeps its rank: the numerators stand for the rows
         rows = [r for r in self.rows if r]
-        full = min(len(rows), self.ncols)
-        tall = len(rows) >= self.ncols
-        a = np.zeros((len(rows), self.ncols) if tall else (self.ncols, len(rows)), np.int64)
-        for i, r in enumerate(rows):
-            for j, v in r.items():
-                a[(i, j) if tall else (j, i)] = v % DEFAULT_PRIME
-        if len(_eliminate_p(a, DEFAULT_PRIME, back=False)) == full:
-            return full
-        del a  # the integer forward pass reads the rows only
-        return len(_rref_rows(self._fresh_rows(), False, None)[1])
+        rank = _modular_rank(rows, self.ncols)
+        if rank is None:
+            rank = len(_rref_rows(self._fresh_rows(), False, None)[1])
+        return rank
 
     def _column_split(self) -> tuple[list[int], list[int], "Mat"]:
         """Split the columns of self into independent columns J, chosen
@@ -699,6 +686,122 @@ def _non_pivots(n: int, pivots: list[int]) -> list[int]:
     return [c for c in range(n) if c not in pivset]
 
 
+# the largest primes FieldSpec accepts (p^2 < 2^53), descending: the QQ rank
+# reads its ranks and kernels mod these (_modular_rank)
+_LIFT_PRIMES = (94906249, 94906247, 94906219, 94906213, 94906171, 94906169,
+                94906153, 94906151, 94906139, 94906127, 94906099, 94906069)
+
+
+def _modular_rank(rows: list[dict[int, int]], ncols: int) -> int | None:
+    """The rank over QQ of the nonzero integer rows, settled mod primes, or
+    None if the primes of ``_LIFT_PRIMES`` do not settle it.
+
+    A minor that vanishes over QQ vanishes mod p, so the rank mod p is at
+    most the rank over QQ.  A side is the rows, for the right kernel, or
+    their transpose, for the left kernel; mod each prime in turn, each side
+    is reduced on the dense path, the side with fewer columns first.  Its
+    forward pass is the first test: a rank mod p of min(rows, columns) is
+    the rank over QQ, which is at most that.  Otherwise, with R the rref and
+    P its pivots, the free column f gives the kernel vector v_f = e_f -
+    sum_i R[i, f] e_{P[i]}.  The residues of R[:, free] are combined by CRT
+    over the primes so far and lifted by rational reconstruction to N / D,
+    so that W = D * K is an integer matrix.  If the rows M of the side give
+    M @ W = 0 exactly, the rank is len(P): W is D times the identity on the
+    free columns, so its columns are independent and the rank over QQ is at
+    most len(P), the rank mod p.  A side whose pivots change at a later
+    prime is dropped."""
+    full = min(len(rows), ncols)
+    first = len(rows) < ncols  # the left side has fewer columns
+    widths = {left: len(rows) if left else ncols for left in (first, not first)}
+    lifts: dict[bool, tuple[list[int], list[list[int]]]] = {}  # pivots, residues
+    modulus = 1
+    for p in _LIFT_PRIMES:
+        for left in list(widths):
+            a = _to_array(rows, ncols, left, p)
+            piv = _forward_p(a, p)
+            if len(piv) == full:
+                return full
+            if modulus > 1 and lifts[left][0] != piv:
+                del widths[left]
+                continue
+            _back_p(a, p, piv)
+            free = _non_pivots(widths[left], piv)
+            res = a[:len(piv), free].tolist()
+            del a
+            if modulus > 1:
+                res = _crt(lifts[left][1], modulus, res, p)
+            lifts[left] = piv, res
+            lifted = _reconstruct(res, modulus * p)
+            if lifted is None:
+                continue
+            side = Mat(QQ, len(rows), ncols, rows=rows, dens=[1] * len(rows))
+            if _annihilates((side.transpose() if left else side).rows, piv, free, *lifted):
+                return len(piv)
+        modulus *= p
+    return None
+
+
+def _crt(res: list[list[int]], m: int, new: list[list[int]], p: int) -> list[list[int]]:
+    """The residues mod m * p that are res mod m and new mod p."""
+    inv = pow(m, -1, p)
+    return [[x + m * ((y - x) * inv % p) for x, y in zip(r, s)] for r, s in zip(res, new)]
+
+
+def _reconstruct(res: list[list[int]], m: int) -> tuple[list[list[int]], int] | None:
+    """Integers N and one denominator D > 0 with N = D * res mod m, or None.
+
+    Each entry must be n / d with |n| and d at most sqrt(m / 2), Wang's
+    bound, under which n / d is unique; D is the lcm of the d, built as it
+    goes, and must stay within the bound too.  An entry whose residue times
+    the D so far is already within it needs no reconstruction."""
+    bound = isqrt(m // 2)
+    den = 1
+    out = []  # (numerator, the denominator it is over)
+    for row in res:
+        nums = []
+        for x in row:
+            b = x * den % m
+            if b > bound:
+                b -= m
+                if -b > bound:
+                    nd = _ratrecon(x, m, bound)
+                    if nd is None:
+                        return None
+                    b, d = nd
+                    den = lcm(den, d)
+                    if den > bound:
+                        return None
+                    b *= den // d
+            nums.append((b, den))
+        out.append(nums)
+    return [[b * (den // d) for b, d in nums] for nums in out], den
+
+
+def _ratrecon(b: int, m: int, bound: int) -> tuple[int, int] | None:
+    """n / d = b mod m with |n| <= bound, 0 < d <= bound and gcd(n, d) = 1,
+    from the extended Euclidean remainders of (m, b); None if there is none."""
+    r0, r1, t0, t1 = m, b, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if t1 > bound or gcd(r1, t1) != 1:
+        return None
+    return r1, t1
+
+
+def _annihilates(rows: list[dict[int, int]], piv: list[int], free: list[int],
+                 nums: list[list[int]], den: int) -> bool:
+    """Whether rows @ W = 0 exactly, for W the kernel candidate of
+    ``_modular_rank``: column k is den at free[k] and -nums[i][k] at piv[i]."""
+    w = {c: {k: -v for k, v in enumerate(row) if v} for c, row in zip(piv, nums)}
+    w.update((f, {k: den}) for k, f in enumerate(free))
+    prod, _ = _sparse_mul(rows, [1] * len(rows), w, dict.fromkeys(w, 1))
+    return not any(prod)
+
+
 # ---------------------------------------------------------------- GF(p) kernel
 
 
@@ -707,12 +810,15 @@ def _non_pivots(n: int, pivots: list[int]) -> list[int]:
 _SPARSE_RATIO = 20
 
 
-def _to_array(rows: list[dict[int, int]], ncols: int, transposed: bool = False) -> np.ndarray:
-    """The int64 array with the rows {col: v}, or its transpose."""
+def _to_array(rows: list[dict[int, int]], ncols: int, transposed: bool = False,
+              p: int | None = None) -> np.ndarray:
+    """The int64 array with the rows {col: v}, or its transpose; with p the
+    integer entries are reduced mod p."""
     ii = [i for i, r in enumerate(rows) for _ in range(len(r))]
     jj = [j for r in rows for j in r]
     out = np.zeros((ncols, len(rows)) if transposed else (len(rows), ncols), np.int64)
-    out[(jj, ii) if transposed else (ii, jj)] = [v for r in rows for v in r.values()]
+    vals = [v for r in rows for v in r.values()]
+    out[(jj, ii) if transposed else (ii, jj)] = vals if p is None else [v % p for v in vals]
     return out
 
 
@@ -725,18 +831,15 @@ def _flush_interval(p: int) -> int:
     return ((1 << 63) - 1 - p) // ((p - 1) ** 2)
 
 
-def _eliminate_p(a: np.ndarray, p: int, back: bool) -> list[int]:
-    """Eliminate the int64 array a (entries in [0, p)) in place and reduce it.
+def _forward_p(a: np.ndarray, p: int) -> list[int]:
+    """Forward pass on the int64 array a (entries in [0, p)), in place.
 
-    Forward pass: the pivot of column c is the first row at or below the
-    current one with a nonzero entry there, and it clears the rows below it.
-    Only the pivot column and the pivot row are reduced mod p at each step;
-    the other rows take the update unreduced, and the live block is reduced
-    every ``_flush_interval(p)`` steps and once at the end.  With ``back`` a
-    second pass clears each pivot column above its pivot, bottom pivot first,
-    which gives the reduced echelon form Gauss-Jordan gives.  Returns the
-    pivot columns; the rows past them are zero.
-    """
+    The pivot of column c is the first row at or below the current one with a
+    nonzero entry there, made monic, and it clears the rows below it.  Only
+    the pivot column and the pivot row are reduced mod p at each step; the
+    other rows take the update unreduced, and the live block is reduced every
+    ``_flush_interval(p)`` steps and the whole array once at the end.
+    Returns the pivot columns; the rows past them are zero."""
     m, n = a.shape
     flush = _flush_interval(p)
     steps = 0  # elimination steps since the last full reduction
@@ -767,24 +870,33 @@ def _eliminate_p(a: np.ndarray, p: int, back: bool) -> list[int]:
         if steps == flush:
             a[r:, c + 1:] %= p
             steps = 0
-    if back:
-        for k in range(r - 1, 0, -1):
-            c = pivots[k]
-            f = a[:k, c] % p
-            above = np.flatnonzero(f)
-            if above.size:
-                a[above, c:] -= np.outer(f[above], a[k, c:] % p)
-            steps += 1
-            if steps == flush:
-                a[:k] %= p
-                steps = 0
     a %= p
     return pivots
 
 
+def _back_p(a: np.ndarray, p: int, pivots: list[int]) -> None:
+    """Back pass on the output of ``_forward_p``, in place: each pivot column
+    is cleared above its pivot, bottom pivot first, with the same deferred
+    reduction.  The result is the reduced echelon form Gauss-Jordan gives."""
+    flush = _flush_interval(p)
+    steps = 0
+    for k in range(len(pivots) - 1, 0, -1):
+        c = pivots[k]
+        f = a[:k, c] % p
+        above = np.flatnonzero(f)
+        if above.size:
+            a[above, c:] -= np.outer(f[above], a[k, c:] % p)
+        steps += 1
+        if steps == flush:
+            a[:k] %= p
+            steps = 0
+    a %= p
+
+
 def _rref_p(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     a = np.mod(arr, p)
-    pivots = _eliminate_p(a, p, back=True)
+    pivots = _forward_p(a, p)
+    _back_p(a, p, pivots)
     # the rows past the rank are zero; a kept basis must not pin them
     r = len(pivots)
     return (a if r == len(a) else a[:r].copy()), pivots

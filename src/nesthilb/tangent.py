@@ -225,8 +225,7 @@ def _solve(chains, links, e: int) -> int:
         table, cons, q = _process_chain(src, tgt, e, q)
         tables.append(table)
         cons_blocks.extend(cons)
-    # a link block with no parameter rows still adds its zero constraint rows
-    cons_blocks.extend(b.transpose() for b in _link_blocks(links, tables, e))
+    cons_blocks.extend(b.transpose() for b in _link_blocks(links, tables, e) if b.nrows)
     padded = [_pad_cols(b, q) for b in cons_blocks if b.nrows]
     cons = Mat.vstack(fld, padded, q) if padded else Mat.zeros(fld, 0, q)
     return q - cons.rank() if cons.nrows else q

@@ -13,6 +13,8 @@ from nesthilb.parsing import parse_polynomial
 from nesthilb.ring import RingCtx, scatter_rows
 from nesthilb.verify import sharpness_ideal
 
+from mat_lists import to_lists
+
 FP = FieldSpec.prime(32003)
 
 
@@ -181,8 +183,8 @@ def test_generic_trivial_and_infeasible_cases():
 def test_generic_ideal_deterministic_across_fields():
     qq = generic_ideal_with_hilbert_function(RingCtx(3), QQ, (1, 3, 4), seed=5)
     fp = generic_ideal_with_hilbert_function(RingCtx(3), FP, (1, 3, 4), seed=5)
-    a = qq.bases[2].to_lists()
-    b = fp.bases[2].to_lists()
+    a = to_lists(qq.bases[2])
+    b = to_lists(fp.bases[2])
     assert len(a) == len(b)  # same shape; entries agree after reduction
 
 

@@ -3,7 +3,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nesthilb import linalg
 from nesthilb.ideals import Nesting, generic_ideal_with_hilbert_function
@@ -11,6 +11,8 @@ from nesthilb.linalg import (DEFAULT_PRIME, FieldSpec, LinalgError, Mat, QQ,
                              left_mul_vecrows, right_mul_vecrows)
 from nesthilb.ring import RingCtx
 from nesthilb.tangent import nested_tangent_graded
+
+from mat_lists import to_lists
 
 FP = FieldSpec.prime(DEFAULT_PRIME)
 
@@ -27,20 +29,23 @@ def test_rank_examples(fld):
 
 
 def test_rational_rank_where_the_prime_divides_an_entry_denominator_or_minor():
-    # QQ rank first tries the rank mod DEFAULT_PRIME of the integer rows; it
-    # must fall back wherever that rank drops, and clear denominators first
-    p = DEFAULT_PRIME
-    assert Mat.from_rows(QQ, [[p]]).rank() == 1
-    assert Mat.from_rows(QQ, [[Fraction(1, p), 1], [0, 1]]).rank() == 2
-    assert Mat.from_rows(QQ, [[1, 1], [1, p + 1]]).rank() == 2
-    assert Mat.from_rows(QQ, [[0, 0], [p, 2 * p], [0, 0], [Fraction(-1, p), 0]]).rank() == 2
+    # QQ rank first tries the rank mod the first lift prime of the integer
+    # rows; it must look further wherever that rank drops, and clear
+    # denominators first.  For [[p]] with p that prime, the kernel mod p is
+    # spanned by (1), which lifts to 1 but is no kernel vector over QQ: only
+    # the exact check M @ W = 0 rejects it
+    for p in (DEFAULT_PRIME, linalg._LIFT_PRIMES[0]):
+        assert Mat.from_rows(QQ, [[p]]).rank() == 1
+        assert Mat.from_rows(QQ, [[Fraction(1, p), 1], [0, 1]]).rank() == 2
+        assert Mat.from_rows(QQ, [[1, 1], [1, p + 1]]).rank() == 2
+        assert Mat.from_rows(QQ, [[0, 0], [p, 2 * p], [0, 0], [Fraction(-1, p), 0]]).rank() == 2
 
 
 @pytest.mark.parametrize("fld", [QQ, FP])
 def test_kernel_examples(fld):
     k = Mat.from_rows(fld, [[1, 1]]).kernel_basis()
     assert k.nrows == 1
-    assert k.to_lists()[0][0] == 1  # echelon-normalised leading one
+    assert to_lists(k)[0][0] == 1  # echelon-normalised leading one
     assert Mat.vstack(fld, [k, Mat.from_rows(fld, [[1, -1]])], 2).rank() == 1
     assert Mat.from_rows(fld, [[1, 1], [0, 1]]).kernel_basis().nrows == 0
     assert Mat.zeros(fld, 2, 3).kernel_basis().nrows == 3
@@ -48,7 +53,7 @@ def test_kernel_examples(fld):
 
 def test_kernel_canonical_form_over_qq():
     k = Mat.from_rows(QQ, [[1, 1]]).kernel_basis()
-    assert k.to_lists() == [[1, -1]]
+    assert to_lists(k) == [[1, -1]]
 
 
 def test_field_spec_parse():
@@ -108,7 +113,7 @@ def test_rref_with_transform_reconstructs():
     m = Mat.from_rows(QQ, [[2, 4, 6], [0, 1, 1]])
     red, piv, s = m.rref_with_transform()
     assert piv == [0, 1]
-    assert red.to_lists() == [[1, 0, 1], [0, 1, 1]]
+    assert to_lists(red) == [[1, 0, 1], [0, 1, 1]]
     assert (s.nrows, s.ncols) == (2, 2)
     assert s.matmul(m) == red
 
@@ -170,7 +175,7 @@ def test_vecrow_helpers_match_direct_products(fld, case, q):
 
     def check(got, want, ncols):
         assert (got.nrows, got.ncols) == (len(want), ncols)
-        assert got.to_lists() == _in_field(want, fld)
+        assert to_lists(got) == _in_field(want, fld)
         assert all(v != 0 for i in range(got.nrows) for v in got.row_items(i).values())
 
     lb, tl = _dense_mul(lam, b, t2), _dense_mul(tr, lam, t)
@@ -227,7 +232,7 @@ def test_rational_storage_matches_fraction_reference(data, s, t, t2, nt, q):
     def check(got, want, ncols):
         _assert_stored_form(got)
         assert (got.nrows, got.ncols) == (len(want), ncols)
-        assert got.to_lists() == want
+        assert to_lists(got) == want
         assert got == Mat.from_rows(QQ, want, ncols=ncols)  # one stored form
 
     m_lam, m_b, m_tr = mat(lam, t), mat(b, t2), mat(tr, s)
@@ -295,8 +300,8 @@ def test_entries_are_exact_or_refused(fld):
     want = Fraction(1, 2) if fld.is_rational else 4
     for build in (lambda v: Mat.from_rows(fld, [[v]]),
                   lambda v: Mat.from_entries(fld, 1, 1, [(0, 0, v)])):
-        assert build(Fraction(1, 2)).to_lists() == [[want]]
-        assert build(np.int64(9)).to_lists() == [[9 if fld.is_rational else 2]]
+        assert to_lists(build(Fraction(1, 2))) == [[want]]
+        assert to_lists(build(np.int64(9))) == [[9 if fld.is_rational else 2]]
         bad = [2.5, 0.1, 2.0, np.float64(1.0), "1/2"]
         if not fld.is_rational:
             bad.append(Fraction(3, 14))
@@ -315,14 +320,14 @@ def test_entries_are_exact_or_refused(fld):
 def test_remap_cols():
     m = Mat.from_rows(QQ, [[1, 2, 3]])
     out = m.remap_cols(5, [(0, 4), (2, 0)])
-    assert out.to_lists() == [[3, 0, 0, 0, 1]]
+    assert to_lists(out) == [[3, 0, 0, 0, 1]]
 
 
 def test_matmul_mod_exact_on_large_products():
     fld = FP
     a = Mat.from_rows(fld, [[DEFAULT_PRIME - 1] * 50])
     b = Mat.from_rows(fld, [[DEFAULT_PRIME - 1]] * 50)
-    got = a.matmul(b).to_lists()[0][0]
+    got = to_lists(a.matmul(b))[0][0]
     assert got == (50 * (DEFAULT_PRIME - 1) ** 2) % DEFAULT_PRIME
 
 
@@ -395,10 +400,10 @@ def _check_against_reference(rows, ncols, p):
     red, piv = m.rref()
     want_red, want_piv = _ref_rref(rows, ncols, p)
     assert piv == want_piv
-    assert red.to_lists() == want_red
+    assert to_lists(red) == want_red
     assert m.rank() == len(want_piv)
     ker = m.kernel_basis()
-    assert ker.to_lists() == _ref_kernel(rows, ncols, p)
+    assert to_lists(ker) == _ref_kernel(rows, ncols, p)
     for out in (m, red, ker):
         _assert_stored_form(out)
     if len(want_piv) < len(rows):  # rank-deficient, zero rows, or no columns
@@ -407,14 +412,14 @@ def _check_against_reference(rows, ncols, p):
         return
     r_mat, t_piv, t_mat = m.rref_with_transform()
     assert t_piv == want_piv
-    assert r_mat.to_lists() == want_red
-    assert t_mat.to_lists() == _ref_rref_with_transform(rows, ncols, p)[2]
+    assert to_lists(r_mat) == want_red
+    assert to_lists(t_mat) == _ref_rref_with_transform(rows, ncols, p)[2]
     _assert_stored_form(r_mat)
     _assert_stored_form(t_mat)
     # the contract: T is square in the rank, invertible, and T @ m = R
     assert (t_mat.nrows, t_mat.ncols) == (len(rows), len(rows))
-    assert t_mat.matmul(m).to_lists() == want_red
-    assert len(_ref_rref(t_mat.to_lists(), len(rows), p)[1]) == len(rows)
+    assert to_lists(t_mat.matmul(m)) == want_red
+    assert len(_ref_rref(to_lists(t_mat), len(rows), p)[1]) == len(rows)
 
 
 BIG = 1 << 300  # about the size of the entries tnt_qq's generic ideals produce
@@ -422,15 +427,16 @@ BIG = 1 << 300  # about the size of the entries tnt_qq's generic ideals produce
 
 def _entries(p):
     if p is None:  # integers and fractions, small and of about 300 bits
-        # multiples of DEFAULT_PRIME, and fractions over it, send the rational
-        # rank past its mod-p shortcut
-        q = DEFAULT_PRIME
+        # multiples of the first lift prime, and fractions over it, send the
+        # rational rank past its mod-p shortcut; DEFAULT_PRIME gives more
+        # such structured entries
+        qs = (DEFAULT_PRIME, linalg._LIFT_PRIMES[0])
         integer = st.one_of(st.integers(-9, 9), st.integers(-BIG, BIG),
-                            st.sampled_from([-1, q, -q, 2 * q, q + 1]),
-                            st.builds(lambda k: k * q, st.integers(-BIG, BIG)))
+                            st.sampled_from([-1] + [v for q in qs for v in (q, -q, 2 * q, q + 1)]),
+                            st.builds(lambda k, q: k * q, st.integers(-BIG, BIG), st.sampled_from(qs)))
         return st.one_of(st.just(0), integer, st.builds(
             Fraction, integer, st.one_of(st.integers(1, 9), st.integers(1, BIG),
-                                         st.sampled_from([q, q * q]))))
+                                         st.sampled_from([d for q in qs for d in (q, q * q)]))))
     return st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
 
 
@@ -486,6 +492,62 @@ def test_rational_elimination_matches_python_reference(case):
     _check_against_reference(*case)
 
 
+def _lift_integers():
+    """Integers small and of about 300 bits, and multiples of the lift
+    primes, which make the rank mod a prime drop below the rank over QQ."""
+    primes = linalg._LIFT_PRIMES
+    coeff = st.one_of(st.integers(-9, 9), st.integers(-BIG, BIG))
+    return st.one_of(coeff, st.sampled_from([primes[0], -primes[1], primes[0] * primes[1]]),
+                     st.builds(lambda k, q: k * q, coeff, st.sampled_from(primes[:3])))
+
+
+@st.composite
+def deficient_products(draw):
+    """B @ C for random integer matrices B (m x k) and C (k x n), so that the
+    rank is at most k: zero for k = 0, and empty shapes for m or n = 0."""
+    m, n, k = draw(st.integers(0, 8)), draw(st.integers(0, 8)), draw(st.integers(0, 4))
+    entry = draw(st.sampled_from([st.integers(-3, 3), st.integers(-BIG, BIG), _lift_integers()]))
+    b = [[draw(entry) for _ in range(k)] for _ in range(m)]
+    c = [[draw(entry) for _ in range(n)] for _ in range(k)]
+    return [[sum(b[i][t] * c[t][j] for t in range(k)) for j in range(n)] for i in range(m)], n
+
+
+def test_rational_rank_matches_the_integer_forward_pass(monkeypatch):
+    # the QQ rank settled mod primes (full rank, or a kernel lifted to QQ and
+    # checked there) against the integer forward pass it falls back to; the
+    # draws reach both the checked lift and the fallback
+    forward_pass = linalg._rref_rows
+    annihilates, modular_rank = linalg._annihilates, linalg._modular_rank
+    calls = {"checked": 0, "fallback": 0}
+
+    def counted_check(*args):
+        ok = annihilates(*args)
+        calls["checked"] += ok
+        return ok
+
+    def counted_rank(*args):
+        rank = modular_rank(*args)
+        calls["fallback"] += rank is None
+        return rank
+
+    monkeypatch.setattr(linalg, "_annihilates", counted_check)
+    monkeypatch.setattr(linalg, "_modular_rank", counted_rank)
+
+    @settings(max_examples=200, deadline=None)
+    @given(deficient_products())
+    @example(([[1, 2], [2, 4]], 2))  # kernels (-2, 1) on both sides lift
+    # rank 1, with kernels (-v1/v0, 1) and (-u1/u0, 1) of about 300-bit
+    # fractions on both sides, beyond what the lift primes reconstruct
+    @example(([[u * v for v in (5 ** 130, 7 ** 107)] for u in (2 ** 300 + 1, 3 ** 190)], 2))
+    def agrees(case):
+        rows, ncols = case
+        m = Mat.from_rows(QQ, rows, ncols)
+        assert m.rank() == len(forward_pass(m._fresh_rows(), False, None)[1])
+
+    agrees()
+    assert calls["checked"] > 0 and calls["fallback"] > 0
+
+
 def _boundary_matrix(kind: str, p: int, size: int = 1100) -> list[list[int]]:
     a = np.eye(size, dtype=np.int64)
     last = size - 1
@@ -515,14 +577,14 @@ def test_deferred_reduction_survives_int64_at_the_largest_prime(kind):
     m = Mat.from_rows(FieldSpec.prime(p), rows)
     assert m.rank() == len(want_piv)
     red, piv = m.rref()
-    assert piv == want_piv and red.to_lists() == want_red
+    assert piv == want_piv and to_lists(red) == want_red
     # the transform needs full row rank: row `last` is dependent in both
     rows = rows[:-1]
     r_mat, t_piv, t_mat = Mat.from_rows(FieldSpec.prime(p), rows).rref_with_transform()
     want_r, want_t_piv, want_t = _ref_rref_with_transform(rows, len(rows) + 1, p)
     assert len(want_t_piv) == len(rows)
-    assert t_piv == want_t_piv and r_mat.to_lists() == want_r
-    assert t_mat.to_lists() == want_t
+    assert t_piv == want_t_piv and to_lists(r_mat) == want_r
+    assert to_lists(t_mat) == want_t
 
 
 def _check_split_against_reference(rows, ncols, p):
@@ -544,7 +606,7 @@ def _check_split_against_reference(rows, ncols, p):
     _assert_stored_form(c)
     red, piv, s = e_j.rref_with_transform()
     assert piv == want_piv
-    assert s.matmul(e_j).to_lists() == want_red == red.to_lists()
+    assert to_lists(s.matmul(e_j)) == want_red == to_lists(red)
 
 
 @settings(max_examples=200, deadline=None)
@@ -582,9 +644,10 @@ def test_prime_field_eliminations_take_both_paths(kind, monkeypatch):
 @pytest.mark.parametrize("e, shape, rank", [(-1, (74, 54), 32), (-2, (427, 27), 27)])
 def test_captured_constraint_matrices_match_python_reference(e, shape, rank, monkeypatch):
     # the constraint matrices of a generic (1,4,7,2) ideal over QQ, entries of
-    # about 300 bits: at e = -1 the rank is short of full (fallback path), at
-    # e = -2 it is full (mod-p shortcut).  The solve ends in the one Mat.rank
-    # call on its constraint matrix, which captures it
+    # about 300 bits: at e = -1 the rank is short of full (its left kernel
+    # lifts from several primes and is checked), at e = -2 it is full (mod-p
+    # shortcut).  The solve ends in the one Mat.rank call on its constraint
+    # matrix, which captures it
     ideal = generic_ideal_with_hilbert_function(RingCtx(4), QQ, (1, 4, 7, 2), seed=3)
     captured = []
     mat_rank = Mat.rank
@@ -593,9 +656,9 @@ def test_captured_constraint_matrices_match_python_reference(e, shape, rank, mon
     monkeypatch.undo()
     (cons,) = captured
     assert (cons.nrows, cons.ncols) == shape
-    rows = cons.to_lists()
+    rows = to_lists(cons)
     want_red, want_piv = _ref_rref(rows, cons.ncols, None)
     assert len(want_piv) == rank == cons.rank()
     red, piv = cons.rref()
-    assert piv == want_piv and red.to_lists() == want_red
-    assert cons.kernel_basis().to_lists() == _ref_kernel(rows, cons.ncols, None)
+    assert piv == want_piv and to_lists(red) == want_red
+    assert to_lists(cons.kernel_basis()) == _ref_kernel(rows, cons.ncols, None)

@@ -6,6 +6,8 @@ from nesthilb.parsing import parse_polynomial
 from nesthilb.ring import (HomogeneousElement, RingCtx, mult_map, scatter_rows,
                            variable_action_matrices)
 
+from mat_lists import to_lists
+
 FP = FieldSpec.prime(32003)
 
 
@@ -49,11 +51,11 @@ def test_mult_map_examples():
 def test_variable_actions_and_commutation():
     ctx1 = RingCtx(1)
     acts = variable_action_matrices(ctx1, QQ, 5)
-    assert acts[0].to_lists() == [[1]]
+    assert to_lists(acts[0]) == [[1]]
 
     ctx2 = RingCtx(2)
     acts0 = variable_action_matrices(ctx2, QQ, 0)
-    assert [a.to_lists() for a in acts0] == [[[1, 0]], [[0, 1]]]
+    assert [to_lists(a) for a in acts0] == [[[1, 0]], [[0, 1]]]
 
     ctx3 = RingCtx(3)
     a = variable_action_matrices(ctx3, QQ, 2)

@@ -2,6 +2,7 @@ import gc
 import json
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -329,3 +330,18 @@ def test_census_retries_error_records_on_resume(tmp_path):
     assert list(census((6, 6), fld=FP, seed=0, store_path=str(store))) == []
     row = census_csv(str(store), "F32003", 0).splitlines()[1].split(",")
     assert row[1 + 2] == f"{clean['gap']}^{clean['t_minus_one']}"
+
+
+def test_rational_census_cell_matches_the_committed_prime_field_record(monkeypatch):
+    # a cross-field oracle: the (13, 2) cell over QQ, whose 1692 x 1174
+    # constraint matrix of rank 1161 takes the lifted kernel, against the
+    # F_32003 record in the committed census store
+    monkeypatch.setattr(strata, "_i2_slot", {})
+    store = Path(__file__).resolve().parents[1] / "runs" / "census_full.jsonl"
+    want = next(r for r in map(json.loads, store.read_text().splitlines())
+                if (r["n"], r["s"]) == (13, 2))
+    got = strata._census_cell(13, 2, QQ, want["seed"]).to_json()
+    assert (want["field"], got["field"]) == ("F32003", "rational")
+    drop = ("field", "elapsed_ms")
+    assert {k: v for k, v in got.items() if k not in drop} == \
+        {k: v for k, v in want.items() if k not in drop}
