@@ -99,9 +99,9 @@ class SubquotientStructure:
         if not bset.issubset(set(a_piv)):
             raise NotNested("pivot sets violate containment")
         self.amb_dim = amb_dim
-        self.b_rref = b_rref
         self.b_piv = list(b_piv)
         self.c_piv = [p for p in a_piv if p not in bset]
+        self.b_tail = b_rref.take_cols(self.c_piv)  # B's basis at the quotient pivots
         keep = [i for i, p in enumerate(a_piv) if p not in bset]
         self.lift = a_rref.take_rows(keep)  # (qdim x amb_dim), canonical section
         self.qdim = len(self.c_piv)
@@ -113,7 +113,7 @@ class SubquotientStructure:
         head = m.take_cols(self.c_piv)
         if not self.b_piv:
             return head
-        return head.sub(m.take_cols(self.b_piv).matmul(self.b_rref.take_cols(self.c_piv)))
+        return head.sub(m.take_cols(self.b_piv).matmul(self.b_tail))
 
 
 class HomogeneousIdeal:

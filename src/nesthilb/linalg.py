@@ -32,13 +32,19 @@ Two backends share one matrix interface:
   The kernels mod p take the dense path, never sparse rows, on which a
   constraint matrix a few percent nonzero fills in.  No step guesses: where
   no kernel lifts and checks, the integer forward pass decides.
-* GF(p) -- dense numpy int64 arrays with entries reduced to [0, p).  An
-  elimination picks its path by density.  At most 1/20 of the entries
-  nonzero (``Mat._on_sparse_rows``), it reads the rows off the array as
-  sparse rows and runs the elimination the rationals run, with a monic
-  pivot row; the relation matrices of the census are below 0.5 % dense, and
-  a dense pass over them spends its time scanning empty columns.  Denser matrices, such
-  as the syzygy matrices of the Betti tables, fill in under sparse
+* GF(p) -- one storage rule, by density.  A matrix with at most 1/20 of
+  its entries nonzero (``_SPARSE_RATIO``) is stored on sparse rows, dicts
+  ``{col: int}`` with entries in [1, p), and ``dens`` None; a denser one as
+  a numpy int64 array with entries in [0, p).  The constructor applies the
+  rule, so the form depends on the entries alone, and every operation
+  builds its result in the form the rule picks: the relation matrices of
+  the census, below 0.1 % nonzero, stay on rows throughout.  A dict row costs
+  about 90 bytes per nonzero against 8 per array cell, so dense matrices,
+  such as the parameter tables of the tangent solves, stay arrays.  The
+  stored form picks the elimination path.  On rows the elimination is the
+  one the rationals run, with a monic pivot row; a dense pass over such a
+  matrix would spend its time scanning empty columns.  Arrays, such as the
+  syzygy matrices of the Betti tables, would fill in under sparse
   elimination, so they take the dense path: a forward pass (one vectorised
   row update per pivot) and, for reduced forms, a back pass over the pivot
   rows.  There reduction mod p is deferred: a step reduces only its pivot
@@ -46,8 +52,8 @@ Two backends share one matrix interface:
   Each update is below p^2 in magnitude, so the live block is reduced every
   K(p) = (2^63 - 1 - p) // (p - 1)^2 steps to stay inside int64 (K = 1024 at
   the largest accepted prime, about 9e9 at 32003, where it never fires) and
-  once at the end.  ``rank`` always takes the dense forward pass, on the
-  transpose when that has fewer columns.
+  once at the end.  ``rank`` always takes the dense forward pass, on a work
+  array of the nonzero rows, transposed when that has fewer columns.
 
 Each question is answered by one elimination.  The sparse path has one body
 for both fields, ``_rref_rows``: rows wait in buckets by their lead column,
@@ -62,9 +68,14 @@ among the rows of a matrix are the split of its transpose.
 ``rref_with_transform`` takes a matrix of full row rank only, so its
 transform is square in the rank: the right half of the reduced ``[self |
 identity]``.  On sparse rows the split builds no dense intermediate: it keys
-column j as n-1-j instead of reversing the matrix.  Each
-field multiplies through one routine, ``_sparse_mul`` or ``_matmul_mod``; the
-vec-row products are products with ``I ⊗ b`` and ``Tᵀ ⊗ I``.
+column j as n-1-j instead of reversing the matrix.  The row bodies of the
+structural operations are shared by both fields; over GF(p) the ones that
+do arithmetic reduce mod p.  Products run on rows (``_sparse_mul``) over QQ,
+and over GF(p) when the left factor is stored on rows and its multiply-adds
+are at most 1/20 of the output's entries (``_few_macs``), so the output is
+stored on rows too; other GF(p) products run on BLAS (``_matmul_mod``) on
+dense work arrays.  The vec-row products are products with ``I ⊗ b`` and
+``Tᵀ ⊗ I``.
 
 Everything is deterministic and exact: reduced row echelon forms are canonical
 for the row space and kernels are returned in reduced echelon form.  The only
@@ -76,6 +87,7 @@ from __future__ import annotations
 
 import heapq
 import operator
+from itertools import chain
 from dataclasses import dataclass
 from fractions import Fraction as mpq
 from math import gcd, isqrt, lcm
@@ -182,38 +194,54 @@ def to_field(fld: FieldSpec, v):
 class Mat:
     """Immutable-by-convention exact matrix over a :class:`FieldSpec`.
 
-    Rational data lives in ``self.rows`` (list of ``{col: int}`` numerators)
-    over ``self.dens`` (one denominator per row, lowest terms), prime-field
-    data in ``self.arr`` (2-d int64 ndarray).  The storage format is private
-    to this module: other code reads entries through ``row_items``.
-    Do not mutate after handing a matrix to other code; rows may be shared
-    between matrices.
+    Entries live in ``self.rows``, one sparse dict ``{col: int}`` per row.
+    Over QQ the values are integer numerators over ``self.dens``, one
+    denominator per row in lowest terms; over GF(p) they are residues in
+    [1, p) and ``dens`` is None.  A GF(p) matrix with more than
+    1/``_SPARSE_RATIO`` of its entries nonzero is stored instead as a 2-d
+    int64 array with entries in [0, p), and ``rows`` is None.  The
+    constructor applies that rule, so the stored form depends on the entries
+    alone and equal matrices store equal data.  ``arr`` reads any GF(p)
+    matrix as an array.  The storage format is private to this module: other
+    code reads entries through ``row_items``.  Do not mutate after handing a
+    matrix to other code; rows may be shared between matrices.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "dens", "arr")
+    __slots__ = ("field", "nrows", "ncols", "rows", "dens", "_arr")
 
     def __init__(self, field: FieldSpec, nrows: int, ncols: int, rows=None, dens=None,
                  arr=None):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = rows
         self.dens = dens
-        self.arr = arr
+        if field.p is not None:  # the storage rule, applied to rows or to an array
+            nnz = sum(map(len, rows)) if arr is None else int(np.count_nonzero(arr))
+            if _sparse(nnz, nrows, ncols):
+                if arr is not None:
+                    rows, arr = _array_rows(arr), None
+            elif arr is None:
+                rows, arr = None, _to_array(rows, ncols)
+        self.rows = rows
+        self._arr = arr
+
+    @property
+    def arr(self) -> np.ndarray:
+        """The GF(p) entries as an int64 array: the stored one, or a new one
+        built from the rows."""
+        return self._arr if self._arr is not None else _to_array(self.rows, self.ncols)
 
     # ---------------------------------------------------------------- builders
 
     @staticmethod
     def zeros(field: FieldSpec, nrows: int, ncols: int) -> "Mat":
-        if field.is_rational:
-            return Mat(field, nrows, ncols, rows=[{} for _ in range(nrows)], dens=[1] * nrows)
-        return Mat(field, nrows, ncols, arr=np.zeros((nrows, ncols), dtype=np.int64))
+        return Mat(field, nrows, ncols, rows=[{} for _ in range(nrows)], dens=_ones(field, nrows))
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Mat":
-        if field.is_rational:
-            return Mat(field, n, n, rows=[{i: 1} for i in range(n)], dens=[1] * n)
-        return Mat(field, n, n, arr=np.eye(n, dtype=np.int64))
+        if field.p is not None and not _sparse(n, n, n):
+            return Mat(field, n, n, arr=np.eye(n, dtype=np.int64))
+        return Mat(field, n, n, rows=[{i: 1} for i in range(n)], dens=_ones(field, n))
 
     @staticmethod
     def from_rows(field: FieldSpec, data: Sequence[Sequence], ncols: int | None = None) -> "Mat":
@@ -225,155 +253,154 @@ class Mat:
         for i, r in enumerate(data):
             if len(r) != ncols:
                 raise LinalgError(f"row {i} has {len(r)} entries, not {ncols}")
-        if field.is_rational:
-            rows, dens = [], []
-            for r in data:
-                vals = {}
-                for j, v in enumerate(r):
-                    if type(v) is not int:
-                        v = to_field(field, v)
-                    if v:
-                        vals[j] = v
-                nums, den = _over_one_den(vals)
-                rows.append(nums)
-                dens.append(den)
-            return Mat(field, nrows, ncols, rows=rows, dens=dens)
-        p = field.p
-        arr = np.zeros((nrows, ncols), dtype=np.int64)
-        for i, r in enumerate(data):
-            for j, v in enumerate(r):
-                arr[i, j] = v % p if type(v) is int else to_field(field, v)
-        return Mat(field, nrows, ncols, arr=arr)
+        return Mat.from_entries(field, nrows, ncols,
+                                ((i, j, v) for i, r in enumerate(data) for j, v in enumerate(r)))
 
     @staticmethod
     def from_entries(field: FieldSpec, nrows: int, ncols: int,
                      entries: Iterable[tuple[int, int, object]]) -> "Mat":
         """Build from (row, col, value) triples; values at one position add up."""
-        if field.is_rational:
-            acc: list[dict] = [{} for _ in range(nrows)]
-            for i, j, v in entries:
-                if type(v) is not int:
-                    v = to_field(field, v)
-                if v:
-                    r = acc[i]
-                    t = r.get(j, 0) + v
-                    if t:
-                        r[j] = t
-                    else:
-                        del r[j]
-            rows = [_over_one_den(r) for r in acc]
-            return Mat(field, nrows, ncols, rows=[r for r, _ in rows], dens=[d for _, d in rows])
-        m = Mat.zeros(field, nrows, ncols)
         p = field.p
+        acc: list[dict] = [{} for _ in range(nrows)]
         for i, j, v in entries:
             if type(v) is not int:
                 v = to_field(field, v)
-            m.arr[i, j] = (m.arr[i, j] + v) % p
-        return m
+            if v:
+                r = acc[i]
+                t = r.get(j, 0) + v
+                if p is not None:
+                    t %= p
+                if t:
+                    r[j] = t
+                else:
+                    r.pop(j, None)
+        if p is not None:
+            return Mat(field, nrows, ncols, rows=acc)
+        pairs = [_over_one_den(r) for r in acc]
+        return Mat(field, nrows, ncols, rows=[r for r, _ in pairs], dens=[d for _, d in pairs])
 
     @staticmethod
     def vstack(field: FieldSpec, mats: Sequence["Mat"], ncols: int) -> "Mat":
-        if field.is_rational:
-            rows, dens = [], []
-            for m in mats:
-                rows.extend(m.rows)
-                dens.extend(m.dens)
-            return Mat(field, len(rows), ncols, rows=rows, dens=dens)
-        arrs = [m.arr for m in mats if m.nrows]
-        if not arrs:
-            return Mat.zeros(field, 0, ncols)
-        return Mat(field, sum(a.shape[0] for a in arrs), ncols, arr=np.vstack(arrs))
+        nrows = sum(m.nrows for m in mats)
+        if field.is_rational or _sparse(sum(m._nnz() for m in mats), nrows, ncols):
+            dens = [d for m in mats for d in m.dens] if field.is_rational else None
+            return Mat(field, nrows, ncols, rows=[r for m in mats for r in m._rows()], dens=dens)
+        out = np.zeros((nrows, ncols), np.int64)
+        at = 0
+        for m in mats:
+            m._fill(out[at:at + m.nrows])
+            at += m.nrows
+        return Mat(field, nrows, ncols, arr=out)
 
     @staticmethod
     def hstack(field: FieldSpec, mats: Sequence["Mat"]) -> "Mat":
-        nrows = mats[0].nrows
-        if field.is_rational:
-            # each part of row i over the lcm of its parts' denominators: some
-            # part has no factor of the lcm left over, so it stays lowest terms
-            rows, dens = [], []
-            for i in range(nrows):
-                den = lcm(*(m.dens[i] for m in mats))
-                row = {}
-                off = 0
-                for m in mats:
-                    f = den // m.dens[i]
-                    for j, v in m.rows[i].items():
-                        row[off + j] = v * f
-                    off += m.ncols
-                rows.append(row)
-                dens.append(den)
-            return Mat(field, nrows, sum(m.ncols for m in mats), rows=rows, dens=dens)
-        return Mat(field, nrows, sum(m.ncols for m in mats),
-                   arr=np.hstack([m.arr for m in mats]))
+        nrows, ncols = mats[0].nrows, sum(m.ncols for m in mats)
+        if not field.is_rational and not _sparse(sum(m._nnz() for m in mats), nrows, ncols):
+            out = np.zeros((nrows, ncols), np.int64)
+            at = 0
+            for m in mats:
+                m._fill(out[:, at:at + m.ncols])
+                at += m.ncols
+            return Mat(field, nrows, ncols, arr=out)
+        if not any(m._nnz() for m in mats[1:]):  # zero columns appended: same rows
+            return Mat(field, nrows, ncols, rows=mats[0]._rows(), dens=mats[0].dens)
+        # each part of row i over the lcm of its parts' denominators: some
+        # part has no factor of the lcm left over, so it stays lowest terms
+        dens = [lcm(*ds) for ds in zip(*(m.dens for m in mats))] if field.is_rational else None
+        rows = [{} for _ in range(nrows)]
+        off = 0
+        for m in mats:
+            for i, r in enumerate(m._rows()):
+                if r:
+                    f = 1 if dens is None else dens[i] // m.dens[i]
+                    vals = r.values() if f == 1 else [v * f for v in r.values()]
+                    rows[i].update(zip(map(off.__add__, r), vals))  # column j goes to off + j
+            off += m.ncols
+        return Mat(field, nrows, ncols, rows=rows, dens=dens)
 
     # ----------------------------------------------------------------- access
 
     def take_rows(self, idx: Sequence[int]) -> "Mat":
-        if self.field.is_rational:
-            return Mat(self.field, len(idx), self.ncols, rows=[self.rows[i] for i in idx],
-                       dens=[self.dens[i] for i in idx])
-        return Mat(self.field, len(idx), self.ncols, arr=self.arr[list(idx)])
+        if self._arr is not None:
+            return Mat(self.field, len(idx), self.ncols, arr=self._arr[list(idx)])
+        dens = None if self.dens is None else [self.dens[i] for i in idx]
+        return Mat(self.field, len(idx), self.ncols, rows=[self.rows[i] for i in idx], dens=dens)
 
     def take_cols(self, idx: Sequence[int]) -> "Mat":
-        if self.field.is_rational:
-            return self.remap_cols(len(idx), [(c, k) for k, c in enumerate(idx)])
-        return Mat(self.field, self.nrows, len(idx), arr=self.arr[:, list(idx)])
+        if self._arr is not None:
+            return Mat(self.field, self.nrows, len(idx), arr=self._arr[:, list(idx)])
+        return self.remap_cols(len(idx), [(c, k) for k, c in enumerate(idx)])
 
     def transpose(self) -> "Mat":
-        if self.field.is_rational:
-            rows = [{} for _ in range(self.ncols)]
-            dens = [1] * self.ncols
-            for i, (r, d) in enumerate(zip(self.rows, self.dens)):
-                for j, v in r.items():
-                    rows[j][i] = v
-                    if d != 1:
-                        dens[j] = lcm(dens[j], d)
-            for j, den in enumerate(dens):  # bring column j over one denominator
-                if den != 1:
-                    rows[j], dens[j] = _lowest_terms(
-                        {i: v * (den // self.dens[i]) for i, v in rows[j].items()}, den)
-            return Mat(self.field, self.ncols, self.nrows, rows=rows, dens=dens)
-        return Mat(self.field, self.ncols, self.nrows, arr=self.arr.T.copy())
+        if self._arr is not None:
+            return Mat(self.field, self.ncols, self.nrows, arr=self._arr.T.copy())
+        rows = [{} for _ in range(self.ncols)]
+        for i, r in enumerate(self.rows):
+            for j, v in r.items():
+                rows[j][i] = v
+        if self.dens is None:
+            return Mat(self.field, self.ncols, self.nrows, rows=rows)
+        dens = [1] * self.ncols
+        for i, d in enumerate(self.dens):
+            if d != 1:
+                for j in self.rows[i]:
+                    dens[j] = lcm(dens[j], d)
+        for j, den in enumerate(dens):  # bring column j over one denominator
+            if den != 1:
+                rows[j], dens[j] = _lowest_terms(
+                    {i: v * (den // self.dens[i]) for i, v in rows[j].items()}, den)
+        return Mat(self.field, self.ncols, self.nrows, rows=rows, dens=dens)
 
     def remap_cols(self, dest_width: int, pairs: Sequence[tuple[int, int]]) -> "Mat":
         """New matrix with column src moved to column dest for each pair; other
         destination columns are zero."""
-        if self.field.is_rational:
-            src2dest = dict(pairs)
-            rows, dens = [], []
-            for r, d in zip(self.rows, self.dens):
-                nums = {src2dest[j]: v for j, v in r.items() if j in src2dest}
-                if d != 1:
-                    nums, d = _lowest_terms(nums, d)
-                rows.append(nums)
-                dens.append(d)
-            return Mat(self.field, self.nrows, dest_width, rows=rows, dens=dens)
-        out = np.zeros((self.nrows, dest_width), dtype=np.int64)
-        if pairs:
-            src, dest = zip(*pairs)
-            out[:, list(dest)] = self.arr[:, list(src)]
-        return Mat(self.field, self.nrows, dest_width, arr=out)
+        if self._arr is not None:
+            src, dest = (list(c) for c in zip(*pairs)) if pairs else ([], [])
+            part = self._arr[:, src]
+            if _sparse(int(np.count_nonzero(part)), self.nrows, dest_width):
+                return Mat(self.field, self.nrows, dest_width, rows=_array_rows(part, dest))
+            out = np.zeros((self.nrows, dest_width), dtype=np.int64)
+            out[:, dest] = part
+            return Mat(self.field, self.nrows, dest_width, arr=out)
+        dest = [-1] * self.ncols
+        for j, d in pairs:
+            dest[j] = d
+        rows = []
+        for r in self.rows:  # a loop, not a comprehension: most rows are short
+            row = {}
+            for j, v in r.items():
+                if (d := dest[j]) >= 0:
+                    row[d] = v
+            rows.append(row)
+        dens = None if self.dens is None else list(self.dens)
+        for i, d in enumerate(dens or ()):
+            if d != 1:
+                rows[i], dens[i] = _lowest_terms(rows[i], d)
+        return Mat(self.field, self.nrows, dest_width, rows=rows, dens=dens)
 
     def row_items(self, i: int) -> dict[int, object]:
         """The nonzero entries {col: value} of row i."""
-        if self.field.is_rational:
-            d = self.dens[i]
-            return {j: mpq(v, d) for j, v in self.rows[i].items()}
-        return {int(j): int(self.arr[i, j]) for j in np.flatnonzero(self.arr[i])}
+        if self._arr is not None:
+            return {int(j): int(self._arr[i, j]) for j in np.flatnonzero(self._arr[i])}
+        if self.dens is None:
+            return dict(self.rows[i])
+        d = self.dens[i]
+        return {j: mpq(v, d) for j, v in self.rows[i].items()}
 
     def is_zero(self) -> bool:
-        if self.field.is_rational:
-            return all(not r for r in self.rows)
-        return not self.arr.any()
+        # a zero matrix is stored on rows over both fields
+        return self._arr is None and not any(self.rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat) or self.field != other.field:
             return NotImplemented
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             return False
-        if self.field.is_rational:  # lowest terms make the stored form canonical
-            return self.dens == other.dens and self.rows == other.rows
-        return bool(np.array_equal(self.arr, other.arr))
+        # the storage rule and lowest terms make the stored form canonical
+        if self._arr is not None or other._arr is not None:
+            return other._arr is not None and self._arr is not None and \
+                bool(np.array_equal(self._arr, other._arr))
+        return self.dens == other.dens and self.rows == other.rows
 
     def __hash__(self):
         raise TypeError("Mat is not hashable")
@@ -381,55 +408,87 @@ class Mat:
     def __repr__(self):
         return f"Mat({self.field.label}, {self.nrows}x{self.ncols})"
 
+    def _nnz(self) -> int:
+        return sum(map(len, self.rows)) if self._arr is None else int(np.count_nonzero(self._arr))
+
+    def _rows(self) -> list[dict[int, int]]:
+        """The stored rows, or rows read off the stored array."""
+        return self.rows if self._arr is None else _array_rows(self._arr)
+
+    def _row_lens(self) -> np.ndarray:
+        """The number of nonzeros in each row."""
+        if self._arr is None:
+            return np.fromiter(map(len, self.rows), np.int64, self.nrows)
+        return np.count_nonzero(self._arr, axis=1)
+
+    def _fill(self, out: np.ndarray) -> None:
+        """Write the GF(p) entries into out, a zero array of this shape."""
+        if self._arr is not None:
+            out[...] = self._arr
+        else:
+            ii, jj, vals = _coords(self.rows)
+            out[ii, jj] = vals
+
     # ------------------------------------------------------------- arithmetic
 
     def matmul(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise LinalgError("matmul shape mismatch")
-        if self.field.is_rational:
-            rows, dens = _sparse_mul(self.rows, self.dens, other.rows, other.dens)
-            return Mat(self.field, self.nrows, other.ncols, rows=rows, dens=dens)
-        return Mat(self.field, self.nrows, other.ncols,
-                   arr=_matmul_mod(self.arr, other.arr, self.field.p))
+        fld = self.field
+        if self.dens is not None or self._arr is None and _few_macs(
+                self.rows, other._row_lens(), self.nrows * other.ncols):
+            rows, dens = _sparse_mul(self.rows, self.dens, other._rows(), other.dens, fld.p)
+            return Mat(fld, self.nrows, other.ncols, rows=rows, dens=dens)
+        return Mat(fld, self.nrows, other.ncols, arr=_matmul_mod(self.arr, other.arr, fld.p))
 
     def sub(self, other: "Mat") -> "Mat":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise LinalgError("sub shape mismatch")
-        if self.field.is_rational:
-            rows, dens = [], []
-            for r, d, s, e in zip(self.rows, self.dens, other.rows, other.dens):
-                if not s:
-                    rows.append(r)
-                    dens.append(d)
-                    continue
-                den = lcm(d, e)
-                f, g = den // d, den // e
-                out = {j: v * f for j, v in r.items()}
-                for j, v in s.items():
-                    t = out.get(j, 0) - v * g
-                    if t:
-                        out[j] = t
-                    else:
-                        del out[j]
-                out, den = _lowest_terms(out, den)
-                rows.append(out)
-                dens.append(den)
-            return Mat(self.field, self.nrows, self.ncols, rows=rows, dens=dens)
-        return Mat(self.field, self.nrows, self.ncols,
-                   arr=(self.arr - other.arr) % self.field.p)
+        p = self.field.p
+        if self._arr is not None or other._arr is not None:
+            out = self.arr if self._arr is None else self._arr.copy()
+            if other._arr is not None:
+                out -= other._arr
+            else:
+                ii, jj, vals = _coords(other.rows)
+                out[ii, jj] -= vals
+            out %= p
+            return Mat(self.field, self.nrows, self.ncols, arr=out)
+        rows, dens = [], []
+        ones = [1] * self.nrows  # the denominators over GF(p)
+        for r, d, s, e in zip(self.rows, self.dens or ones, other.rows, other.dens or ones):
+            if not s:
+                rows.append(r)
+                dens.append(d)
+                continue
+            den = lcm(d, e)
+            f, g = den // d, den // e
+            out = dict(r) if f == 1 else {j: v * f for j, v in r.items()}
+            for j, v in s.items():
+                t = out.get(j, 0) - v * g
+                if p is not None:
+                    t %= p
+                if t:
+                    out[j] = t
+                else:
+                    del out[j]
+            out, den = _lowest_terms(out, den)
+            rows.append(out)
+            dens.append(den)
+        return Mat(self.field, self.nrows, self.ncols, rows=rows,
+                   dens=None if self.dens is None else dens)
 
     # ------------------------------------------------------------ elimination
 
     def rref(self) -> tuple["Mat", list[int]]:
         """Reduced row echelon form without its zero rows, and its pivots."""
         fld, n = self.field, self.ncols
-        if not self._on_sparse_rows():
-            arr, piv = _rref_p(self.arr, fld.p)
+        if self._arr is not None:
+            arr, piv = _rref_p(self._arr, fld.p)
             return Mat(fld, arr.shape[0], n, arr=arr), piv
         rows, piv = _rref_rows(self._fresh_rows(), True, fld.p)
-        if fld.is_rational:
-            return Mat(fld, len(rows), n, rows=rows, dens=_over_pivots(rows, piv)), piv
-        return Mat(fld, len(rows), n, arr=_to_array(rows, n)), piv
+        dens = _over_pivots(rows, piv) if fld.is_rational else None
+        return Mat(fld, len(rows), n, rows=rows, dens=dens), piv
 
     def rref_with_transform(self) -> tuple["Mat", list[int], "Mat"]:
         """Return (R, pivots, S) for a matrix of full row rank: R is its
@@ -442,12 +501,15 @@ class Mat:
         return aug.take_cols(range(n)), piv, aug.take_cols(range(n, n + m))
 
     def rank(self) -> int:
-        # forward pass only, in place, with the shorter side as columns
-        if not self.field.is_rational:
-            a = self.arr.T if self.ncols > self.nrows else self.arr
-            return len(_forward_p(np.array(a, order="C"), self.field.p))
+        # over GF(p) a forward pass in place, with the shorter side as columns
+        p = self.field.p
+        if self._arr is not None:
+            a = self._arr.T if self.ncols > self.nrows else self._arr
+            return len(_forward_p(np.array(a, order="C"), p))
+        rows = [r for r in self.rows if r]  # zero rows add nothing
+        if p is not None:
+            return len(_forward_p(_to_array(rows, self.ncols, self.ncols > len(rows)), p))
         # scaling a row keeps its rank: the numerators stand for the rows
-        rows = [r for r in self.rows if r]
         rank = _modular_rank(rows, self.ncols)
         if rank is None:
             rank = len(_rref_rows(self._fresh_rows(), False, None)[1])
@@ -470,10 +532,10 @@ class Mat:
         from the entries of the finished rows past their pivots.
         """
         fld, n = self.field, self.ncols
-        if not self._on_sparse_rows():
-            red, rpiv = Mat(fld, self.nrows, n, arr=self.arr[:, ::-1]).rref()
+        if self._arr is not None:
+            red, rpiv = Mat(fld, self.nrows, n, arr=self._arr[:, ::-1]).rref()
             rfree = _non_pivots(n, rpiv)
-            c = Mat(fld, len(rfree), len(rpiv), arr=np.ascontiguousarray(red.arr.T[rfree]))
+            c = red.transpose().take_rows(rfree)
         else:
             rows, rpiv = _rref_rows(self._fresh_rows(reverse=True), True, fld.p)
             rfree = _non_pivots(n, rpiv)
@@ -482,36 +544,18 @@ class Mat:
             # row i of C^T: the entries of row i of R' past its pivot, all in
             # non-pivot columns; over QQ still over the pivot entry
             ct = [{pos[c]: v for c, v in r.items() if c != lead} for r, lead in zip(rows, rpiv)]
-            if fld.is_rational:
-                c = Mat(fld, len(rpiv), len(rfree), rows=ct, dens=dens).transpose()
-            else:
-                c = Mat(fld, len(rfree), len(rpiv), arr=_to_array(ct, len(rfree), transposed=True))
+            c = Mat(fld, len(rpiv), len(rfree), rows=ct, dens=dens).transpose()
         return [n - 1 - j for j in rpiv], [n - 1 - j for j in rfree], c
 
-    def _on_sparse_rows(self) -> bool:
-        """Whether an elimination of self runs on sparse rows: always over QQ,
-        over GF(p) when at most 1/_SPARSE_RATIO of the entries are nonzero."""
-        return self.field.is_rational or \
-            np.count_nonzero(self.arr) * _SPARSE_RATIO <= self.arr.size
-
     def _fresh_rows(self, reverse: bool = False) -> list[dict[int, int]]:
-        """One new {col: int} dict per row for ``_rref_rows`` to consume: the
-        primitive parts of the numerators over QQ, the nonzero entries over
-        GF(p), read off the array with one ``np.flatnonzero``.  With ``reverse``
-        column j is keyed n-1-j."""
+        """One new {col: int} dict per stored row for ``_rref_rows`` to
+        consume: the primitive parts of the numerators over QQ, the residues
+        over GF(p).  With ``reverse`` column j is keyed n-1-j."""
         last = self.ncols - 1
-        if self.field.is_rational:
-            prims = (_primitive(r) for r in self.rows)
-            if reverse:
-                return [{last - j: v for j, v in r.items()} for r in prims]
-            return [dict(r) for r in prims]
-        flat = self.arr.ravel()
-        at = np.flatnonzero(flat)
-        ii, jj = np.divmod(at, self.ncols)
-        vals = flat[at].tolist()
-        cols = (last - jj if reverse else jj).tolist()
-        ends = np.cumsum(np.bincount(ii, minlength=self.nrows)).tolist()
-        return [dict(zip(cols[s:e], vals[s:e])) for s, e in zip([0] + ends, ends)]
+        rows = map(_primitive, self.rows) if self.field.is_rational else self.rows
+        if reverse:
+            return [{last - j: v for j, v in r.items()} for r in rows]
+        return [dict(r) for r in rows]
 
     def kernel_basis(self) -> "Mat":
         """Rows = reduced-echelon basis of the right kernel {v : self @ v = 0}.
@@ -531,30 +575,52 @@ class Mat:
         return ker.take_rows(range(ker.nrows - 1, -1, -1))
 
 
+def _ones(field: FieldSpec, n: int) -> list[int] | None:
+    """The denominators of n integer rows: all 1 over QQ, none over GF(p)."""
+    return [1] * n if field.is_rational else None
+
+
 # ------------------------------------------------------------------ QQ kernel
 
 
-def _sparse_mul(rows: Sequence[dict], dens: Sequence[int], other_rows, other_dens
-                ) -> tuple[list[dict], list[int]]:
-    """Numerator rows and denominators of the product.  Row i reads the rows k
-    of other that its entries name; with L the lcm of their denominators, it
-    sums v * (L // other_dens[k]) * other_rows[k] over the entries k: v of
-    rows[i] in integers, over the denominator dens[i] * L, and is brought to
-    lowest terms once.  other_rows and other_dens may be dicts."""
+def _sparse_mul(rows: Sequence[dict], dens, other_rows, other_dens, p: int | None = None
+                ) -> tuple[list[dict], list[int] | None]:
+    """Rows of the product, and over QQ their denominators.  Row i reads the
+    rows k of other that its entries name and sums v * other_rows[k] over the
+    entries k: v of rows[i].  Over QQ, with L the lcm of the denominators of
+    the rows it reads, it sums v * (L // other_dens[k]) * other_rows[k] in
+    integers, over the denominator dens[i] * L, and is brought to lowest
+    terms once; over GF(p) (p given, no denominators) the sums are reduced
+    mod p.  other_rows and other_dens may be dicts."""
     out, out_dens = [], []
-    for r, d in zip(rows, dens):
-        big = lcm(*(other_dens[k] for k in r))
+    for i, r in enumerate(rows):
+        if p is not None and len(r) == 1:  # v * one row: p is prime, so no zeros
+            (k, v), = r.items()
+            out.append({j: v * w % p for j, w in other_rows[k].items()})
+            continue
+        big = 1 if p is not None else lcm(*(other_dens[k] for k in r))
         acc: dict[int, int] = {}
         for k, v in r.items():
-            dk = other_dens[k]
-            if dk != big:
-                v *= big // dk
+            if big != 1 and other_dens[k] != big:
+                v *= big // other_dens[k]
             for j, w in other_rows[k].items():
                 acc[j] = acc.get(j, 0) + v * w
-        nums, den = _lowest_terms({j: t for j, t in acc.items() if t}, d * big)
+        if p is not None:  # the sums mod p, zeros dropped
+            out.append({j: t for j, t in zip(acc, map(p.__rmod__, acc.values())) if t})
+            continue
+        nums, den = _lowest_terms({j: t for j, t in acc.items() if t}, dens[i] * big)
         out.append(nums)
         out_dens.append(den)
-    return out, out_dens
+    return out, None if p is not None else out_dens
+
+
+def _few_macs(rows: list[dict[int, int]], lens: np.ndarray, out_cells: int) -> bool:
+    """Whether the GF(p) rows times a factor whose row k has lens[k]
+    nonzeros take at most 1/_SPARSE_RATIO of out_cells multiply-adds.  They
+    bound the nonzeros of the product, which is then stored on rows, and the
+    product runs on rows (``_sparse_mul``); otherwise it runs on BLAS."""
+    uses = np.bincount(np.fromiter(chain.from_iterable(rows), np.int64), minlength=len(lens))
+    return _sparse(int(uses @ lens), 1, out_cells)
 
 
 def _over_one_den(vals: dict) -> tuple[dict[int, int], int]:
@@ -805,21 +871,46 @@ def _annihilates(rows: list[dict[int, int]], piv: list[int], free: list[int],
 # ---------------------------------------------------------------- GF(p) kernel
 
 
-# a GF(p) elimination runs on sparse rows when at most 1/_SPARSE_RATIO of its
-# entries are nonzero (Mat._on_sparse_rows), and on the dense array otherwise
+# a GF(p) matrix is stored on sparse rows when at most 1/_SPARSE_RATIO of its
+# entries are nonzero, and as an int64 array otherwise (Mat.__init__)
 _SPARSE_RATIO = 20
+
+
+def _sparse(nnz: int, nrows: int, ncols: int) -> bool:
+    return nnz * _SPARSE_RATIO <= nrows * ncols
+
+
+def _coords(rows: list[dict[int, int]], p: int | None = None
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row indices, column indices and values of the entries of the rows, as
+    int64 arrays in row order; with p the values are reduced mod p."""
+    ii = np.repeat(np.arange(len(rows)), np.fromiter(map(len, rows), np.int64, len(rows)))
+    jj = np.fromiter(chain.from_iterable(rows), np.int64, len(ii))
+    vals = chain.from_iterable(map(dict.values, rows))
+    if p is not None:
+        vals = (v % p for v in vals)
+    return ii, jj, np.fromiter(vals, np.int64, len(ii))
 
 
 def _to_array(rows: list[dict[int, int]], ncols: int, transposed: bool = False,
               p: int | None = None) -> np.ndarray:
     """The int64 array with the rows {col: v}, or its transpose; with p the
-    integer entries are reduced mod p."""
-    ii = [i for i, r in enumerate(rows) for _ in range(len(r))]
-    jj = [j for r in rows for j in r]
+    integer entries, of any size, are reduced mod p."""
+    ii, jj, vals = _coords(rows, p)
     out = np.zeros((ncols, len(rows)) if transposed else (len(rows), ncols), np.int64)
-    vals = [v for r in rows for v in r.values()]
-    out[(jj, ii) if transposed else (ii, jj)] = vals if p is None else [v % p for v in vals]
+    out[(jj, ii) if transposed else (ii, jj)] = vals
     return out
+
+
+def _array_rows(a: np.ndarray, cols: list[int] | None = None) -> list[dict[int, int]]:
+    """The rows {col: v} of the nonzero entries of the 2-d array a; with
+    cols, column j of a is keyed cols[j]."""
+    ii, jj = np.nonzero(a)
+    vals = a[ii, jj].tolist()
+    rows: list[dict[int, int]] = [{} for _ in range(a.shape[0])]
+    for i, j, v in zip(ii.tolist(), (jj if cols is None else np.take(cols, jj)).tolist(), vals):
+        rows[i][j] = v
+    return rows
 
 
 def _flush_interval(p: int) -> int:
@@ -849,21 +940,20 @@ def _forward_p(a: np.ndarray, p: int) -> list[int]:
         if r == m:
             break
         col = a[r:, c] % p
-        nz = np.flatnonzero(col)
+        nz = col.nonzero()[0]
         if nz.size == 0:
             continue
-        i = int(nz[0])
-        if i:
+        i = nz[0]
+        if i:  # the old row r had a zero here, so nz[1:] still names the rows to clear
             a[[r, r + i]] = a[[r + i, r]]
-            col[[0, i]] = col[[i, 0]]
         row = a[r, c:] % p
-        inv = pow(int(col[0]), p - 2, p)
+        inv = pow(int(col[i]), p - 2, p)
         if inv != 1:
             row = row * inv % p
         a[r, c:] = row
-        below = np.flatnonzero(col[1:])
+        below = nz[1:]
         if below.size:
-            a[r + 1 + below, c:] -= np.outer(col[1 + below], row)
+            a[r + below, c:] -= col[below, None] * row
         pivots.append(c)
         r += 1
         steps += 1
@@ -883,9 +973,9 @@ def _back_p(a: np.ndarray, p: int, pivots: list[int]) -> None:
     for k in range(len(pivots) - 1, 0, -1):
         c = pivots[k]
         f = a[:k, c] % p
-        above = np.flatnonzero(f)
+        above = f.nonzero()[0]
         if above.size:
-            a[above, c:] -= np.outer(f[above], a[k, c:] % p)
+            a[above, c:] -= f[above, None] * (a[k, c:] % p)
         steps += 1
         if steps == flush:
             a[:k] %= p
@@ -925,38 +1015,47 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 def right_mul_vecrows(p: Mat, rows_inner: int, cols_inner: int, b: Mat) -> Mat:
     """Rows of p are vec(L) for L of shape (rows_inner, cols_inner); return the
     matrix whose rows are vec(L @ b), that is p times I ⊗ b."""
-    q = p.nrows
+    fld, q = p.field, p.nrows
     out_cols = rows_inner * b.ncols
-    if p.field.is_rational:
+    if p.dens is not None or p._arr is None and _few_macs(
+            p.rows, np.tile(b._row_lens(), rows_inner), q * out_cols):
         # row k = a * cols_inner + c of I ⊗ b is row c of b, shifted to block a;
         # only the rows that entries of p select are built
-        ks = set().union(*p.rows)
-        factor = {k: {k // cols_inner * b.ncols + c2: w
-                      for c2, w in b.rows[k % cols_inner].items()} for k in ks}
-        rows, dens = _sparse_mul(p.rows, p.dens, factor,
-                                 {k: b.dens[k % cols_inner] for k in ks})
-        return Mat(p.field, q, out_cols, rows=rows, dens=dens)
+        b_rows, factor, dens = b._rows(), {}, None if b.dens is None else {}
+        for k in set().union(*p.rows):
+            a, c = divmod(k, cols_inner)
+            row = b_rows[c]
+            factor[k] = dict(zip(map((a * b.ncols).__add__, row), row.values()))
+            if dens is not None:
+                dens[k] = b.dens[c]
+        rows, dens = _sparse_mul(p.rows, p.dens, factor, dens, fld.p)
+        return Mat(fld, q, out_cols, rows=rows, dens=dens)
     x = p.arr.reshape(q * rows_inner, cols_inner)
-    y = _matmul_mod(x, b.arr, p.field.p)
-    return Mat(p.field, q, out_cols, arr=y.reshape(q, out_cols))
+    y = _matmul_mod(x, b.arr, fld.p)
+    return Mat(fld, q, out_cols, arr=y.reshape(q, out_cols))
 
 
 def left_mul_vecrows(p: Mat, rows_inner: int, cols_inner: int, t: Mat) -> Mat:
     """Rows of p are vec(G) for G of shape (rows_inner, cols_inner); return the
     matrix whose rows are vec(t @ G), that is p times tᵀ ⊗ I."""
-    q = p.nrows
+    fld, q = p.field, p.nrows
     out_cols = t.nrows * cols_inner
-    if p.field.is_rational:
-        # row k = a * cols_inner + c of tᵀ ⊗ I is column a of t, spread to offset c
-        tt = t.transpose()
-        ks = set().union(*p.rows)
-        factor = {k: {a2 * cols_inner + k % cols_inner: w
-                      for a2, w in tt.rows[k // cols_inner].items()} for k in ks}
-        rows, dens = _sparse_mul(p.rows, p.dens, factor,
-                                 {k: tt.dens[k // cols_inner] for k in ks})
-        return Mat(p.field, q, out_cols, rows=rows, dens=dens)
+    tt = t.transpose() if p._arr is None else None
+    if tt is not None and (p.dens is not None or _few_macs(
+            p.rows, np.repeat(tt._row_lens(), cols_inner), q * out_cols)):
+        # row k = a * cols_inner + c of tᵀ ⊗ I is column a of t, spread to
+        # offset c: entry (a2, a) of t goes to column a2 * cols_inner + c
+        t_rows, factor, dens = tt._rows(), {}, None if tt.dens is None else {}
+        for k in set().union(*p.rows):
+            a, c = divmod(k, cols_inner)
+            row = t_rows[a]
+            factor[k] = dict(zip(map(c.__add__, map(cols_inner.__mul__, row)), row.values()))
+            if dens is not None:
+                dens[k] = tt.dens[a]
+        rows, dens = _sparse_mul(p.rows, p.dens, factor, dens, fld.p)
+        return Mat(fld, q, out_cols, rows=rows, dens=dens)
     x = p.arr.reshape(q, rows_inner, cols_inner).transpose(1, 0, 2) \
         .reshape(rows_inner, q * cols_inner)
-    y = _matmul_mod(t.arr, x, p.field.p)
+    y = _matmul_mod(t.arr, x, fld.p)
     out = y.reshape(t.nrows, q, cols_inner).transpose(1, 0, 2).reshape(q, out_cols)
-    return Mat(p.field, q, out_cols, arr=np.ascontiguousarray(out))
+    return Mat(fld, q, out_cols, arr=np.ascontiguousarray(out))

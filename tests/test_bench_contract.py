@@ -16,7 +16,7 @@ def _load_spans():
     return module
 
 
-def _check_tracer_covers_a_traced_tangent_solve(field, monkeypatch):
+def _check_tracer_covers_a_traced_tangent_solve(field, monkeypatch, spec="I1:4,2 > I2:4"):
     tracer = _load_spans().Tracer()
     # the constraint matrices the tracer counts, captured under its wrapper
     captured = []
@@ -31,7 +31,7 @@ def _check_tracer_covers_a_traced_tangent_solve(field, monkeypatch):
     tracer.install(nesthilb)
     try:
         rep = tracer.op("tnt", lambda: nesthilb.tnt_check(nesthilb.parse_nesting_spec(
-            "I1:4,2 > I2:4", nesthilb.FieldSpec.parse(field))))
+            spec, nesthilb.FieldSpec.parse(field))))
     finally:
         tracer.uninstall()
     assert rep.tnt == "certified"
@@ -47,6 +47,7 @@ def _check_tracer_covers_a_traced_tangent_solve(field, monkeypatch):
     assert captured
     assert summary["tangent.cons_nnz"] == sum(
         len(m.row_items(i)) for m in captured for i in range(m.nrows))
+    return captured
 
 
 def test_tracer_covers_a_traced_tangent_solve(monkeypatch):
@@ -56,3 +57,12 @@ def test_tracer_covers_a_traced_tangent_solve(monkeypatch):
 def test_tracer_covers_a_traced_rational_tangent_solve(monkeypatch):
     # the constraint rank and the transform take other paths over QQ
     _check_tracer_covers_a_traced_tangent_solve("rational", monkeypatch)
+
+
+def test_tracer_counts_constraint_matrices_stored_on_rows(monkeypatch):
+    # a GF(p) matrix at most 1/20 nonzero is stored on sparse rows, a denser
+    # one as an array: the (8, 2) cell has constraint matrices of both forms,
+    # and the tracer's nonzero count must hold for each
+    captured = _check_tracer_covers_a_traced_tangent_solve(
+        "prime:32003", monkeypatch, "I1:8,2 > I2:8")
+    assert {m.rows is not None for m in captured} == {True, False}

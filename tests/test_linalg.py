@@ -200,9 +200,24 @@ def test_row_items_lists_nonzero_entries(fld):
 
 
 def _assert_stored_form(m):
-    """The QQ storage invariant: each row is nonzero integer numerators over
-    a denominator d >= 1 in lowest terms, and an empty row has d = 1."""
+    """The storage invariant.  Over GF(p) a matrix is stored on rows {col: v}
+    with v in [1, p) iff nnz * _SPARSE_RATIO <= size, and as an int64 array
+    with entries in [0, p) otherwise.  Over QQ each row is nonzero integer
+    numerators over a denominator d >= 1 in lowest terms, and an empty row
+    has d = 1."""
     if not m.field.is_rational:
+        p = m.field.p
+        assert m.dens is None and (m.rows is None) != (m._arr is None)
+        if m.rows is not None:
+            assert len(m.rows) == m.nrows
+            assert all(type(j) is int and 0 <= j < m.ncols and type(v) is int and 0 < v < p
+                       for r in m.rows for j, v in r.items())
+            nnz = sum(map(len, m.rows))
+        else:
+            assert m._arr.dtype == np.int64 and m._arr.shape == (m.nrows, m.ncols)
+            assert ((m._arr >= 0) & (m._arr < p)).all()
+            nnz = int(np.count_nonzero(m._arr))
+        assert (m.rows is not None) == (nnz * linalg._SPARSE_RATIO <= m.nrows * m.ncols)
         return
     assert len(m.rows) == len(m.dens) == m.nrows
     for r, d in zip(m.rows, m.dens):
@@ -276,6 +291,112 @@ def test_rational_storage_matches_fraction_reference(data, s, t, t2, nt, q):
           [r + [Fraction(v) for v in o] for r, o in zip(full, other)], 2 * t)
     check(Mat.vstack(QQ, [m_lam, mat(other, t)], t),
           full + [[Fraction(v) for v in o] for o in other], t)
+
+
+_PRIMES = [2, 3, DEFAULT_PRIME, 94906249]
+
+
+@st.composite
+def _prime_rows(draw, p, nrows, ncols):
+    """nrows x ncols residues mod p with a nonzero count drawn on either side
+    of the storage threshold: zero, at most 1/20 of the entries, just above,
+    or any."""
+    size = nrows * ncols
+    cap = size // linalg._SPARSE_RATIO
+    nnz = draw(st.sampled_from(["zero", "sparse", "above", "any"]))
+    k = {"zero": 0, "sparse": draw(st.integers(0, cap)), "above": min(size, cap + 1),
+         "any": draw(st.integers(0, size))}[nnz]
+    at = draw(st.lists(st.integers(0, max(size - 1, 0)), min_size=k, max_size=k, unique=True))
+    rows = [[0] * ncols for _ in range(nrows)]
+    for pos in at:
+        rows[pos // ncols][pos % ncols] = draw(st.integers(1, p - 1))
+    return rows
+
+
+def _mod(rows, p):
+    """Integer (or integral Fraction) rows as residues mod p."""
+    return [[int(v) % p for v in r] for r in rows]
+
+
+def test_prime_field_storage_matches_dense_reference(monkeypatch):
+    """Structural operations and products over GF(p) against lists of
+    residues, on inputs drawn on both sides of the storage threshold, so that
+    every operation meets both stored forms and mixes of them; equal entries
+    compare equal whatever route built them.  The products run both on rows
+    and on BLAS."""
+    seen = set()
+    for name in ("_sparse_mul", "_matmul_mod"):
+        def counted(*args, _name=name, _orig=getattr(linalg, name)):
+            out = _orig(*args)
+            if np.any(out) if _name == "_matmul_mod" else any(out[0]):  # a nonzero product
+                seen.add(_name)
+            return out
+        monkeypatch.setattr(linalg, name, counted)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.sampled_from(_PRIMES), *(st.integers(0, 5) for _ in range(4)),
+           st.integers(0, 24))
+    def agrees(data, p, s, t, t2, nt, q):
+        fld = FieldSpec.prime(p)
+
+        def draw(nrows, ncols):
+            rows = data.draw(_prime_rows(p, nrows, ncols))
+            m = Mat.from_rows(fld, rows, ncols=ncols)
+            _assert_stored_form(m)
+            seen.add("rows" if m.rows is not None else "array")
+            return rows, m
+
+        def check(got, want, ncols):
+            _assert_stored_form(got)
+            assert (got.nrows, got.ncols) == (len(want), ncols)
+            assert to_lists(got) == want
+            # the same entries built from an array, from rows and from triples
+            assert got == Mat.from_rows(fld, want, ncols=ncols)
+            assert got == Mat(fld, len(want), ncols,
+                              arr=np.array(want, np.int64).reshape(len(want), ncols))
+            assert got == Mat.from_entries(fld, len(want), ncols, (
+                (i, j, v) for i, r in enumerate(want) for j, v in enumerate(r)))
+
+        lam, m_lam = draw(s, t)
+        other, m_other = draw(s, t)
+        b, m_b = draw(t, t2)
+        tr, m_tr = draw(nt, s)
+        check(m_lam.matmul(m_b), _mod(_dense_mul(lam, b, t2), p), t2)
+        check(m_tr.matmul(m_lam), _mod(_dense_mul(tr, lam, t), p), t)
+        check(m_lam.sub(m_other),
+              _mod([[x - y for x, y in zip(r, o)] for r, o in zip(lam, other)], p), t)
+        check(Mat.hstack(fld, [m_lam, m_other]), [r + o for r, o in zip(lam, other)], 2 * t)
+        check(Mat.vstack(fld, [m_lam, m_other], t), lam + other, t)
+        check(m_lam.transpose(), [[r[j] for r in lam] for j in range(t)], s)
+        cols = data.draw(st.lists(st.integers(0, t - 1), unique=True, max_size=t)) if t else []
+        check(m_lam.take_cols(cols), [[r[j] for j in cols] for r in lam], len(cols))
+        want = [[0] * (t + 1) for _ in range(s)]
+        for r, w in zip(lam, want):
+            for c in cols:
+                w[c + 1] = r[c]
+        check(m_lam.remap_cols(t + 1, [(c, c + 1) for c in cols]), want, t + 1)
+        # vec-row products on q parameter rows of width s * t
+        params, m_p = draw(q, s * t)
+        blocks = [[row[a * t:(a + 1) * t] for a in range(s)] for row in params]
+
+        def vec(mats):
+            return _mod([[v for row in m for v in row] for m in mats], p)
+
+        check(right_mul_vecrows(m_p, s, t, m_b), vec(_dense_mul(l, b, t2) for l in blocks), s * t2)
+        check(left_mul_vecrows(m_p, s, t, m_tr), vec(_dense_mul(tr, l, t) for l in blocks), nt * t)
+        # the transform of a matrix of full row rank; others are refused
+        want_red, want_piv = _ref_rref(params, s * t, p)
+        if len(want_piv) < q:
+            with pytest.raises(LinalgError):
+                m_p.rref_with_transform()
+            return
+        red, piv, tf = m_p.rref_with_transform()
+        assert piv == want_piv
+        check(red, want_red, s * t)
+        check(tf, _ref_rref_with_transform(params, s * t, p)[2], q)
+
+    agrees()
+    assert seen == {"rows", "array", "_sparse_mul", "_matmul_mod"}
 
 
 def test_rational_storage_is_canonical():
@@ -617,9 +738,12 @@ def test_row_split_matches_python_reference(case):
 
 @pytest.mark.parametrize("kind", ["sparse", "dense"])
 def test_prime_field_eliminations_take_both_paths(kind, monkeypatch):
-    # a GF(p) elimination runs on sparse rows (_rref_rows) when at most 1/20
-    # of the entries are nonzero, as in the sparse kind of `matrices`, and on
-    # the dense array (_rref_p) otherwise: the reference checks reach both
+    # storage picks the path: a GF(p) matrix at most 1/20 nonzero, as in the
+    # sparse kind of `matrices`, is stored on sparse rows and eliminated there
+    # (_rref_rows); a denser one is stored as an array and takes the dense
+    # path (_rref_p).  The reference checks reach both, and so does its
+    # product with the identity: on rows (_sparse_mul) in the sparse kind, on
+    # BLAS (_matmul_mod) in the dense one
     p = DEFAULT_PRIME
     rng = np.random.default_rng(3)
     if kind == "sparse":  # 18 nonzeros in 12 x 40
@@ -629,16 +753,20 @@ def test_prime_field_eliminations_take_both_paths(kind, monkeypatch):
                 r[j] = int(rng.integers(1, p))
     else:
         rows = rng.integers(0, p, size=(7, 7)).tolist()
-    calls = {"_rref_rows": 0, "_rref_p": 0}
+    calls = {"_rref_rows": 0, "_rref_p": 0, "_sparse_mul": 0, "_matmul_mod": 0}
     for name in calls:
         def counted(*args, _name=name, _orig=getattr(linalg, name)):
             calls[_name] += 1
             return _orig(*args)
         monkeypatch.setattr(linalg, name, counted)
+    m = Mat.from_rows(FieldSpec.prime(p), rows)
+    assert (m.rows is not None) == (kind == "sparse")
+    assert m.matmul(Mat.identity(m.field, m.ncols)) == m
     _check_against_reference(rows, len(rows[0]), p)
     _check_split_against_reference(rows, len(rows[0]), p)
     ran, idle = ("_rref_rows", "_rref_p") if kind == "sparse" else ("_rref_p", "_rref_rows")
     assert calls[ran] > 0 and calls[idle] == 0
+    assert calls["_sparse_mul" if kind == "sparse" else "_matmul_mod"] > 0
 
 
 @pytest.mark.parametrize("e, shape, rank", [(-1, (74, 54), 32), (-2, (427, 27), 27)])
