@@ -135,7 +135,13 @@ class HomogeneousIdeal:
         self.socle_degree = max(notfull) if (self.is_m_primary and notfull) else \
             (-1 if self.is_m_primary else None)
         self._qstruct: dict[int, SubquotientStructure] = {}
+        # caches of the tangent layer, filled on first use: the relation
+        # split per degree, the solved Hom chain into R/I per weight e, the
+        # theta table, and the syzygy oracle's generators and syzygies
         self._estruct: dict[int, tuple] = {}
+        self._chains: dict[int, tuple] = {}
+        self._theta: dict[int, tuple] | None = None
+        self._syzygies: tuple | None = None
         self._qact: dict[tuple[int, int], Mat] = {}
 
     # ------------------------------------------------------------------ sizes

@@ -52,8 +52,12 @@ Two backends share one matrix interface:
   Each update is below p^2 in magnitude, so the live block is reduced every
   K(p) = (2^63 - 1 - p) // (p - 1)^2 steps to stay inside int64 (K = 1024 at
   the largest accepted prime, about 9e9 at 32003, where it never fires) and
-  once at the end.  ``rank`` always takes the dense forward pass, on a work
-  array of the nonzero rows, transposed when that has fewer columns.
+  once at the end.  ``rank`` always takes the dense forward pass,
+  transposed when that has fewer columns, in blocks of rows:
+  each pass runs on the pivot rows found so far and the next block, so the
+  work array stays near ``_RANK_BLOCK`` cells or three times the square of
+  the width, and the passes stop once the rank is the width.  A tall
+  constraint matrix is never copied whole.
 
 Each question is answered by one elimination.  The sparse path has one body
 for both fields, ``_rref_rows``: rows wait in buckets by their lead column,
@@ -331,6 +335,39 @@ class Mat:
             return Mat(self.field, self.nrows, len(idx), arr=self._arr[:, list(idx)])
         return self.remap_cols(len(idx), [(c, k) for k, c in enumerate(idx)])
 
+    def split_cols(self, first: Sequence[int], second: Sequence[int]) -> tuple["Mat", "Mat"]:
+        """(take_cols(first), take_cols(second)) in one pass over the rows;
+        first and second together list every column once."""
+        if len(first) + len(second) != self.ncols:
+            raise LinalgError("split_cols needs a partition of the columns")
+        if self._arr is not None:
+            return self.take_cols(first), self.take_cols(second)
+        dest = [0] * self.ncols  # column j goes to k of first, or ~k of second
+        for k, j in enumerate(first):
+            dest[j] = k
+        for k, j in enumerate(second):
+            dest[j] = ~k
+        rows_a, rows_b = [], []
+        for r in self.rows:  # a loop, not a comprehension: most rows are short
+            ra, rb = {}, {}
+            for j, v in r.items():
+                if (k := dest[j]) >= 0:
+                    ra[k] = v
+                else:
+                    rb[~k] = v
+            rows_a.append(ra)
+            rows_b.append(rb)
+        return self._with_rows(len(first), rows_a), self._with_rows(len(second), rows_b)
+
+    def _with_rows(self, ncols: int, rows: list[dict[int, int]]) -> "Mat":
+        """A matrix of these rows, each taken over this matrix's denominator of
+        the same row and brought to lowest terms."""
+        dens = None if self.dens is None else list(self.dens)
+        for i, d in enumerate(dens or ()):
+            if d != 1:
+                rows[i], dens[i] = _lowest_terms(rows[i], d)
+        return Mat(self.field, self.nrows, ncols, rows=rows, dens=dens)
+
     def transpose(self) -> "Mat":
         if self._arr is not None:
             return Mat(self.field, self.ncols, self.nrows, arr=self._arr.T.copy())
@@ -372,11 +409,7 @@ class Mat:
                 if (d := dest[j]) >= 0:
                     row[d] = v
             rows.append(row)
-        dens = None if self.dens is None else list(self.dens)
-        for i, d in enumerate(dens or ()):
-            if d != 1:
-                rows[i], dens[i] = _lowest_terms(rows[i], d)
-        return Mat(self.field, self.nrows, dest_width, rows=rows, dens=dens)
+        return self._with_rows(dest_width, rows)
 
     def row_items(self, i: int) -> dict[int, object]:
         """The nonzero entries {col: value} of row i."""
@@ -504,11 +537,10 @@ class Mat:
         # over GF(p) a forward pass in place, with the shorter side as columns
         p = self.field.p
         if self._arr is not None:
-            a = self._arr.T if self.ncols > self.nrows else self._arr
-            return len(_forward_p(np.array(a, order="C"), p))
+            return _rank_p(self._arr.T if self.ncols > self.nrows else self._arr, p)
         rows = [r for r in self.rows if r]  # zero rows add nothing
         if p is not None:
-            return len(_forward_p(_to_array(rows, self.ncols, self.ncols > len(rows)), p))
+            return _rank_p(_to_array(rows, self.ncols, self.ncols > len(rows)), p, scratch=True)
         # scaling a row keeps its rank: the numerators stand for the rows
         rank = _modular_rank(rows, self.ncols)
         if rank is None:
@@ -874,6 +906,7 @@ def _annihilates(rows: list[dict[int, int]], piv: list[int], free: list[int],
 # a GF(p) matrix is stored on sparse rows when at most 1/_SPARSE_RATIO of its
 # entries are nonzero, and as an int64 array otherwise (Mat.__init__)
 _SPARSE_RATIO = 20
+_RANK_BLOCK = 1 << 16  # cells of a block of rows in Mat.rank's dense forward passes
 
 
 def _sparse(nnz: int, nrows: int, ncols: int) -> bool:
@@ -962,6 +995,27 @@ def _forward_p(a: np.ndarray, p: int) -> list[int]:
             steps = 0
     a %= p
     return pivots
+
+
+def _rank_p(a: np.ndarray, p: int, scratch: bool = False) -> int:
+    """The rank of a, an int64 array with entries in [0, p) and no more
+    columns than rows; a is changed only if it is scratch, which spares the
+    copy of its first block.  Forward passes run on blocks of
+    rows: each on the pivot rows found so far and the next block of
+    max(2 n, _RANK_BLOCK / n) rows, for n columns, so that the work array
+    stays within max(3 n^2, _RANK_BLOCK + n^2) cells whatever the height; a
+    matrix of up to 2 n rows is one block, and the pivot rows at most a third
+    of a later one.  The passes stop once the rank is n."""
+    m, n = a.shape
+    step = max(2 * n, _RANK_BLOCK // max(n, 1))
+    basis = a[:0]
+    for s in range(0, m, step):
+        block = a[s:s + step]
+        work = block if scratch and not s else np.concatenate([basis, block])
+        basis = work[:len(_forward_p(work, p))]
+        if len(basis) == n:
+            break
+    return len(basis)
 
 
 def _back_p(a: np.ndarray, p: int, pivots: list[int]) -> None:

@@ -14,6 +14,17 @@ generator images.  The solver's parameters and the n derivations d/dx_j of
 the theta check share this form and one set of nesting-link equations; the
 generator/syzygy route exists separately as a test oracle
 (``hom_dim_via_syzygies``).
+
+Each Hom chain numbers its parameters from 0, so a chain solved for one
+nesting serves any other: ``_solve`` shifts each chain's constraint blocks
+and link terms to the chain's offset once, as it assembles the constraint
+matrix.  An ideal keeps, for as long as it lives, what depends on it alone:
+the relation split per degree (``e_struct``), its chain into R/I per weight
+e (table, constraint blocks and parameter count), its theta table, and the
+oracle's minimal generators and first syzygies.  The census cells of one row
+share their I2, and a sandwich shares the ideals of its nesting, so each of
+these is solved once.  Chains over a ``ModuleSource`` (``graded_hom_dims``)
+are not kept.
 """
 
 from __future__ import annotations
@@ -39,8 +50,9 @@ class NotStrictlySandwiched(ValueError):
 
 
 class _Source:
-    """Degreewise carrier with variable actions; subclasses set ctx, fld, lo,
-    dim, act and the ``_estruct`` cache."""
+    """Degreewise carrier with variable actions and the target module of its
+    Hom chain; subclasses set ctx, fld, lo, tgt, dim, act and the
+    ``_estruct`` cache."""
 
     def e_struct(self, d: int) -> tuple[Mat, list[int], Mat, list[int], list[int], Mat]:
         """The multiplication relations out of degree d.  The rows of the
@@ -58,15 +70,20 @@ class _Source:
             self._estruct[d] = (*e_j.rref_with_transform(), rows_j, rows_d, c)
         return self._estruct[d]
 
+    def chain(self, e: int) -> tuple[dict, list[Mat], int]:
+        """The degree-e Hom chain into tgt, solved by ``_process_chain``."""
+        return _process_chain(self, e)
+
 
 class IdealSource(_Source):
-    """Degreewise carrier of a (truncated) ideal with variable actions."""
+    """Degreewise carrier of an m-primary ideal I, with target R/I."""
 
     def __init__(self, ideal: HomogeneousIdeal):
         self.ideal = ideal
         self.ctx = ideal.ctx
         self.fld = ideal.fld
         self.lo = ideal.order
+        self.tgt = quotient_module(ideal)
         self._estruct = ideal._estruct  # shared by every source over this ideal
 
     def dim(self, d: int) -> int:
@@ -75,15 +92,24 @@ class IdealSource(_Source):
     def act(self, j: int, d: int) -> Mat:
         return self.ideal.action(j, d)
 
+    def chain(self, e: int) -> tuple[dict, list[Mat], int]:
+        """Solved once per e and kept on the ideal, for every nesting that
+        contains it."""
+        chains = self.ideal._chains
+        if e not in chains:
+            chains[e] = _process_chain(self, e)
+        return chains[e]
+
 
 class ModuleSource(_Source):
-    """Carrier interface over a finite graded module."""
+    """Carrier interface over a finite graded module, with a target module."""
 
-    def __init__(self, mod: FiniteGradedModule):
+    def __init__(self, mod: FiniteGradedModule, tgt: FiniteGradedModule):
         self.mod = mod
         self.ctx = mod.ctx
         self.fld = mod.fld
         self.lo = mod.bottom
+        self.tgt = tgt
         self._estruct: dict[int, tuple] = {}
 
     def dim(self, d: int) -> int:
@@ -104,25 +130,22 @@ class ModuleSource(_Source):
 # ------------------------------------------------------------ chain solving
 
 
-def _process_chain(src, tgt: FiniteGradedModule, e: int,
-                   q0: int) -> tuple[dict, list[Mat], int]:
-    """Parametrise all blocks of one Hom chain into tgt; returns (table,
-    constraint blocks, q).  The table maps d to (P, s_d, t_d): the rows of P
-    are global parameters, its columns vec(L_d)."""
-    fld = src.fld
+def _process_chain(src, e: int) -> tuple[dict, list[Mat], int]:
+    """Parametrise all blocks of one Hom chain into src.tgt; returns (table,
+    constraint blocks, q).  The chain's q parameters are numbered from 0.
+    The table maps d to (P, s_d, t_d): the rows of P are parameters, its
+    columns vec(L_d).  A constraint block has one row per parameter too: its
+    columns are the residuals of relations, each of which must vanish."""
+    fld, tgt = src.fld, src.tgt
     n = src.ctx.n
     table: dict[int, tuple[Mat, int, int]] = {}
     cons: list[Mat] = []
     o = src.lo
     d_top = tgt.top - e
-    q = q0
     if d_top < o:
-        return table, cons, q
+        return table, cons, 0
     s0, t0 = src.dim(o), tgt.dim(o + e)
-    vec = s0 * t0
-    p = Mat.vstack(fld, [Mat.zeros(fld, q, vec), Mat.identity(fld, vec)], vec)
-    q += vec
-    table[o] = (p, s0, t0)
+    table[o] = (Mat.identity(fld, s0 * t0), s0, t0)
     for d in range(o, d_top):
         p, s_d, t_cur = table[d]
         s_next, t_next = src.dim(d + 1), tgt.dim(d + 1 + e)
@@ -135,15 +158,17 @@ def _process_chain(src, tgt: FiniteGradedModule, e: int,
             b = Mat.hstack(fld, [tgt.action(j, d + e) for j in range(n)])
             p_g = right_mul_vecrows(p, s_d, t_cur, b)
             first_col = lambda a: (a % s_d * n + a // s_d) * t_next
-            p_gj = p_g.take_cols([first_col(a) + c for a in rows_j for c in range(t_next)])
+            p_gj, p_gd = p_g.split_cols(
+                [first_col(a) + c for a in rows_j for c in range(t_next)],
+                [first_col(a) + c for a in rows_d for c in range(t_next)])
+            del p_g
             p_vals = left_mul_vecrows(p_gj, rho, t_next, s_mat)
-            p_rel = p_g.take_cols([first_col(a) + c for a in rows_d for c in range(t_next)]) \
-                .sub(left_mul_vecrows(p_gj, rho, t_next, c_mat))
+            p_rel = p_gd.sub(left_mul_vecrows(p_gj, rho, t_next, c_mat))
         else:
-            p_vals = Mat.zeros(fld, q, rho * t_next)
-            p_rel = Mat.zeros(fld, q, len(rows_d) * t_next)
+            p_vals = Mat.zeros(fld, p.nrows, rho * t_next)
+            p_rel = Mat.zeros(fld, p.nrows, len(rows_d) * t_next)
         if p_rel.ncols:
-            cons.append(p_rel.transpose())
+            cons.append(p_rel)
         # assemble the next block: pivot rows carry solved values, the rest are
         # fresh parameters (values on new minimal generators)
         vec_next = s_next * t_next
@@ -165,10 +190,8 @@ def _process_chain(src, tgt: FiniteGradedModule, e: int,
                 for i, val in col.items():
                     entries.append((r, piv[i] * t_next + c, -val))
         new_part = Mat.from_entries(fld, len(free_rows) * t_next, vec_next, entries)
-        p_next = Mat.vstack(fld, [old_part, new_part], vec_next)
-        q += len(free_rows) * t_next
-        table[d + 1] = (p_next, s_next, t_next)
-    return table, cons, q
+        table[d + 1] = (Mat.vstack(fld, [old_part, new_part], vec_next), s_next, t_next)
+    return table, cons, table[d_top][0].nrows
 
 
 def _inclusion_coords(lower: HomogeneousIdeal, upper: HomogeneousIdeal, d: int) -> Mat:
@@ -183,12 +206,12 @@ def _lift_project(lower: HomogeneousIdeal, upper: HomogeneousIdeal, c: int) -> M
     return st_up.project_rows(st_low.lift)
 
 
-def _link_blocks(links, tables: list[dict], e: int):
-    """For each nesting link and degree d, the residual of the link equation
-    on tables of one row layout: the matrix whose row k is
-    vec(L_low_d @ (R/lower -> R/upper) - incl @ L_up_d) for the k-th row of
-    the tables, with missing rows read as zero.  links: list of (upper_ideal,
-    lower_ideal, upper_table_index, lower_table_index)."""
+def _link_terms(links, tables: list[dict], e: int):
+    """For each nesting link and degree d, the two terms of the link equation
+    L_low_d @ (R/lower -> R/upper) = incl @ L_up_d, one row per row of their
+    tables: yields (il, term_low, iu, term_up), a term with no table rows as
+    a matrix of no rows.  links: list of (upper_ideal, lower_ideal,
+    upper_table_index, lower_table_index)."""
     for upper, lower, iu, il in links:
         tu, tl = tables[iu], tables[il]
         fld = upper.fld
@@ -209,38 +232,40 @@ def _link_blocks(links, tables: list[dict], e: int):
                 term_l = right_mul_vecrows(pl[0], pl[1], pl[2], lp)
             else:
                 term_l = Mat.zeros(fld, 0, s_low * t_up)
-            h = max(term_u.nrows, term_l.nrows)
-            yield _pad_rows(term_l, h).sub(_pad_rows(term_u, h))
+            yield il, term_l, iu, term_u
 
 
 def _solve(chains, links, e: int) -> int:
-    """The dimension of the degree-e solutions.  chains: list of (source,
-    target module); links: list of (upper_ideal, lower_ideal,
-    upper_chain_index, lower_chain_index) nesting compatibilities."""
-    fld = chains[0][0].fld
-    tables: list[dict] = []
-    cons_blocks: list[Mat] = []
-    q = 0
-    for src, tgt in chains:
-        table, cons, q = _process_chain(src, tgt, e, q)
-        tables.append(table)
-        cons_blocks.extend(cons)
-    cons_blocks.extend(b.transpose() for b in _link_blocks(links, tables, e) if b.nrows)
-    padded = [_pad_cols(b, q) for b in cons_blocks if b.nrows]
-    cons = Mat.vstack(fld, padded, q) if padded else Mat.zeros(fld, 0, q)
+    """The dimension of the degree-e solutions.  chains: list of sources,
+    each with its target; links: list of (upper_ideal, lower_ideal,
+    upper_chain_index, lower_chain_index) nesting compatibilities.  Chain i's
+    parameters come after those of chains 0..i-1: each block is shifted to
+    its chain's offset once, as the constraint matrix is assembled."""
+    fld = chains[0].fld
+    solved = [src.chain(e) for src in chains]
+    offsets, q = [], 0
+    for _, _, q_i in solved:
+        offsets.append(q)
+        q += q_i
+    blocks = [_shift_rows(b, off, q).transpose()
+              for (_, cons, _), off in zip(solved, offsets) for b in cons]
+    blocks += [_shift_rows(term_l, offsets[il], q).sub(_shift_rows(term_u, offsets[iu], q))
+               .transpose()
+               for il, term_l, iu, term_u in _link_terms(links, [t for t, _, _ in solved], e)
+               if term_l.nrows or term_u.nrows]
+    del solved  # an uncached chain is freed here; the ideals keep theirs
+    cons = Mat.vstack(fld, blocks, q) if blocks else Mat.zeros(fld, 0, q)
+    del blocks  # no shifted block stays alive through the rank, the peak
     return q - cons.rank() if cons.nrows else q
 
 
-def _pad_rows(m: Mat, nrows: int) -> Mat:
+def _shift_rows(m: Mat, offset: int, nrows: int) -> Mat:
+    """m with its rows moved down to start at row offset, in nrows rows."""
     if m.nrows == nrows:
         return m
-    return Mat.vstack(m.field, [m, Mat.zeros(m.field, nrows - m.nrows, m.ncols)], m.ncols)
-
-
-def _pad_cols(m: Mat, ncols: int) -> Mat:
-    if m.ncols == ncols:
-        return m
-    return Mat.hstack(m.field, [m, Mat.zeros(m.field, m.nrows, ncols - m.ncols)])
+    parts = [Mat.zeros(m.field, offset, m.ncols), m,
+             Mat.zeros(m.field, nrows - offset - m.nrows, m.ncols)]
+    return Mat.vstack(m.field, parts, m.ncols)
 
 
 # ------------------------------------------------------------- graded homs
@@ -249,12 +274,12 @@ def _pad_cols(m: Mat, ncols: int) -> Mat:
 def graded_hom_dims(source: FiniteGradedModule, target: FiniteGradedModule
                     ) -> dict[int, int]:
     """All nonzero degrees of Hom_R(source, target), certified by windowing."""
-    src = ModuleSource(source)
+    src = ModuleSource(source, target)
     e_min = target.bottom - src.gen_top()
     e_max = target.top - src.lo
     out = {}
     for e in range(e_min, e_max + 1):
-        d = _solve([(src, target)], [], e)
+        d = _solve([src], [], e)
         if d:
             out[e] = d
     return out
@@ -264,13 +289,12 @@ def tangent_graded(ideal: HomogeneousIdeal, e: int) -> int:
     """dim Hom_R(I, R/I)_e, the weight-e tangent space at a single fat point."""
     if not ideal.is_m_primary:
         raise NotMPrimary("tangent computation needs a certified m-primary ideal")
-    return _solve([(IdealSource(ideal), quotient_module(ideal))], [], e)
+    return _solve([IdealSource(ideal)], [], e)
 
 
 def nested_tangent_graded(nest: Nesting, e: int) -> int:
     """The weight-e tangent dimension at a nesting."""
-    chains = [(IdealSource(i), quotient_module(i)) for i in nest.ideals]
-    return _solve(chains, _nesting_links(nest), e)
+    return _solve([IdealSource(i) for i in nest.ideals], _nesting_links(nest), e)
 
 
 def _nesting_links(nest: Nesting) -> list[tuple]:
@@ -284,10 +308,14 @@ def _nesting_links(nest: Nesting) -> list[tuple]:
 def theta_tables(nest: Nesting) -> list[dict[int, tuple[Mat, int, int]]]:
     """The degree -1 tangent tuples of the n derivations d/dx_j: per ideal, a
     table {d: (P, s_d, t_d)} whose row j is vec of the block I_d -> (R/I)_{d-1}
-    of d/dx_j."""
-    ctx, fld = nest.ctx, nest.fld
-    tables = []
-    for ideal in nest.ideals:
+    of d/dx_j.  Each ideal's table is built once and kept on the ideal; the
+    caller gets its own dicts, so its edits never reach that copy."""
+    return [dict(_theta_table(ideal)) for ideal in nest.ideals]
+
+
+def _theta_table(ideal: HomogeneousIdeal) -> dict[int, tuple[Mat, int, int]]:
+    if ideal._theta is None:
+        ctx, fld = ideal.ctx, ideal.fld
         table = {}
         for d in range(ideal.order, ideal.socle_degree + 2):
             s, t = ideal.dim_at(d), ideal.qdim(d - 1)
@@ -300,8 +328,8 @@ def theta_tables(nest: Nesting) -> list[dict[int, tuple[Mat, int, int]]]:
                     entries.extend((j, u * t + c, v) for u in range(s)
                                    for c, v in block.row_items(u).items())
             table[d] = (Mat.from_entries(fld, ctx.n, s * t, entries), s, t)
-        tables.append(table)
-    return tables
+        ideal._theta = table
+    return ideal._theta
 
 
 def check_tangent_blocks(nest: Nesting, tables: list[dict[int, tuple[Mat, int, int]]]
@@ -317,7 +345,12 @@ def check_tangent_blocks(nest: Nesting, tables: list[dict[int, tuple[Mat, int, i
                 rhs = right_mul_vecrows(*cur, ideal.quotient_action(j, d - 1))
                 if not lhs.sub(rhs).is_zero():
                     return False
-    return all(b.is_zero() for b in _link_blocks(_nesting_links(nest), tables, -1))
+    # row k of every table is the k-th tuple: the two terms must agree row by row
+    for _, term_l, _, term_u in _link_terms(_nesting_links(nest), tables, -1):
+        h = max(term_l.nrows, term_u.nrows)
+        if _shift_rows(term_l, 0, h) != _shift_rows(term_u, 0, h):
+            return False
+    return True
 
 
 def theta_rank(nest: Nesting) -> int:
@@ -527,12 +560,13 @@ def hom_dim_via_syzygies(ideal: HomogeneousIdeal, e: int) -> int:
     from .resolutions import first_syzygies, minimal_generators
 
     ctx, fld = ideal.ctx, ideal.fld
-    gens = minimal_generators(ideal)
+    if ideal._syzygies is None:  # once per ideal, for every e
+        ideal._syzygies = (minimal_generators(ideal), first_syzygies(ideal))
+    gens, syz = ideal._syzygies
     offsets, total = [], 0
     for d, _ in gens:
         offsets.append(total)
         total += ideal.qdim(d + e)
-    syz = first_syzygies(ideal)
     width = 0
     entries: list[tuple[int, int, object]] = []
     for sy_deg, comps in zip(syz.degrees, syz.comps):

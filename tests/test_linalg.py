@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import gcd
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -287,6 +288,10 @@ def test_rational_storage_matches_fraction_reference(data, s, t, t2, nt, q):
         for c, d in zip(cols_idx, dest):
             w[d] = r[c]
     check(m_lam.remap_cols(t + 1, list(zip(cols_idx, dest))), want, t + 1)
+    perm = data.draw(st.permutations(range(t)))
+    k = data.draw(st.integers(0, t))
+    for got, part in zip(m_lam.split_cols(perm[:k], perm[k:]), (perm[:k], perm[k:])):
+        check(got, [[r[j] for j in part] for r in full], len(part))
     check(Mat.hstack(QQ, [m_lam, mat(other, t)]),
           [r + [Fraction(v) for v in o] for r, o in zip(full, other)], 2 * t)
     check(Mat.vstack(QQ, [m_lam, mat(other, t)], t),
@@ -375,6 +380,10 @@ def test_prime_field_storage_matches_dense_reference(monkeypatch):
             for c in cols:
                 w[c + 1] = r[c]
         check(m_lam.remap_cols(t + 1, [(c, c + 1) for c in cols]), want, t + 1)
+        perm = data.draw(st.permutations(range(t)))
+        k = data.draw(st.integers(0, t))
+        for got, part in zip(m_lam.split_cols(perm[:k], perm[k:]), (perm[:k], perm[k:])):
+            check(got, [[r[j] for j in part] for r in lam], len(part))
         # vec-row products on q parameter rows of width s * t
         params, m_p = draw(q, s * t)
         blocks = [[row[a * t:(a + 1) * t] for a in range(s)] for row in params]
@@ -396,6 +405,12 @@ def test_prime_field_storage_matches_dense_reference(monkeypatch):
         check(tf, _ref_rref_with_transform(params, s * t, p)[2], q)
 
     agrees()
+    # one fixed nonzero product on each path: some seeds draw none on rows
+    fld = FieldSpec.prime(DEFAULT_PRIME)
+    one = Mat.from_entries(fld, 40, 40, [(3, 5, 7)])
+    assert Mat.identity(fld, 40).matmul(one) == one
+    dense = Mat.from_rows(fld, [[1, 2], [3, 4]])
+    assert to_lists(dense.matmul(dense)) == [[7, 10], [15, 22]]
     assert seen == {"rows", "array", "_sparse_mul", "_matmul_mod"}
 
 
@@ -605,6 +620,17 @@ def matrices(draw, fields, size):
 @given(matrices([2, 3, DEFAULT_PRIME, 94906249], 7))
 def test_prime_field_elimination_matches_python_reference(case):
     _check_against_reference(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices([2, 3, DEFAULT_PRIME, 94906249], 7))
+def test_prime_field_rank_in_row_blocks_matches_python_reference(case):
+    # with the smallest block, a matrix of n columns and more rows is ranked
+    # n rows at a time, each block on the pivot rows of the ones before
+    rows, ncols, p = case
+    m = Mat.from_rows(FieldSpec.prime(p), rows, ncols=ncols)
+    with patch.object(linalg, "_RANK_BLOCK", 1):
+        assert m.rank() == len(_ref_rref(rows, ncols, p)[1])
 
 
 @settings(max_examples=200, deadline=None)

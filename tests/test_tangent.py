@@ -8,6 +8,7 @@ from nesthilb.ideals import (HomogeneousIdeal, Nesting, family_8points,
                              subquotient_module, zero_ideal)
 from nesthilb.linalg import FieldSpec, Mat, QQ
 from nesthilb.parsing import parse_nesting_spec
+from nesthilb import tangent
 from nesthilb.ring import RingCtx, diff_matrix
 from nesthilb.tangent import (NotStrictlySandwiched, TNT_CERTIFIED,
                               TNT_FAILED_PRIME, TNT_FAILED_RATIONAL,
@@ -246,6 +247,80 @@ def test_check_tangent_blocks_rejects_one_bad_row_among_valid_ones(fld):
     lower = {e: (p.take_rows(swap), *shape) for e, (p, *shape) in tables[1].items()}
     assert check_tangent_blocks(Nesting([nest.ideals[1]]), [lower])
     assert not check_tangent_blocks(nest, [tables[0], lower])
+
+
+def _family_ideals(fld):
+    """m, I1:4,2 and I2:4, built afresh."""
+    ctx = RingCtx(4)
+    return power_of_max_ideal(ctx, fld, 1), family_I1(ctx, fld, 2), family_I2(ctx, fld)
+
+
+# nestings of _family_ideals by index: their degrees and whether TNT holds;
+# the theta rank is 4 for each
+REUSE_PINS = {(0, 1): ({-2: 0, -1: 10, 0: 4}, False), (1, 2): ({-2: 0, -1: 4, 0: 20}, True),
+              (1,): ({-2: 0, -1: 8, 0: 4}, False), (0, 1, 2): ({-2: 0, -1: 6, 0: 20}, False)}
+
+
+@pytest.mark.parametrize("fld", [QQ, FP], ids=["QQ", "F32003"])
+@pytest.mark.parametrize("order", [[(0, 1), (1, 2), (1,), (0, 1, 2)],
+                                   [(1,), (1, 2), (0, 1), (0, 1, 2)]],
+                         ids=["first_as_chain_1", "first_alone"])
+def test_a_solved_ideal_is_reused_at_any_chain_position(fld, order, monkeypatch):
+    # I1's chains are solved in the first nesting and kept on the ideal: the
+    # later nestings reuse them as chain 0 and as chain 1, at other parameter
+    # offsets, and must solve as the same nestings of fresh ideals do
+    solved = []
+    process = tangent._process_chain
+
+    def recording(src, e):
+        solved.append((src.ideal, e))
+        return process(src, e)
+
+    monkeypatch.setattr(tangent, "_process_chain", recording)
+    shared = _family_ideals(fld)
+    for idx in order:
+        rep = tnt_check(Nesting([shared[i] for i in idx]))
+        fresh = _family_ideals(fld)
+        assert rep.to_json() == tnt_check(Nesting([fresh[i] for i in idx])).to_json()
+        degrees, certified = REUSE_PINS[idx]
+        assert rep.degrees == degrees and rep.theta_rank == 4
+        assert (rep.tnt == TNT_CERTIFIED) == certified
+    # each chain of a shared ideal was solved once, over all the nestings
+    keys = [(k, e) for i, e in solved for k, j in enumerate(shared) if i is j]
+    assert len(keys) == len(set(keys)) == 9
+
+
+@pytest.mark.parametrize("fld", [QQ, FP], ids=["QQ", "F32003"])
+def test_sandwich_insert_reuses_the_chains_of_its_nesting(fld):
+    # I1 > m^2 > I2: the enlarged nesting reuses I1 as chain 0 and I2, solved
+    # as chain 1 of the pair, as chain 2
+    _, i1, i2 = _family_ideals(fld)
+    nest = Nesting([i1, i2])
+    assert tnt_check(nest).degrees == REUSE_PINS[(1, 2)][0]
+    enlarged = tnt_check(sandwich_insert(nest, 1, 2))
+    _, f1, f2 = _family_ideals(fld)
+    fresh = tnt_check(sandwich_insert(Nesting([f1, f2]), 1, 2))
+    assert enlarged.to_json() == fresh.to_json()
+    assert enlarged.hilbert_functions == ["(1,2)", "(1,4)", "(1,4,2)"]
+    assert enlarged.degrees == {-2: 0, -1: 8, 0: 20} and enlarged.theta_rank == 4
+    assert enlarged.tnt != TNT_CERTIFIED
+
+
+@pytest.mark.parametrize("fld", [QQ, FP], ids=["QQ", "F32003"])
+def test_edits_to_theta_tables_never_reach_the_kept_ones(fld):
+    # the tables are kept on the ideals; the caller's copies are its own to edit
+    _, i1, i2 = _family_ideals(fld)
+    nest = Nesting([i1, i2])
+    tables = theta_tables(nest)
+    for k, d, r in _changed_entries(nest):
+        t = tables[k][d][2]
+        tables[k][d] = _changed(tables, k, d, 0, r * t, fld)[k][d]
+    assert not check_tangent_blocks(nest, tables)
+    _, f1, f2 = _family_ideals(fld)
+    fresh = Nesting([f1, f2])
+    assert theta_rank(nest) == theta_rank(fresh) == 4
+    assert tnt_check(nest).to_json() == tnt_check(fresh).to_json()
+    assert check_tangent_blocks(nest, theta_tables(nest))
 
 
 FIXTURE_NESTS = [
