@@ -18,9 +18,11 @@ generators, so generators and the rank of R_1 * I_{d-1} need no further
 elimination.  A stored basis owns exactly its rows, never a view into a
 larger elimination buffer.
 
-An ideal caches only what it derives from its bases: quotient sections and
-actions (``quotient_structure``, ``quotient_action``) and the relations of
-``tangent.e_struct``.  Its own x_j actions are built on demand, never kept.
+An ideal keeps, in one dict ``_kept``, whatever is derived from its bases
+alone and worth keeping while it lives: here its quotient sections and
+actions (``quotient_structure``, ``quotient_action``); the layers above store
+their own entries there under their own keys.  Its own x_j actions are built
+on demand, never kept.
 """
 
 from __future__ import annotations
@@ -93,17 +95,15 @@ class HilbertFunction:
 class SubquotientStructure:
     """Canonical presentation of A_d / B_d for echelon subspaces B ⊆ A ⊆ R_d."""
 
-    def __init__(self, amb_dim: int, a_rref: Mat, a_piv: list[int],
-                 b_rref: Mat, b_piv: list[int]):
+    def __init__(self, a_rref: Mat, a_piv: list[int], b_rref: Mat, b_piv: list[int]):
         bset = set(b_piv)
         if not bset.issubset(set(a_piv)):
             raise NotNested("pivot sets violate containment")
-        self.amb_dim = amb_dim
         self.b_piv = list(b_piv)
         self.c_piv = [p for p in a_piv if p not in bset]
         self.b_tail = b_rref.take_cols(self.c_piv)  # B's basis at the quotient pivots
         keep = [i for i, p in enumerate(a_piv) if p not in bset]
-        self.lift = a_rref.take_rows(keep)  # (qdim x amb_dim), canonical section
+        self.lift = a_rref.take_rows(keep)  # (qdim x dim R_d), canonical section
         self.qdim = len(self.c_piv)
 
     def project_rows(self, m: Mat) -> Mat:
@@ -134,15 +134,7 @@ class HomogeneousIdeal:
         notfull = [d for d in range(self.cutoff + 1) if dims[d] < ctx.dim(d)]
         self.socle_degree = max(notfull) if (self.is_m_primary and notfull) else \
             (-1 if self.is_m_primary else None)
-        self._qstruct: dict[int, SubquotientStructure] = {}
-        # caches of the tangent layer, filled on first use: the relation
-        # split per degree, the solved Hom chain into R/I per weight e, the
-        # theta table, and the syzygy oracle's generators and syzygies
-        self._estruct: dict[int, tuple] = {}
-        self._chains: dict[int, tuple] = {}
-        self._theta: dict[int, tuple] | None = None
-        self._syzygies: tuple | None = None
-        self._qact: dict[tuple[int, int], Mat] = {}
+        self._kept: dict = {}  # derived from the bases, filled on first use
 
     # ------------------------------------------------------------------ sizes
 
@@ -230,13 +222,13 @@ class HomogeneousIdeal:
     # --------------------------------------------------------------- quotient
 
     def quotient_structure(self, d: int) -> SubquotientStructure:
-        st = self._qstruct.get(d)
+        key = ("quotient_structure", d)
+        st = self._kept.get(key)
         if st is None:
             n = self.ctx.dim(d)
-            basis, piv = self.basis_at(d)
-            st = SubquotientStructure(n, Mat.identity(self.fld, n), list(range(n)),
-                                      basis, piv)
-            self._qstruct[d] = st
+            st = SubquotientStructure(Mat.identity(self.fld, n), list(range(n)),
+                                      *self.basis_at(d))
+            self._kept[key] = st
         return st
 
     def coords(self, rows: Mat, d: int) -> Mat:
@@ -257,15 +249,15 @@ class HomogeneousIdeal:
     def quotient_action(self, j: int, c: int) -> Mat:
         """Multiplication by x_j as a map (R/I)_c -> (R/I)_{c+1} in the
         canonical quotient coordinates."""
-        key = (j, c)
-        m = self._qact.get(key)
+        key = ("quotient_action", j, c)
+        m = self._kept.get(key)
         if m is None:
             if self.qdim(c) == 0 or self.qdim(c + 1) == 0:
                 m = Mat.zeros(self.fld, self.qdim(c), self.qdim(c + 1))
             else:
                 st, st1 = self.quotient_structure(c), self.quotient_structure(c + 1)
                 m = st1.project_rows(scatter_rows(self.ctx, st.lift, j, c))
-            self._qact[key] = m
+            self._kept[key] = m
         return m
 
     def __repr__(self):
@@ -605,7 +597,7 @@ def subquotient_module(a: HomogeneousIdeal, b: HomogeneousIdeal,
     if not a.contains(b):
         raise NotNested("second ideal is not contained in the first")
     ctx, fld = a.ctx, a.fld
-    structs = [SubquotientStructure(ctx.dim(d), *a.basis_at(d), *b.basis_at(d))
+    structs = [SubquotientStructure(*a.basis_at(d), *b.basis_at(d))
                for d in range(hi + 1)]
     lo = next((d for d in range(hi + 1) if structs[d].qdim), 0)
     dims = [structs[d].qdim for d in range(lo, hi + 1)]

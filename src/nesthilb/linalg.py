@@ -306,8 +306,6 @@ class Mat:
                 m._fill(out[:, at:at + m.ncols])
                 at += m.ncols
             return Mat(field, nrows, ncols, arr=out)
-        if not any(m._nnz() for m in mats[1:]):  # zero columns appended: same rows
-            return Mat(field, nrows, ncols, rows=mats[0]._rows(), dens=mats[0].dens)
         # each part of row i over the lcm of its parts' denominators: some
         # part has no factor of the lcm left over, so it stays lowest terms
         dens = [lcm(*ds) for ds in zip(*(m.dens for m in mats))] if field.is_rational else None
@@ -531,7 +529,8 @@ class Mat:
         aug, piv = Mat.hstack(self.field, [self, Mat.identity(self.field, m)]).rref()
         if piv and piv[-1] >= n:
             raise LinalgError("rref_with_transform needs a matrix of full row rank")
-        return aug.take_cols(range(n)), piv, aug.take_cols(range(n, n + m))
+        red, s_mat = aug.split_cols(range(n), range(n, n + m))
+        return red, piv, s_mat
 
     def rank(self) -> int:
         # over GF(p) a forward pass in place, with the shorter side as columns

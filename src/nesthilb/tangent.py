@@ -15,16 +15,23 @@ the theta check share this form and one set of nesting-link equations; the
 generator/syzygy route exists separately as a test oracle
 (``hom_dim_via_syzygies``).
 
+A carrier is a ``ModuleSource``: a graded module with its x_j actions and
+the target of its Hom chains.  An ``IdealSource`` is the same carrier over an
+ideal I with target R/I; it only says where its dims, actions and kept state
+come from.  The chains of a nesting are linked by position: ``_solve`` links
+chain i to chain i + 1, and ``_link_terms`` walks consecutive ideals.
+
 Each Hom chain numbers its parameters from 0, so a chain solved for one
 nesting serves any other: ``_solve`` shifts each chain's constraint blocks
 and link terms to the chain's offset once, as it assembles the constraint
-matrix.  An ideal keeps, for as long as it lives, what depends on it alone:
-the relation split per degree (``e_struct``), its chain into R/I per weight
-e (table, constraint blocks and parameter count), its theta table, and the
-oracle's minimal generators and first syzygies.  The census cells of one row
-share their I2, and a sandwich shares the ideals of its nesting, so each of
-these is solved once.  Chains over a ``ModuleSource`` (``graded_hom_dims``)
-are not kept.
+matrix.  What depends on one ideal alone is kept in the ideal's ``_kept``
+dict for as long as it lives: the relation split per degree (``e_struct``),
+its chain into R/I per weight e (table, constraint blocks and parameter
+count), its theta table, and the oracle's minimal generators and first
+syzygies.  The census cells of one row share their I2, and a sandwich shares
+the ideals of its nesting, so each of these is solved once.  A
+``ModuleSource`` (``graded_hom_dims``) keeps its relation splits in its own
+dict, and no chains.
 """
 
 from __future__ import annotations
@@ -49,10 +56,24 @@ class NotStrictlySandwiched(ValueError):
 # ----------------------------------------------------------------- carriers
 
 
-class _Source:
-    """Degreewise carrier with variable actions and the target module of its
-    Hom chain; subclasses set ctx, fld, lo, tgt, dim, act and the
-    ``_estruct`` cache."""
+class ModuleSource:
+    """Degreewise carrier of a finite graded module, with the target module
+    of its Hom chains.  It keeps its relation splits in ``_kept``, and solves
+    each chain afresh."""
+
+    def __init__(self, mod: FiniteGradedModule, tgt: FiniteGradedModule):
+        self.mod = mod
+        self.ctx = mod.ctx
+        self.fld = mod.fld
+        self.lo = mod.bottom
+        self.tgt = tgt
+        self._kept: dict = {}
+
+    def dim(self, d: int) -> int:
+        return self.mod.dim(d)
+
+    def act(self, j: int, d: int) -> Mat:
+        return self.mod.action(j, d)
 
     def e_struct(self, d: int) -> tuple[Mat, list[int], Mat, list[int], list[int], Mat]:
         """The multiplication relations out of degree d.  The rows of the
@@ -60,23 +81,25 @@ class _Source:
         from the last, and the others D, with E_D = C @ E_J.  Returns
         (R, piv, S, J, D, C): R is the rref of E_J, with pivots piv, and
         S @ E_J = R."""
-        if d not in self._estruct:
+        key = ("e_struct", d)
+        if key not in self._kept:
             # E^T, built directly: its columns are the rows of E
             et = Mat.hstack(self.fld, [self.act(j, d).transpose()
                                        for j in range(self.ctx.n)])
             rows_j, rows_d, c = et._column_split()
             e_j = et.take_cols(rows_j).transpose()
             del et  # as large as E: free it before the transform
-            self._estruct[d] = (*e_j.rref_with_transform(), rows_j, rows_d, c)
-        return self._estruct[d]
+            self._kept[key] = (*e_j.rref_with_transform(), rows_j, rows_d, c)
+        return self._kept[key]
 
     def chain(self, e: int) -> tuple[dict, list[Mat], int]:
         """The degree-e Hom chain into tgt, solved by ``_process_chain``."""
         return _process_chain(self, e)
 
 
-class IdealSource(_Source):
-    """Degreewise carrier of an m-primary ideal I, with target R/I."""
+class IdealSource(ModuleSource):
+    """Carrier of an m-primary ideal I, with target R/I.  Its dims, actions
+    and kept state are the ideal's, and it keeps its chains there too."""
 
     def __init__(self, ideal: HomogeneousIdeal):
         self.ideal = ideal
@@ -84,7 +107,7 @@ class IdealSource(_Source):
         self.fld = ideal.fld
         self.lo = ideal.order
         self.tgt = quotient_module(ideal)
-        self._estruct = ideal._estruct  # shared by every source over this ideal
+        self._kept = ideal._kept  # shared by every source over this ideal
 
     def dim(self, d: int) -> int:
         return self.ideal.dim_at(d)
@@ -93,38 +116,11 @@ class IdealSource(_Source):
         return self.ideal.action(j, d)
 
     def chain(self, e: int) -> tuple[dict, list[Mat], int]:
-        """Solved once per e and kept on the ideal, for every nesting that
-        contains it."""
-        chains = self.ideal._chains
-        if e not in chains:
-            chains[e] = _process_chain(self, e)
-        return chains[e]
-
-
-class ModuleSource(_Source):
-    """Carrier interface over a finite graded module, with a target module."""
-
-    def __init__(self, mod: FiniteGradedModule, tgt: FiniteGradedModule):
-        self.mod = mod
-        self.ctx = mod.ctx
-        self.fld = mod.fld
-        self.lo = mod.bottom
-        self.tgt = tgt
-        self._estruct: dict[int, tuple] = {}
-
-    def dim(self, d: int) -> int:
-        return self.mod.dim(d)
-
-    def act(self, j: int, d: int) -> Mat:
-        return self.mod.action(j, d)
-
-    def gen_top(self) -> int:
-        top = self.lo
-        for d in range(self.lo, self.mod.hi):
-            if self.dim(d + 1):
-                if self.dim(d + 1) > len(self.e_struct(d)[1]):
-                    top = d + 1
-        return top
+        """Solved once per e, for every nesting that contains the ideal."""
+        key = ("chain", e)
+        if key not in self._kept:
+            self._kept[key] = _process_chain(self, e)
+        return self._kept[key]
 
 
 # ------------------------------------------------------------ chain solving
@@ -206,14 +202,14 @@ def _lift_project(lower: HomogeneousIdeal, upper: HomogeneousIdeal, c: int) -> M
     return st_up.project_rows(st_low.lift)
 
 
-def _link_terms(links, tables: list[dict], e: int):
-    """For each nesting link and degree d, the two terms of the link equation
-    L_low_d @ (R/lower -> R/upper) = incl @ L_up_d, one row per row of their
-    tables: yields (il, term_low, iu, term_up), a term with no table rows as
-    a matrix of no rows.  links: list of (upper_ideal, lower_ideal,
-    upper_table_index, lower_table_index)."""
-    for upper, lower, iu, il in links:
-        tu, tl = tables[iu], tables[il]
+def _link_terms(ideals: list[HomogeneousIdeal], tables: list[dict], e: int):
+    """For each consecutive pair upper = ideals[i] ⊇ lower = ideals[i + 1] and
+    each degree d, the two terms of the link equation
+    L_low_d @ (R/lower -> R/upper) = incl @ L_up_d, one row per row of
+    tables[i + 1] and tables[i]: yields (i, term_low, term_up), a term with
+    no table rows as a matrix of no rows."""
+    for i, (upper, lower) in enumerate(zip(ideals, ideals[1:])):
+        tu, tl = tables[i], tables[i + 1]
         fld = upper.fld
         for d in range(lower.order, upper.socle_degree - e + 1):
             s_low = lower.dim_at(d)
@@ -232,15 +228,15 @@ def _link_terms(links, tables: list[dict], e: int):
                 term_l = right_mul_vecrows(pl[0], pl[1], pl[2], lp)
             else:
                 term_l = Mat.zeros(fld, 0, s_low * t_up)
-            yield il, term_l, iu, term_u
+            yield i, term_l, term_u
 
 
-def _solve(chains, links, e: int) -> int:
+def _solve(chains: list[ModuleSource], e: int) -> int:
     """The dimension of the degree-e solutions.  chains: list of sources,
-    each with its target; links: list of (upper_ideal, lower_ideal,
-    upper_chain_index, lower_chain_index) nesting compatibilities.  Chain i's
-    parameters come after those of chains 0..i-1: each block is shifted to
-    its chain's offset once, as the constraint matrix is assembled."""
+    each with its target; two or more are the ``IdealSource``s of a
+    nesting, and chain i is linked to chain i + 1.  Chain i's parameters
+    come after those of chains 0..i-1: each block is shifted to its chain's
+    offset once, as the constraint matrix is assembled."""
     fld = chains[0].fld
     solved = [src.chain(e) for src in chains]
     offsets, q = [], 0
@@ -249,10 +245,11 @@ def _solve(chains, links, e: int) -> int:
         q += q_i
     blocks = [_shift_rows(b, off, q).transpose()
               for (_, cons, _), off in zip(solved, offsets) for b in cons]
-    blocks += [_shift_rows(term_l, offsets[il], q).sub(_shift_rows(term_u, offsets[iu], q))
-               .transpose()
-               for il, term_l, iu, term_u in _link_terms(links, [t for t, _, _ in solved], e)
-               if term_l.nrows or term_u.nrows]
+    if len(chains) > 1:
+        links = _link_terms([src.ideal for src in chains], [t for t, _, _ in solved], e)
+        blocks += [_shift_rows(term_l, offsets[i + 1], q).sub(_shift_rows(term_u, offsets[i], q))
+                   .transpose()
+                   for i, term_l, term_u in links if term_l.nrows or term_u.nrows]
     del solved  # an uncached chain is freed here; the ideals keep theirs
     cons = Mat.vstack(fld, blocks, q) if blocks else Mat.zeros(fld, 0, q)
     del blocks  # no shifted block stays alive through the rank, the peak
@@ -275,11 +272,15 @@ def graded_hom_dims(source: FiniteGradedModule, target: FiniteGradedModule
                     ) -> dict[int, int]:
     """All nonzero degrees of Hom_R(source, target), certified by windowing."""
     src = ModuleSource(source, target)
-    e_min = target.bottom - src.gen_top()
+    # the top degree of a generator: the last piece its relations do not fill
+    gen_top = max((d + 1 for d in range(src.lo, source.hi)
+                   if source.dim(d + 1) and source.dim(d + 1) > len(src.e_struct(d)[1])),
+                  default=src.lo)
+    e_min = target.bottom - gen_top
     e_max = target.top - src.lo
     out = {}
     for e in range(e_min, e_max + 1):
-        d = _solve([src], [], e)
+        d = _solve([src], e)
         if d:
             out[e] = d
     return out
@@ -289,17 +290,12 @@ def tangent_graded(ideal: HomogeneousIdeal, e: int) -> int:
     """dim Hom_R(I, R/I)_e, the weight-e tangent space at a single fat point."""
     if not ideal.is_m_primary:
         raise NotMPrimary("tangent computation needs a certified m-primary ideal")
-    return _solve([IdealSource(ideal)], [], e)
+    return _solve([IdealSource(ideal)], e)
 
 
 def nested_tangent_graded(nest: Nesting, e: int) -> int:
     """The weight-e tangent dimension at a nesting."""
-    return _solve([IdealSource(i) for i in nest.ideals], _nesting_links(nest), e)
-
-
-def _nesting_links(nest: Nesting) -> list[tuple]:
-    """(upper, lower, i, i + 1) for each consecutive pair of the chain."""
-    return [(nest.ideals[i], nest.ideals[i + 1], i, i + 1) for i in range(nest.r - 1)]
+    return _solve([IdealSource(i) for i in nest.ideals], e)
 
 
 # ------------------------------------------------------------------- theta
@@ -314,7 +310,7 @@ def theta_tables(nest: Nesting) -> list[dict[int, tuple[Mat, int, int]]]:
 
 
 def _theta_table(ideal: HomogeneousIdeal) -> dict[int, tuple[Mat, int, int]]:
-    if ideal._theta is None:
+    if "theta" not in ideal._kept:
         ctx, fld = ideal.ctx, ideal.fld
         table = {}
         for d in range(ideal.order, ideal.socle_degree + 2):
@@ -328,8 +324,8 @@ def _theta_table(ideal: HomogeneousIdeal) -> dict[int, tuple[Mat, int, int]]:
                     entries.extend((j, u * t + c, v) for u in range(s)
                                    for c, v in block.row_items(u).items())
             table[d] = (Mat.from_entries(fld, ctx.n, s * t, entries), s, t)
-        ideal._theta = table
-    return ideal._theta
+        ideal._kept["theta"] = table
+    return ideal._kept["theta"]
 
 
 def check_tangent_blocks(nest: Nesting, tables: list[dict[int, tuple[Mat, int, int]]]
@@ -346,7 +342,7 @@ def check_tangent_blocks(nest: Nesting, tables: list[dict[int, tuple[Mat, int, i
                 if not lhs.sub(rhs).is_zero():
                     return False
     # row k of every table is the k-th tuple: the two terms must agree row by row
-    for _, term_l, _, term_u in _link_terms(_nesting_links(nest), tables, -1):
+    for _, term_l, term_u in _link_terms(nest.ideals, tables, -1):
         h = max(term_l.nrows, term_u.nrows)
         if _shift_rows(term_l, 0, h) != _shift_rows(term_u, 0, h):
             return False
@@ -560,9 +556,9 @@ def hom_dim_via_syzygies(ideal: HomogeneousIdeal, e: int) -> int:
     from .resolutions import first_syzygies, minimal_generators
 
     ctx, fld = ideal.ctx, ideal.fld
-    if ideal._syzygies is None:  # once per ideal, for every e
-        ideal._syzygies = (minimal_generators(ideal), first_syzygies(ideal))
-    gens, syz = ideal._syzygies
+    if "syzygies" not in ideal._kept:  # once per ideal, for every e
+        ideal._kept["syzygies"] = (minimal_generators(ideal), first_syzygies(ideal))
+    gens, syz = ideal._kept["syzygies"]
     offsets, total = [], 0
     for d, _ in gens:
         offsets.append(total)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -304,6 +307,22 @@ def test_sandwich_insert_reuses_the_chains_of_its_nesting(fld):
     assert enlarged.hilbert_functions == ["(1,2)", "(1,4)", "(1,4,2)"]
     assert enlarged.degrees == {-2: 0, -1: 8, 0: 20} and enlarged.theta_rank == 4
     assert enlarged.tnt != TNT_CERTIFIED
+
+
+@pytest.mark.parametrize("fld", [QQ, FP], ids=["QQ", "F32003"])
+def test_a_deleted_ideal_is_freed_with_what_it_keeps(fld):
+    # an ideal keeps its relation splits, chains, theta table and the
+    # oracle's syzygies; none of them, and no module-level cache, holds the
+    # ideal, so deleting a solved nesting and its ideals frees every ideal
+    _, i1, i2 = _family_ideals(fld)
+    nest = sandwich_insert(Nesting([i1, i2]), 1, 2)
+    assert tnt_check(nest).degrees == {-2: 0, -1: 8, 0: 20}
+    assert hom_dim_via_syzygies(i2, -1) == tangent_graded(i2, -1)
+    refs = [weakref.ref(ideal) for ideal in nest.ideals]
+    assert all(ideal._kept for ideal in nest.ideals)
+    del i1, i2, nest
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
 
 
 @pytest.mark.parametrize("fld", [QQ, FP], ids=["QQ", "F32003"])
