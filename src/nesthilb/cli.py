@@ -19,7 +19,7 @@ from .parsing import parse_ideal_spec, parse_nesting_spec
 from .resolutions import betti_table
 from .strata import census, census_csv, gap, thmC_report
 from .tangent import sandwich_identity_check, tnt_check
-from .verify import FIXTURES, VerifyConfig, run_verify
+from .verify import FIXTURES, run_verify
 
 def _field(args) -> FieldSpec:
     return FieldSpec.parse(args.field)
@@ -165,7 +165,7 @@ def cmd_thmc(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = VerifyConfig(fld=_field(args))
+    fld = _field(args)
     names = args.filter.split(",") if args.filter else None
     if names is not None:
         known = {name for name, *_ in FIXTURES}
@@ -173,7 +173,7 @@ def cmd_verify(args) -> int:
         if unknown:
             raise ValueError(f"unknown fixture name(s) {', '.join(unknown)}; "
                              f"known: {', '.join(sorted(known))}")
-    results = run_verify(names, cfg)
+    results = run_verify(names, fld)
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:

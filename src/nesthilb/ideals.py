@@ -34,6 +34,7 @@ from .linalg import FieldSpec, Mat
 from .ring import HomogeneousElement, RingCtx, scatter_rows
 
 DEFAULT_CEILING = 32
+GENERIC_RETRIES = 8  # random draws of a whole ideal before a profile is refused
 
 
 class IdealError(ValueError):
@@ -370,8 +371,7 @@ def power_of_max_ideal(ctx: RingCtx, fld: FieldSpec, k: int) -> HomogeneousIdeal
 
 
 def generic_ideal_with_hilbert_function(ctx: RingCtx, fld: FieldSpec,
-                                        q: tuple[int, ...], seed: int,
-                                        max_retries: int = 8) -> HomogeneousIdeal:
+                                        q: tuple[int, ...], seed: int) -> HomogeneousIdeal:
     """Seeded random ideal whose quotient Hilbert function is exactly q.
 
     Degree by degree, the span of the previous piece is extended by random
@@ -385,7 +385,7 @@ def generic_ideal_with_hilbert_function(ctx: RingCtx, fld: FieldSpec,
     if q[-1] == 0:
         raise InfeasibleHilbertFunction("trailing zero entries are not allowed")
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(GENERIC_RETRIES):
         out = _try_generic(ctx, fld, q, rng)
         if out is not None:
             return out
@@ -426,16 +426,17 @@ def _try_generic(ctx: RingCtx, fld: FieldSpec, q: tuple[int, ...],
 # ------------------------------------------------------------------- families
 
 
-def _elem(ctx: RingCtx, fld: FieldSpec, degree: int, terms: dict) -> HomogeneousElement:
-    return HomogeneousElement.from_exponents(ctx, fld, degree, terms)
-
-
-def _quad(ctx, fld, a: int, b: int, c: int = 1):
-    """c * x_a x_b as an exponent dict term (1-based variables)."""
-    e = [0] * ctx.n
-    e[a - 1] += 1
-    e[b - 1] += 1
-    return tuple(e), c
+def _form(ctx: RingCtx, fld: FieldSpec, *terms: tuple[int, ...]) -> HomogeneousElement:
+    """The form sum of c * x_a * x_b * ... over terms (c, a, b, ...), with
+    1-based variables; terms on one monomial add up."""
+    exps: dict[tuple[int, ...], int] = {}
+    for c, *vs in terms:
+        e = [0] * ctx.n
+        for v in vs:
+            e[v - 1] += 1
+        key = tuple(e)
+        exps[key] = exps.get(key, 0) + c
+    return HomogeneousElement.from_exponents(ctx, fld, len(terms[0]) - 1, exps)
 
 
 def family_delta_generators(ctx: RingCtx, fld: FieldSpec) -> list[HomogeneousElement]:
@@ -445,16 +446,8 @@ def family_delta_generators(ctx: RingCtx, fld: FieldSpec) -> list[HomogeneousEle
         raise IdealError("the determinantal family needs n >= 4")
     row1 = list(range(1, n + 1))
     row2 = [n] + list(range(1, n))
-    gens = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            ta = _quad(ctx, fld, row1[a], row2[b])
-            tb = _quad(ctx, fld, row2[a], row1[b])
-            terms: dict = {}
-            terms[ta[0]] = terms.get(ta[0], 0) + 1
-            terms[tb[0]] = terms.get(tb[0], 0) - 1
-            gens.append(_elem(ctx, fld, 2, terms))
-    return gens
+    return [_form(ctx, fld, (1, row1[a], row2[b]), (-1, row2[a], row1[b]))
+            for a in range(n) for b in range(a + 1, n)]
 
 
 def family_delta(ctx: RingCtx, fld: FieldSpec, cutoff: int) -> HomogeneousIdeal:
@@ -467,13 +460,7 @@ def family_j_generators(ctx: RingCtx, fld: FieldSpec) -> list[HomogeneousElement
     n = ctx.n
     if n < 4:
         raise IdealError("the linear-times-variable family needs n >= 4")
-    gens = []
-    for i in range(1, n - 1):
-        terms: dict = {}
-        for t, c in (_quad(ctx, fld, n, i), _quad(ctx, fld, n, n - 1)):
-            terms[t] = terms.get(t, 0) + c
-        gens.append(_elem(ctx, fld, 2, terms))
-    return gens
+    return [_form(ctx, fld, (1, n, i), (1, n, n - 1)) for i in range(1, n - 1)]
 
 
 def family_J(ctx: RingCtx, fld: FieldSpec, cutoff: int) -> HomogeneousIdeal:
@@ -492,15 +479,8 @@ def family_I1(ctx: RingCtx, fld: FieldSpec, s: int) -> HomogeneousIdeal:
     n = ctx.n
     if not 2 <= s <= n - 2:
         raise IdealError(f"s={s} out of range for n={n}")
-    gens = []
-    for a in range(1, s + 1):
-        for b in range(a, s + 1):
-            t, c = _quad(ctx, fld, a, b)
-            gens.append(_elem(ctx, fld, 2, {t: c}))
-    for c_ in range(s + 1, n + 1):
-        e = [0] * n
-        e[c_ - 1] = 1
-        gens.append(_elem(ctx, fld, 1, {tuple(e): 1}))
+    gens = ([_form(ctx, fld, (1, a, b)) for a in range(1, s + 1) for b in range(a, s + 1)]
+            + [_form(ctx, fld, (1, c)) for c in range(s + 1, n + 1)])
     return ideal_from_generators(ctx, fld, gens, require_m_primary=True)
 
 
@@ -508,14 +488,9 @@ def family_8points(ctx: RingCtx, fld: FieldSpec) -> HomogeneousIdeal:
     """(x1,x3)^2 + (x2,x4)^2 + (x1 x4 - x2 x3), a length-8 scheme in A^4."""
     if ctx.n != 4:
         raise IdealError("the eight-point family lives in four variables")
-    gens = []
-    for a, b in ((1, 1), (1, 3), (3, 3), (2, 2), (2, 4), (4, 4)):
-        t, c = _quad(ctx, fld, a, b)
-        gens.append(_elem(ctx, fld, 2, {t: c}))
-    det_terms: dict = {}
-    for t, c in (_quad(ctx, fld, 1, 4), _quad(ctx, fld, 2, 3, -1)):
-        det_terms[t] = det_terms.get(t, 0) + c
-    gens.append(_elem(ctx, fld, 2, det_terms))
+    gens = [_form(ctx, fld, (1, a, b))
+            for a, b in ((1, 1), (1, 3), (3, 3), (2, 2), (2, 4), (4, 4))]
+    gens.append(_form(ctx, fld, (1, 1, 4), (-1, 2, 3)))
     return ideal_from_generators(ctx, fld, gens, require_m_primary=True)
 
 
@@ -523,14 +498,8 @@ def family_twisted_cubic_cone(ctx: RingCtx, fld: FieldSpec, cutoff: int) -> Homo
     """Minors of [[x1,x2,x3],[x2,x3,x4]]: a surface cone, kept as a truncation."""
     if ctx.n != 4:
         raise IdealError("the twisted-cubic cone lives in four variables")
-    gens = []
-    for (a1, b1), (a2, b2) in (((1, 3), (2, 2)), ((1, 4), (2, 3)), ((2, 4), (3, 3))):
-        terms: dict = {}
-        t1, _ = _quad(ctx, fld, a1, b1)
-        t2, _ = _quad(ctx, fld, a2, b2)
-        terms[t1] = terms.get(t1, 0) + 1
-        terms[t2] = terms.get(t2, 0) - 1
-        gens.append(_elem(ctx, fld, 2, terms))
+    gens = [_form(ctx, fld, (1, a1, b1), (-1, a2, b2))
+            for (a1, b1), (a2, b2) in (((1, 3), (2, 2)), ((1, 4), (2, 3)), ((2, 4), (3, 3)))]
     return ideal_from_generators(ctx, fld, gens, cutoff=cutoff)
 
 

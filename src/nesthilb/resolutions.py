@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .ideals import HomogeneousIdeal, NotMPrimary
 from .linalg import Mat
-from .ring import HomogeneousElement, RingCtx, scatter_rows
+from .ring import HomogeneousElement, RingCtx
 
 
 class NotTwoStep(ValueError):
@@ -108,60 +108,32 @@ class _FreeGens:
     comps: list[list[dict[int, object]]]  # per generator, one sparse row per summand
 
 
-def _free_dim(ctx: RingCtx, shifts: list[int], c: int) -> int:
-    return sum(ctx.dim(c - s) for s in shifts)
-
-
 def _free_offsets(ctx: RingCtx, shifts: list[int], c: int) -> list[int]:
-    offs, acc = [], 0
+    """Offsets of the summands R_{c-shift} in F_c, then dim F_c."""
+    offs = [0]
     for s in shifts:
-        offs.append(acc)
-        acc += ctx.dim(c - s)
+        offs.append(offs[-1] + ctx.dim(c - s))
     return offs
-
-
-def _mono_mult_row(ctx: RingCtx, row: dict[int, object], a: int,
-                   m: tuple[int, ...]) -> dict[int, object]:
-    """Multiply a sparse row over R_a monomials by the monomial m."""
-    b = sum(m)
-    src = ctx.monomials(a)
-    tgt = ctx._index_for(a + b)
-    return {tgt[tuple(x + y for x, y in zip(src[i], m))]: v for i, v in row.items()}
 
 
 def _presentation_matrix(ctx: RingCtx, fld, gens: _FreeGens, c: int) -> Mat:
     """Degree-c matrix of (+) R(-deg_l) -> F sending the l-th unit to gens[l]."""
-    src_dim = _free_dim(ctx, gens.degrees, c)
-    tgt_dim = _free_dim(ctx, gens.shifts, c)
     src_offs = _free_offsets(ctx, gens.degrees, c)
     tgt_offs = _free_offsets(ctx, gens.shifts, c)
-    entries = []
-    for l, dg in enumerate(gens.degrees):
-        md = c - dg
-        if md < 0:
-            continue
-        for mi, m in enumerate(ctx.monomials(md)):
-            src_idx = src_offs[l] + mi
-            for t, comp in enumerate(gens.comps[l]):
-                if not comp:
-                    continue
-                shifted = _mono_mult_row(ctx, comp, dg - gens.shifts[t], m)
-                for j, v in shifted.items():
-                    entries.append((src_idx, tgt_offs[t] + j, v))
-    return Mat.from_entries(fld, src_dim, tgt_dim, entries)
+    entries = ((src_offs[l] + i, tgt_offs[t] + k, v)
+               for l, dg in enumerate(gens.degrees)
+               for t, comp in enumerate(gens.comps[l])
+               for i, k, v in ctx.mult_entries(comp, dg - gens.shifts[t], c - dg))
+    return Mat.from_entries(fld, src_offs[-1], tgt_offs[-1], entries)
 
 
 def _free_scatter(ctx: RingCtx, rows: Mat, shifts: list[int], c: int, j: int) -> Mat:
     """Multiply rows (coordinates in F_c) by x_j, landing in F_{c+1}."""
-    fld = rows.field
-    pieces = []
-    off = 0
-    for s in shifts:
-        w = ctx.dim(c - s)
-        block = rows.take_cols(list(range(off, off + w)))
-        pieces.append(scatter_rows(ctx, block, j, c - s))
-        off += w
-    return Mat.hstack(fld, pieces)
+    src_offs = _free_offsets(ctx, shifts, c)
+    tgt_offs = _free_offsets(ctx, shifts, c + 1)
+    pairs = [(src_offs[l] + i, tgt_offs[l] + k) for l, s in enumerate(shifts)
+             for i, k in enumerate(ctx.mult_index(j, c - s))]
+    return rows.remap_cols(tgt_offs[-1], pairs)
 
 
 def _syzygy_step(ctx: RingCtx, fld, gens: _FreeGens, top: int
@@ -173,13 +145,14 @@ def _syzygy_step(ctx: RingCtx, fld, gens: _FreeGens, top: int
     lo = min(gens.degrees) + 1
     prev_kernel: Mat | None = None
     for c in range(lo, top + 1):
+        offs = _free_offsets(ctx, gens.degrees, c)
         phi = _presentation_matrix(ctx, fld, gens, c)
         kernel = phi.transpose().kernel_basis()
         if prev_kernel is not None and prev_kernel.nrows:
             span = Mat.vstack(
                 fld, [_free_scatter(ctx, prev_kernel, gens.degrees, c - 1, j)
                       for j in range(ctx.n)],
-                _free_dim(ctx, gens.degrees, c))
+                offs[-1])
             _, span_piv = span.rref()
         else:
             span_piv = []
@@ -189,15 +162,10 @@ def _syzygy_step(ctx: RingCtx, fld, gens: _FreeGens, top: int
         fresh = [flat for flat in rows if min(flat) not in prevset]
         if fresh:
             counts[c] = len(fresh)
-            offs = _free_offsets(ctx, gens.degrees, c)
             for flat in fresh:
-                comp_rows: list[dict[int, object]] = []
-                for l, dg in enumerate(gens.degrees):
-                    w = ctx.dim(c - dg)
-                    comp_rows.append({k - offs[l]: v for k, v in flat.items()
-                                      if offs[l] <= k < offs[l] + w})
                 new_degrees.append(c)
-                new_comps.append(comp_rows)
+                new_comps.append([{k - a: v for k, v in flat.items() if a <= k < b}
+                                  for a, b in zip(offs, offs[1:])])
         prev_kernel = kernel
     return counts, _FreeGens(list(gens.degrees), new_degrees, new_comps)
 

@@ -96,6 +96,15 @@ class RingCtx:
                 out.append((i, tgt[tuple(e)], m[j]))
         return out
 
+    def mult_entries(self, coeffs: dict[int, object], a: int, d: int):
+        """Entries (src_idx, tgt_idx, coeff) of multiplication by the form
+        {mono index: coeff} of degree a, from R_d to R_{d+a}."""
+        tgt = self._index_for(d + a)
+        fmonos = self.monomials(a)
+        for i, m in enumerate(self.monomials(d)):
+            for k, c in coeffs.items():
+                yield i, tgt[tuple(x + y for x, y in zip(m, fmonos[k]))], c
+
     def mono_str(self, expts: tuple[int, ...]) -> str:
         parts = []
         for j, e in enumerate(expts):
@@ -206,26 +215,14 @@ def mult_map(ctx: RingCtx, f: HomogeneousElement, d: int) -> Mat:
     """
     if d < 0:
         raise RingError("degree must be nonnegative")
-    a = f.degree
-    src = ctx.monomials(d)
-    tgt_index = ctx._index_for(d + a)
-    fmonos = ctx.monomials(a)
-    entries = []
-    for i, m in enumerate(src):
-        for k, c in f.coeffs.items():
-            prod = tuple(x + y for x, y in zip(m, fmonos[k]))
-            entries.append((i, tgt_index[prod], c))
-    return Mat.from_entries(f.fld, len(src), ctx.dim(d + a), entries)
+    return Mat.from_entries(f.fld, ctx.dim(d), ctx.dim(d + f.degree),
+                            ctx.mult_entries(f.coeffs, f.degree, d))
 
 
 def variable_action_matrices(ctx: RingCtx, fld: FieldSpec, d: int) -> list[Mat]:
     """The n multiplication maps R_d -> R_{d+1} in the monomial bases."""
-    out = []
-    for j in range(ctx.n):
-        idx = ctx.mult_index(j, d)
-        out.append(Mat.from_entries(fld, ctx.dim(d), ctx.dim(d + 1),
-                                    ((i, t, 1) for i, t in enumerate(idx))))
-    return out
+    eye = Mat.identity(fld, ctx.dim(d))
+    return [scatter_rows(ctx, eye, j, d) for j in range(ctx.n)]
 
 
 def scatter_rows(ctx: RingCtx, m: Mat, j: int, d: int) -> Mat:

@@ -12,13 +12,13 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .ideals import (Nesting, family_8points, family_delta, family_I1, family_I2,
+from .ideals import (Nesting, _form, family_8points, family_delta, family_I1, family_I2,
                      family_twisted_cubic_cone, generic_ideal_with_hilbert_function,
                      ideal_from_generators, power_of_max_ideal, quotient_module,
                      subquotient_module)
 from .linalg import DEFAULT_PRIME, FieldSpec, QQ
 from .resolutions import betti_table, minimal_generators
-from .ring import HomogeneousElement, RingCtx
+from .ring import RingCtx
 from .strata import (compressed_1n2_dim, gap, gap_formula, smoothable_dim,
                      thmC_report, two_step_stratum_dim)
 from .tangent import (TNT_CERTIFIED, hom_dim_via_syzygies, nested_tangent_graded,
@@ -26,15 +26,6 @@ from .tangent import (TNT_CERTIFIED, hom_dim_via_syzygies, nested_tangent_graded
                       tnt_check)
 
 SMALL_PRIME_LIMIT = 1000
-
-
-@dataclass
-class VerifyConfig:
-    fld: FieldSpec = QQ
-
-    @property
-    def tiny_prime(self) -> bool:
-        return self.fld.p is not None and self.fld.p < SMALL_PRIME_LIMIT
 
 
 @dataclass
@@ -52,20 +43,11 @@ def sharpness_ideal(fld: FieldSpec) -> "tuple":
     are spread over several degrees: m^2 over the ideal generated by
     x4*m^2, (x1 x3, x2 x3, x2^2)*m, x1^4 and x3^5."""
     ctx = RingCtx(4)
-    gens = []
-    for a, b in itertools.combinations_with_replacement(range(4), 2):
-        e = [0, 0, 0, 0]
-        e[a] += 1
-        e[b] += 1
-        e[3] += 1
-        gens.append(HomogeneousElement.from_exponents(ctx, fld, 3, {tuple(e): 1}))
-    for quad in ((1, 0, 1, 0), (0, 1, 1, 0), (0, 2, 0, 0)):
-        for v in range(4):
-            e = list(quad)
-            e[v] += 1
-            gens.append(HomogeneousElement.from_exponents(ctx, fld, 3, {tuple(e): 1}))
-    gens.append(HomogeneousElement.from_exponents(ctx, fld, 4, {(4, 0, 0, 0): 1}))
-    gens.append(HomogeneousElement.from_exponents(ctx, fld, 5, {(0, 0, 5, 0): 1}))
+    gens = [_form(ctx, fld, (1, a, b, 4))
+            for a, b in itertools.combinations_with_replacement(range(1, 5), 2)]
+    gens += [_form(ctx, fld, (1, a, b, v)) for a, b in ((1, 3), (2, 3), (2, 2))
+             for v in range(1, 5)]
+    gens += [_form(ctx, fld, (1, 1, 1, 1, 1)), _form(ctx, fld, (1, 3, 3, 3, 3, 3))]
     inner = ideal_from_generators(ctx, fld, gens, require_m_primary=True)
     outer = power_of_max_ideal(ctx, fld, 2)
     return ctx, outer, inner
@@ -74,7 +56,7 @@ def sharpness_ideal(fld: FieldSpec) -> "tuple":
 # ---------------------------------------------------------------- fixtures
 
 
-def fx_betti_determinantal(cfg: VerifyConfig) -> str:
+def fx_betti_determinantal(fld: FieldSpec) -> str:
     ctx = RingCtx(4)
     bt = betti_table(family_I2(ctx, QQ))
     expected = {(0, 2): 8, (1, 3): 12, (1, 4): 1, (2, 4): 4, (2, 5): 4, (3, 6): 2}
@@ -85,7 +67,7 @@ def fx_betti_determinantal(cfg: VerifyConfig) -> str:
     return "resolution 8 / 12+1 / 4+4 / 2 over the rationals"
 
 
-def fx_nested_tangent_pair(cfg: VerifyConfig) -> str:
+def fx_nested_tangent_pair(fld: FieldSpec) -> str:
     ctx = RingCtx(4)
     nest = Nesting([family_I1(ctx, QQ, 2), family_I2(ctx, QQ)])
     rep = tnt_check(nest)
@@ -96,7 +78,7 @@ def fx_nested_tangent_pair(cfg: VerifyConfig) -> str:
     return f"t(-1)=4, zero below, theta rank 4, degrees {rep.degrees}"
 
 
-def fx_family_slice_tnt(cfg: VerifyConfig) -> str:
+def fx_family_slice_tnt(fld: FieldSpec) -> str:
     fld = FieldSpec.prime(DEFAULT_PRIME)
     checked = 0
     for n in range(4, 9):
@@ -110,8 +92,7 @@ def fx_family_slice_tnt(cfg: VerifyConfig) -> str:
     return f"{checked} family nestings certified, 4<=n<=8"
 
 
-def fx_hilbert_families(cfg: VerifyConfig) -> str:
-    fld = cfg.fld
+def fx_hilbert_families(fld: FieldSpec) -> str:
     for n in range(4, 16):
         ctx = RingCtx(n)
         cutoff = 6 if n <= 8 else 3
@@ -122,7 +103,7 @@ def fx_hilbert_families(cfg: VerifyConfig) -> str:
     return "profiles (n,n,...) and (1,n,2) for 4<=n<=15"
 
 
-def fx_dimension_formulas(cfg: VerifyConfig) -> str:
+def fx_dimension_formulas(fld: FieldSpec) -> str:
     r = two_step_stratum_dim((1, 3, 6, 8, 4), 3)
     assert r.value == 44 and r.warning is None, r
     assert smoothable_dim((22,), 2) == 44
@@ -140,8 +121,8 @@ def fx_dimension_formulas(cfg: VerifyConfig) -> str:
     return "two-step 44, smoothable 44, gap identity 4<=n<=30"
 
 
-def fx_sharpness_degrees(cfg: VerifyConfig) -> str:
-    ctx, outer, inner = sharpness_ideal(cfg.fld)
+def fx_sharpness_degrees(fld: FieldSpec) -> str:
+    ctx, outer, inner = sharpness_ideal(fld)
     assert tuple(inner.hilbert_function().entries) == (1, 4, 10, 3, 2)
     rep = tnt_check(Nesting([outer, inner]))
     got = (rep.t_at(-2), rep.t_at(-3), rep.t_at(-4))
@@ -149,7 +130,7 @@ def fx_sharpness_degrees(cfg: VerifyConfig) -> str:
     return f"(t(-2), t(-3), t(-4)) = {got}"
 
 
-def fx_sandwich_jump(cfg: VerifyConfig) -> str:
+def fx_sandwich_jump(fld: FieldSpec) -> str:
     fld = FieldSpec.prime(DEFAULT_PRIME)
     ctx = RingCtx(4)
     a = generic_ideal_with_hilbert_function(ctx, fld, (1, 4, 3), seed=11)
@@ -167,8 +148,7 @@ PREPEND_FIXTURES = ([(4, (1, 4, 3), s) for s in (11, 12, 13, 14, 15, 16, 17)] +
                    [(3, (1,), s) for s in (31, 32, 33)])
 
 
-def fx_prepend_max_formula(cfg: VerifyConfig) -> str:
-    fld = cfg.fld
+def fx_prepend_max_formula(fld: FieldSpec) -> str:
     checked = 0
     for n, q, seed in PREPEND_FIXTURES:
         ctx = RingCtx(n)
@@ -183,8 +163,7 @@ def fx_prepend_max_formula(cfg: VerifyConfig) -> str:
     return f"t(-1)[m > I] = n + h(1) on {checked} TNT fixtures"
 
 
-def fx_eight_points(cfg: VerifyConfig) -> str:
-    fld = cfg.fld
+def fx_eight_points(fld: FieldSpec) -> str:
     ctx = RingCtx(4)
     z = family_8points(ctx, fld)
     h = z.hilbert_function()
@@ -210,7 +189,7 @@ ORACLE_FIXTURES = [
 ]
 
 
-def fx_property_suites(cfg: VerifyConfig) -> str:
+def fx_property_suites(fld: FieldSpec) -> str:
     fld = FieldSpec.prime(DEFAULT_PRIME)
     # degreewise solver vs generator/syzygy oracle on 25 seeded ideals
     for idx, (n, q) in enumerate(ORACLE_FIXTURES):
@@ -285,21 +264,21 @@ FIXTURES = [
 
 
 def run_verify(names: list[str] | None = None,
-               cfg: VerifyConfig | None = None) -> list[FixtureResult]:
-    cfg = cfg or VerifyConfig()
+               fld: FieldSpec = QQ) -> list[FixtureResult]:
+    tiny_prime = fld.p is not None and fld.p < SMALL_PRIME_LIMIT
     results = []
     for name, budget, flaky, fn in FIXTURES:
         if names is not None and name not in names:
             continue
-        if cfg.tiny_prime and flaky:
+        if tiny_prime and flaky:
             results.append(FixtureResult(
                 name, passed=True, skipped=True,
-                detail=f"skipped over {cfg.fld.label}: tiny primes break genericity",
+                detail=f"skipped over {fld.label}: tiny primes break genericity",
                 elapsed=0.0, budget=budget))
             continue
         t0 = time.monotonic()
         try:
-            detail = fn(cfg)
+            detail = fn(fld)
             elapsed = time.monotonic() - t0
             ok = elapsed <= budget
             if not ok:

@@ -5,7 +5,7 @@ for one line per criterion; a PASS/FAIL line is also printed per criterion.
 
 import pytest
 
-from nesthilb.verify import FIXTURES, VerifyConfig, run_verify
+from nesthilb.verify import FIXTURES, run_verify
 
 CRITERIA = [
     (1, "betti_determinantal",
@@ -34,7 +34,7 @@ CRITERIA = [
 @pytest.mark.parametrize("num,name,desc", CRITERIA,
                          ids=[f"c{num:02d}_{name}" for num, name, _ in CRITERIA])
 def test_criterion(num, name, desc):
-    results = run_verify([name], VerifyConfig())
+    results = run_verify([name])
     assert len(results) == 1
     r = results[0]
     status = "PASS" if r.passed else "FAIL"

@@ -3,8 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from nesthilb.ideals import (CutoffTooSmall,
                              InfeasibleHilbertFunction, Nesting, NotMPrimary,
-                             NotNested, family_8points, family_delta, family_I1,
-                             family_I2, family_twisted_cubic_cone,
+                             NotNested, family_8points, family_delta,
+                             family_delta_generators, family_I1, family_I2,
+                             family_j_generators, family_twisted_cubic_cone,
                              generic_ideal_with_hilbert_function,
                              ideal_from_generators, power_of_max_ideal,
                              quotient_module, subquotient_module, zero_ideal)
@@ -41,6 +42,61 @@ def test_determinantal_families():
     assert not delta.is_m_primary
     with pytest.raises(NotMPrimary):
         h.size  # colength undefined for truncations
+
+
+def _minors_text(rows):
+    """The 2x2 minors of a two-row matrix of variable names, as text."""
+    top, bottom = rows
+    return [f"{top[a]}*{bottom[b]} - {bottom[a]}*{top[b]}"
+            for a in range(len(top)) for b in range(a + 1, len(top))]
+
+
+def _delta_text(n):
+    xs = [f"x{k}" for k in range(1, n + 1)]
+    return _minors_text([xs, xs[-1:] + xs[:-1]])
+
+
+def _j_text(n):
+    return [f"x{n}*(x{i} + x{n - 1})" for i in range(1, n - 1)]
+
+
+def _i1_text(n, s):
+    return ([f"x{a}*x{b}" for a in range(1, s + 1) for b in range(a, s + 1)]
+            + [f"x{c}" for c in range(s + 1, n + 1)])
+
+
+@pytest.mark.parametrize("fld", [QQ, FP])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_family_generators_match_their_formulas(n, fld):
+    # each generator, in order, against the formula read by the parser
+    ctx = RingCtx(n)
+    assert family_delta_generators(ctx, fld) == _gens(ctx, fld, *_delta_text(n))
+    assert family_j_generators(ctx, fld) == _gens(ctx, fld, *_j_text(n))
+
+
+SHARPNESS_TEXT = ([f"x4*x{a}*x{b}" for a in range(1, 5) for b in range(a, 5)]
+                  + [f"{q}*x{v}" for q in ("x1*x3", "x2*x3", "x2^2") for v in range(1, 5)]
+                  + ["x1^4", "x3^5"])
+
+
+@pytest.mark.parametrize("fld", [QQ, FP])
+@pytest.mark.parametrize("n,build,texts,cutoff", [
+    (4, lambda ctx, fld: family_I1(ctx, fld, 2), _i1_text(4, 2), None),
+    (6, lambda ctx, fld: family_I1(ctx, fld, 3), _i1_text(6, 3), None),
+    (7, lambda ctx, fld: family_I1(ctx, fld, 5), _i1_text(7, 5), None),
+    (4, family_I2, _delta_text(4) + _j_text(4), None),
+    (6, family_I2, _delta_text(6) + _j_text(6), None),
+    (4, family_8points,
+     ["x1^2", "x1*x3", "x3^2", "x2^2", "x2*x4", "x4^2", "x1*x4 - x2*x3"], None),
+    (4, lambda ctx, fld: family_twisted_cubic_cone(ctx, fld, cutoff=4),
+     _minors_text([["x1", "x2", "x3"], ["x2", "x3", "x4"]]), 4),
+    (4, lambda ctx, fld: sharpness_ideal(fld)[2], SHARPNESS_TEXT, None),
+], ids=["I1:4,2", "I1:6,3", "I1:7,5", "I2:4", "I2:6", "8points", "twistedcone",
+        "sharpness"])
+def test_family_ideals_match_their_formulas(n, build, texts, cutoff, fld):
+    ctx = RingCtx(n)
+    want = ideal_from_generators(ctx, fld, _gens(ctx, fld, *texts), cutoff=cutoff)
+    assert build(ctx, fld).equals(want)
 
 
 def test_profiles_are_zero_in_negative_degrees():
@@ -176,8 +232,7 @@ def test_generic_trivial_and_infeasible_cases():
     m = generic_ideal_with_hilbert_function(ctx, QQ, (1,), seed=99)
     assert m.equals(power_of_max_ideal(ctx, QQ, 1))
     with pytest.raises(InfeasibleHilbertFunction):
-        generic_ideal_with_hilbert_function(RingCtx(4), QQ, (1, 4, 10, 18, 10, 1),
-                                            seed=3, max_retries=2)
+        generic_ideal_with_hilbert_function(RingCtx(4), QQ, (1, 4, 10, 18, 10, 1), seed=3)
 
 
 def test_generic_ideal_deterministic_across_fields():
