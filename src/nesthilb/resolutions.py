@@ -1,14 +1,19 @@
-"""Minimal generators, graded syzygies and minimal free resolutions.
+"""Minimal generators, first syzygies and graded Betti tables.
 
-Everything is certified degreewise linear algebra: a finite-colength quotient
-R/I with top nonzero degree s has regularity s, so the i-th syzygies of the
-ideal live in degrees at most s+i+1 and scanning kernels up to that bound
-loses nothing.  No Groebner bases anywhere.
+Everything is certified degreewise linear algebra; no Groebner bases.  Betti
+tables are Tor by Koszul homology: R/I is finite, so beta_{i,i+d}(R/I) =
+C(n,i) q(d) - rank K_i^d - rank K_{i+1}^{d-1}, with q the Hilbert function
+of R/I and K_i^d the Koszul map wedge^i k^n (x) (R/I)_d -> wedge^{i-1} k^n
+(x) (R/I)_{d+1}.  The first syzygies, which feed the oracle
+``hom_dim_via_syzygies``, are kernels of presentation matrices up to the
+regularity bound s+2, where s is the top nonzero degree of R/I.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 
 from .ideals import HomogeneousIdeal, NotMPrimary
 from .linalg import Mat
@@ -16,10 +21,6 @@ from .ring import HomogeneousElement, RingCtx
 
 
 class NotTwoStep(ValueError):
-    pass
-
-
-class ResolutionError(RuntimeError):
     pass
 
 
@@ -65,8 +66,6 @@ class BettiTable:
 
     def euler_identity_holds(self) -> bool:
         """K-polynomial check: the alternating Betti sum equals HS_{R/I}(t)(1-t)^n."""
-        from math import comb
-
         rhs: dict[int, int] = {}
         for d, h in enumerate(self.quotient_hilbert):
             for k in range(self.n + 1):
@@ -136,10 +135,8 @@ def _free_scatter(ctx: RingCtx, rows: Mat, shifts: list[int], c: int, j: int) ->
     return rows.remap_cols(tgt_offs[-1], pairs)
 
 
-def _syzygy_step(ctx: RingCtx, fld, gens: _FreeGens, top: int
-                 ) -> tuple[dict[int, int], _FreeGens]:
+def _syzygy_step(ctx: RingCtx, fld, gens: _FreeGens, top: int) -> _FreeGens:
     """Kernel of the presentation of gens, presented by its own minimal generators."""
-    counts: dict[int, int] = {}
     new_degrees: list[int] = []
     new_comps: list[list[dict[int, object]]] = []
     lo = min(gens.degrees) + 1
@@ -160,22 +157,18 @@ def _syzygy_step(ctx: RingCtx, fld, gens: _FreeGens, top: int
         rows = [kernel.row_items(i) for i in range(kernel.nrows)]
         prevset = set(span_piv)
         fresh = [flat for flat in rows if min(flat) not in prevset]
-        if fresh:
-            counts[c] = len(fresh)
-            for flat in fresh:
-                new_degrees.append(c)
-                new_comps.append([{k - a: v for k, v in flat.items() if a <= k < b}
-                                  for a, b in zip(offs, offs[1:])])
+        for flat in fresh:
+            new_degrees.append(c)
+            new_comps.append([{k - a: v for k, v in flat.items() if a <= k < b}
+                              for a, b in zip(offs, offs[1:])])
         prev_kernel = kernel
-    return counts, _FreeGens(list(gens.degrees), new_degrees, new_comps)
+    return _FreeGens(list(gens.degrees), new_degrees, new_comps)
 
 
 def first_syzygies(ideal: HomogeneousIdeal) -> _FreeGens:
     """Minimal generators of the syzygy module of the canonical generators."""
     gens0 = _ideal_gens_as_free(ideal)
-    s = ideal.socle_degree
-    _, syz = _syzygy_step(ideal.ctx, ideal.fld, gens0, s + 2)
-    return syz
+    return _syzygy_step(ideal.ctx, ideal.fld, gens0, ideal.socle_degree + 2)
 
 
 def _ideal_gens_as_free(ideal: HomogeneousIdeal) -> _FreeGens:
@@ -183,32 +176,38 @@ def _ideal_gens_as_free(ideal: HomogeneousIdeal) -> _FreeGens:
     return _FreeGens([0], [d for d, _ in mf], [[g.coeffs] for _, g in mf])
 
 
+def _koszul_map(ideal: HomogeneousIdeal, i: int, d: int) -> Mat:
+    """wedge^i k^n (x) (R/I)_d -> wedge^{i-1} k^n (x) (R/I)_{d+1}, one block of
+    rows per i-subset S: e_S (x) m -> sum_k (-1)^k e_{S-S[k]} (x) x_{S[k]} m."""
+    n, q, q1 = ideal.ctx.n, ideal.qdim(d), ideal.qdim(d + 1)
+    acts = [[a.row_items(r) for r in range(q)]
+            for a in (ideal.quotient_action(j, d) for j in range(n))]
+    faces = {t: b for b, t in enumerate(combinations(range(n), i - 1))}
+    entries = ((a * q + r, faces[S[:k] + S[k + 1:]] * q1 + c, -v if k % 2 else v)
+               for a, S in enumerate(combinations(range(n), i))
+               for k in range(i)
+               for r, row in enumerate(acts[S[k]])
+               for c, v in row.items())
+    return Mat.from_entries(ideal.fld, comb(n, i) * q, comb(n, i - 1) * q1, entries)
+
+
 def betti_table(ideal: HomogeneousIdeal) -> BettiTable:
-    """Graded Betti numbers of the ideal via iterated syzygy steps."""
+    """Graded Betti numbers of the ideal from the ranks of the Koszul maps:
+    beta_{i-1,j}(I) = beta_{i,j}(R/I) for i >= 1."""
     if not ideal.is_m_primary:
         raise NotMPrimary("resolutions need a certified m-primary ideal")
-    ctx, fld = ideal.ctx, ideal.fld
-    s = ideal.socle_degree
-    betti: dict[tuple[int, int], int] = {}
-    gens = _ideal_gens_as_free(ideal)
-    for d, k in _degree_multiset(gens.degrees).items():
-        betti[(0, d)] = k
-    step = 1
-    while gens.degrees:
-        if step > ctx.n:
-            raise ResolutionError("resolution did not terminate at the depth bound")
-        counts, gens = _syzygy_step(ctx, fld, gens, s + step + 1)
-        for c, k in counts.items():
-            betti[(step, c)] = k
-        step += 1
-    return BettiTable(ctx.n, s, tuple(ideal.hilbert_function().entries), betti)
-
-
-def _degree_multiset(degrees: list[int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for d in degrees:
-        out[d] = out.get(d, 0) + 1
-    return out
+    n, s = ideal.ctx.n, ideal.socle_degree
+    q = ideal.hilbert_function().entries
+    if s == -1:  # the unit ideal R, generated by 1: the formula needs I inside m
+        return BettiTable(n, s, q, {(0, 0): 1})
+    rank = {(i, d): _koszul_map(ideal, i, d).rank()
+            for i in range(1, n + 1) for d in range(s)}
+    betti = {}
+    for i in range(1, n + 1):
+        for d in range(s + 1):
+            if b := comb(n, i) * q[d] - rank.get((i, d), 0) - rank.get((i + 1, d - 1), 0):
+                betti[(i - 1, i + d)] = b
+    return BettiTable(n, s, q, betti)
 
 
 def has_linear_syzygies(ideal: HomogeneousIdeal) -> bool:

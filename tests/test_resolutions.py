@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from nesthilb import ideals
@@ -6,11 +8,13 @@ from nesthilb.ideals import (family_8points, family_I2,
                              ideal_from_generators, power_of_max_ideal, zero_ideal)
 from nesthilb.linalg import FieldSpec, Mat, QQ
 from nesthilb.parsing import parse_ideal_spec, parse_polynomial
-from nesthilb.resolutions import (NotTwoStep, betti_table, has_linear_syzygies,
-                                  minimal_generators, two_step_order)
+from nesthilb.resolutions import (NotTwoStep, _ideal_gens_as_free, _syzygy_step,
+                                  betti_table, has_linear_syzygies, minimal_generators,
+                                  two_step_order)
 from nesthilb.ring import RingCtx, scatter_rows
 
 FP = FieldSpec.prime(32003)
+F2, F3 = FieldSpec.prime(2), FieldSpec.prime(3)
 
 
 def test_koszul_resolution_of_linear_ideal():
@@ -110,6 +114,56 @@ def test_betti_invariants(build):
     assert bt.projective_dimension() == ideal.ctx.n - 1
     s = ideal.socle_degree
     assert all(j <= s + i + 1 for (i, j), b in bt.betti.items() if b)
+
+
+def _iterated_betti(ideal) -> dict[tuple[int, int], int]:
+    """Independent oracle: the ideal's minimal generators, then minimal
+    generators of each syzygy module in turn, counted by degree."""
+    ctx, fld, s = ideal.ctx, ideal.fld, ideal.socle_degree
+    gens = _ideal_gens_as_free(ideal)
+    betti = Counter((0, d) for d in gens.degrees)
+    step = 0
+    while gens.degrees:
+        step += 1
+        assert step <= ctx.n, "resolution did not stop at the depth bound"
+        gens = _syzygy_step(ctx, fld, gens, s + step + 1)
+        betti.update((step, c) for c in gens.degrees)
+    return dict(betti)
+
+
+_ORACLE_SPECS = ["I2:4", "I1:6,3", "m^1:2", "m^3:4", "m^2:5", "8points",
+                 "generic:q=(1,3,6,8,4),seed=5"]
+
+
+@pytest.mark.parametrize("spec, fld", [
+    *[(spec, fld) for fld in (QQ, FP, F2, F3) for spec in _ORACLE_SPECS
+      if not (spec.startswith("I2") and fld.p in (2, 3))],  # I2 is not m-primary there
+    ("generic:q=(1,4,10,12),seed=12", FP),
+    ("generic:q=(1,5,12,10),seed=5", FP),
+], ids=lambda v: v.label if isinstance(v, FieldSpec) else v)
+def test_koszul_betti_equals_iterated_syzygies(spec, fld):
+    ideal = parse_ideal_spec(spec, fld)
+    bt = betti_table(ideal)
+    assert bt.betti == _iterated_betti(ideal)
+    assert bt.euler_identity_holds()
+
+
+@pytest.mark.parametrize("fld", [QQ, FP], ids=["QQ", "F32003"])
+@pytest.mark.parametrize("spec", ["m^0:3", "gens(2): 1"])
+def test_unit_ideal_betti_table(spec, fld):
+    # R is generated by 1 in degree 0; the Koszul formula alone needs I inside m
+    ideal = parse_ideal_spec(spec, fld)
+    assert ideal.socle_degree == -1
+    bt = betti_table(ideal)
+    assert bt.betti == {(0, 0): 1} == _iterated_betti(ideal)
+    assert bt.projective_dimension() == 0
+
+
+def test_rational_betti_table_of_a_deep_generic_ideal():
+    # the iterated syzygy loop took about 100 s on this table over QQ
+    ideal = parse_ideal_spec("generic:q=(1,4,10,18,10),seed=12", QQ)
+    assert betti_table(ideal).betti == {(0, 3): 2, (0, 4): 17, (1, 5): 32, (2, 6): 2,
+                                        (2, 7): 22, (3, 8): 10}
 
 
 def test_betti_staircase_format():
