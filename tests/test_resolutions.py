@@ -160,7 +160,7 @@ def test_unit_ideal_betti_table(spec, fld):
 
 
 def test_rational_betti_table_of_a_deep_generic_ideal():
-    # the iterated syzygy loop took about 100 s on this table over QQ
+    # pinned, not compared: the iterated-syzygy oracle takes about 100 s on it over QQ
     ideal = parse_ideal_spec("generic:q=(1,4,10,18,10),seed=12", QQ)
     assert betti_table(ideal).betti == {(0, 3): 2, (0, 4): 17, (1, 5): 32, (2, 6): 2,
                                         (2, 7): 22, (3, 8): 10}
