@@ -52,23 +52,31 @@ Two backends share one matrix interface:
   Each update is below p^2 in magnitude, so the live block is reduced every
   K(p) = (2^63 - 1 - p) // (p - 1)^2 steps to stay inside int64 (K = 1024 at
   the largest accepted prime, about 9e9 at 32003, where it never fires) and
-  once at the end.  ``rank`` always takes the dense forward pass,
-  transposed when that has fewer columns, in blocks of rows:
-  each pass runs on the pivot rows found so far and the next block, so the
-  work array stays near ``_RANK_BLOCK`` cells or three times the square of
-  the width, and the passes stop once the rank is the width.  A tall
-  constraint matrix is never copied whole.
+  once at the end.  ``rank`` and ``kernel_basis`` always take the dense
+  forward pass, in blocks of rows (``_echelon_p``) that are written straight
+  from the stored rows or array (``_row_blocks``): each pass runs on the
+  pivot rows found so far and the next block, so the work array stays near
+  ``_RANK_BLOCK`` cells or three times the square of the width, and the
+  passes stop once the rank is the width.  A tall matrix, stored on rows or
+  as an array, is never written whole into one array.  ``rank`` transposes
+  when that gives fewer columns.  ``kernel_basis`` has no back pass over
+  the whole rows: back-substitution solves the free columns alone, a block
+  of rows at a time through ``_matmul_mod``, and a short elimination of
+  that basis gives the canonical one (``_kernel_p``).  It stacks further
+  matrices under its own, so the tangent solves hand it their constraint
+  blocks as they are stored.
 
-Each question is answered by one elimination.  The sparse path has one body
-for both fields, ``_rref_rows``: rows wait in buckets by their lead column,
-the first row of the lowest bucket is the pivot row, and the back pass runs
-bottom-up, each row clearing only the pivot columns it holds.  Over QQ a row
+Each question is answered by one elimination of its matrix.  The sparse
+path has one body for both fields, ``_rref_rows``: rows wait in buckets by
+their lead column, the first row of the lowest bucket is the pivot row, and
+the back pass runs bottom-up, each row clearing only the pivot columns it
+holds.  Over QQ a row
 is cleared fraction-free, over GF(p) by r - r[c] * pivot mod p.
 ``_column_split`` splits the columns into independent and dependent ones,
 and writes each dependent column in terms of the independent ones, from the
-rref of the matrix with its columns reversed; ``kernel_basis`` reads the
-reduced kernel basis off that split (see its docstring), and the relations
-among the rows of a matrix are the split of its transpose.
+rref of the matrix with its columns reversed; the rational ``kernel_basis``
+reads the reduced kernel basis off that split (see its docstring), and the
+relations among the rows of a matrix are the split of its transpose.
 ``rref_with_transform`` takes a matrix of full row rank only, so its
 transform is square in the rank: the right half of the reduced ``[self |
 identity]``.  On sparse rows the split builds no dense intermediate: it keys
@@ -369,10 +377,7 @@ class Mat:
     def transpose(self) -> "Mat":
         if self._arr is not None:
             return Mat(self.field, self.ncols, self.nrows, arr=self._arr.T.copy())
-        rows = [{} for _ in range(self.ncols)]
-        for i, r in enumerate(self.rows):
-            for j, v in r.items():
-                rows[j][i] = v
+        rows = _transpose_rows(self.rows, self.ncols)
         if self.dens is None:
             return Mat(self.field, self.ncols, self.nrows, rows=rows)
         dens = [1] * self.ncols
@@ -533,13 +538,17 @@ class Mat:
         return red, piv, s_mat
 
     def rank(self) -> int:
-        # over GF(p) a forward pass in place, with the shorter side as columns
+        # over GF(p) blocked forward passes, with the shorter side as columns
         p = self.field.p
         if self._arr is not None:
-            return _rank_p(self._arr.T if self.ncols > self.nrows else self._arr, p)
+            a = self._arr.T if self.ncols > self.nrows else self._arr
+            return len(_echelon_p([a], a.shape[1], p)[1])
         rows = [r for r in self.rows if r]  # zero rows add nothing
         if p is not None:
-            return _rank_p(_to_array(rows, self.ncols, self.ncols > len(rows)), p, scratch=True)
+            n = self.ncols
+            if n > len(rows):
+                rows, n = _transpose_rows(rows, n), len(rows)
+            return len(_echelon_p([rows], n, p)[1])
         # scaling a row keeps its rank: the numerators stand for the rows
         rank = _modular_rank(rows, self.ncols)
         if rank is None:
@@ -588,20 +597,31 @@ class Mat:
             return [{last - j: v for j, v in r.items()} for r in rows]
         return [dict(r) for r in rows]
 
-    def kernel_basis(self) -> "Mat":
-        """Rows = reduced-echelon basis of the right kernel {v : self @ v = 0}.
+    def kernel_basis(self, *below: "Mat") -> "Mat":
+        """Rows = reduced-echelon basis of the right kernel {v : self @ v = 0},
+        with the rows of the matrices ``below`` (each of at most self.ncols
+        columns, padded with zero columns on the right) stacked under self.
 
-        With (J, D, C) from ``_column_split``, each column f = D[k] gives
-        v_f = e_f - sum_i C[k, i] e_{J[i]}.  C[k, i] is zero unless J[i] > f,
-        so every nonzero entry of v_f besides its leading 1 lies in a column
-        of J greater than f.  No column of J is another vector's leading
-        column, so the v_f sorted by f (D reversed) are already in reduced
-        echelon form: the canonical basis of the kernel, with no second
-        elimination.
+        Over GF(p) the stacked rows are read in blocks by the forward passes
+        of ``rank``, and the free columns alone are then solved by
+        back-substitution (``_kernel_p``).  Over QQ, with (J, D, C)
+        from ``_column_split``, each column f = D[k] gives v_f = e_f -
+        sum_i C[k, i] e_{J[i]}.  C[k, i] is zero unless J[i] > f, so every
+        nonzero entry of v_f besides its leading 1 lies in a column of J
+        greater than f.  No column of J is another vector's leading column,
+        so the v_f sorted by f (D reversed) are already in reduced echelon
+        form: the canonical basis of the kernel, with no second elimination.
+        Both fields give that basis.
         """
-        n = self.ncols
+        fld, n = self.field, self.ncols
+        if fld.p is not None:
+            parts = [m._arr if m._arr is not None else m.rows for m in (self, *below)]
+            ker = _kernel_p(parts, n, fld.p)
+            return Mat(fld, ker.shape[0], n, arr=ker)
+        if below:
+            return Mat.vstack(fld, [self, *below], n).kernel_basis()
         cols_j, cols_d, c = self._column_split()
-        lead = Mat.identity(self.field, len(cols_d)).remap_cols(n, list(enumerate(cols_d)))
+        lead = Mat.identity(fld, len(cols_d)).remap_cols(n, list(enumerate(cols_d)))
         ker = lead.sub(c.remap_cols(n, list(enumerate(cols_j))))
         return ker.take_rows(range(ker.nrows - 1, -1, -1))
 
@@ -934,6 +954,15 @@ def _to_array(rows: list[dict[int, int]], ncols: int, transposed: bool = False,
     return out
 
 
+def _transpose_rows(rows: list[dict], ncols: int) -> list[dict]:
+    """The columns of the rows {col: v}, as ncols rows {row: v}."""
+    out: list[dict] = [{} for _ in range(ncols)]
+    for i, r in enumerate(rows):
+        for j, v in r.items():
+            out[j][i] = v
+    return out
+
+
 def _array_rows(a: np.ndarray, cols: list[int] | None = None) -> list[dict[int, int]]:
     """The rows {col: v} of the nonzero entries of the 2-d array a; with
     cols, column j of a is keyed cols[j]."""
@@ -996,25 +1025,103 @@ def _forward_p(a: np.ndarray, p: int) -> list[int]:
     return pivots
 
 
-def _rank_p(a: np.ndarray, p: int, scratch: bool = False) -> int:
-    """The rank of a, an int64 array with entries in [0, p) and no more
-    columns than rows; a is changed only if it is scratch, which spares the
-    copy of its first block.  Forward passes run on blocks of
-    rows: each on the pivot rows found so far and the next block of
-    max(2 n, _RANK_BLOCK / n) rows, for n columns, so that the work array
-    stays within max(3 n^2, _RANK_BLOCK + n^2) cells whatever the height; a
-    matrix of up to 2 n rows is one block, and the pivot rows at most a third
-    of a later one.  The passes stop once the rank is n."""
-    m, n = a.shape
+def _row_blocks(parts: Sequence, n: int) -> Iterable[np.ndarray]:
+    """The rows of the GF(p) parts stacked, as new int64 arrays of n columns
+    and up to max(2 n, _RANK_BLOCK / n) rows each.  A
+    part is an array or a list of rows {col: v}, of at most n columns, and
+    a narrower one is padded with zero columns on the right; zero rows of a
+    list are left out.  No part is written whole into one array: a block
+    holds only its own rows."""
     step = max(2 * n, _RANK_BLOCK // max(n, 1))
-    basis = a[:0]
-    for s in range(0, m, step):
-        block = a[s:s + step]
-        work = block if scratch and not s else np.concatenate([basis, block])
-        basis = work[:len(_forward_p(work, p))]
-        if len(basis) == n:
+    parts = [[r for r in part if r] if isinstance(part, list) else part for part in parts]
+    left = sum(map(len, parts))
+    block, at = None, 0
+    for part in parts:
+        s = 0
+        while s < len(part):
+            if block is None:
+                block, at = np.zeros((min(step, left), n), np.int64), 0
+            take = min(len(block) - at, len(part) - s)
+            out = block[at:at + take]
+            if isinstance(part, list):
+                ii, jj, vals = _coords(part[s:s + take])
+                out[ii, jj] = vals
+            else:
+                out[:, :part.shape[1]] = part[s:s + take]
+            s, at, left = s + take, at + take, left - take
+            if at == len(block):
+                yield block
+                block = None
+
+
+def _echelon_p(parts: Sequence, n: int, p: int) -> tuple[np.ndarray, list[int]]:
+    """The forward passes of ``rank`` and ``_kernel_p`` over the rows of the
+    parts, stacked in blocks by ``_row_blocks``.  Each pass runs on the pivot
+    rows found so far and the next block, so that the work array stays
+    within max(3 n^2, _RANK_BLOCK + n^2) cells whatever the height: a matrix
+    of up to 2 n rows is one block, and the pivot rows at most a third of a
+    later one.  The passes stop once the rank is n.  Returns the monic
+    echelon rows of the row space and their pivot columns."""
+    basis, pivots = np.zeros((0, n), np.int64), []
+    for block in _row_blocks(parts, n):
+        work = np.concatenate([basis, block]) if len(basis) else block
+        pivots = _forward_p(work, p)
+        basis = work[:len(pivots)]
+        if len(pivots) == n:
             break
-    return len(basis)
+    return basis, pivots
+
+
+# rows solved one by one in a back-substitution step of _free_kernel: each
+# entry sums fewer than _BACK_BLOCK products below p^2 < 2^53, inside int64
+_BACK_BLOCK = 64
+
+
+def _kernel_p(parts: Sequence, n: int, p: int) -> np.ndarray:
+    """The canonical kernel basis, an int64 array, of the rows of the parts
+    stacked, from their echelon rows U (``_echelon_p``).
+
+    ``_free_kernel`` solves U for its free columns: a basis with an identity
+    block there.  With at most as many free columns as pivots, as in the
+    constraint rows of the tangent solves, its reduced echelon form is the
+    canonical basis, a small elimination.  Otherwise U, its few rows with
+    the columns reversed, is reduced again: there the basis of
+    ``_free_kernel`` has its other entries in pivot columns past each
+    vector's leading 1, as ``_column_split`` finds them, so with the columns
+    and the vectors reversed back it is the canonical basis itself.  The
+    forward passes never run on the stacked rows reversed: there the tangent
+    constraint rows fill in, which made the forward pass of the I2:16 kernel
+    at e = -1 nearly three times slower."""
+    u, piv = _echelon_p(parts, n, p)
+    if n - len(piv) <= len(piv):
+        return _rref_p(_free_kernel(u, piv, p), p)[0]
+    u = np.ascontiguousarray(u[:, ::-1])
+    return np.ascontiguousarray(_free_kernel(u, _forward_p(u, p), p)[::-1, ::-1])
+
+
+def _free_kernel(u: np.ndarray, piv: list[int], p: int) -> np.ndarray:
+    """The kernel basis of the echelon rows u (monic at their pivots) with
+    an identity block on the free columns.
+
+    With A = u[:, piv], unit upper triangular, and F = u[:, free], the rref
+    of u is A^-1 u, and the free column f gives the vector 1 at f and -Y[i, f]
+    at piv[i], for Y = A^-1 F.  The back-substitution solves Y alone, bottom
+    rows first, _BACK_BLOCK rows a step: a step subtracts the rows solved
+    before it in one product (``_matmul_mod``, exact at every accepted p),
+    then solves its own rows one by one."""
+    free = _non_pivots(u.shape[1], piv)
+    y = u[:, free]
+    for hi in range(len(piv), 0, -_BACK_BLOCK):
+        lo = max(hi - _BACK_BLOCK, 0)
+        if hi < len(piv):
+            y[lo:hi] -= _matmul_mod(u[lo:hi][:, piv[hi:]], y[hi:], p)
+            y[lo:hi] %= p
+        for i in range(hi - 2, lo - 1, -1):
+            y[i] = (y[i] - u[i, piv[i + 1:hi]] @ y[i + 1:hi]) % p
+    ker = np.zeros((len(free), u.shape[1]), np.int64)
+    ker[np.arange(len(free)), free] = 1
+    ker[:, piv] = -y.T % p
+    return ker
 
 
 def _back_p(a: np.ndarray, p: int, pivots: list[int]) -> None:

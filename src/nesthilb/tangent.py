@@ -5,8 +5,10 @@ module homomorphisms I^(i) -> R/I^(i) of degree e, compatible along the chain.
 Everything is solved degreewise: the unknown blocks L_d: I_d -> (R/I)_{d+e}
 are parametrised degree by degree (values on fresh minimal generators are the
 only new unknowns once multiplication relations are eliminated), and the
-leftover compatibility conditions form one exact linear system whose kernel
-dimension is the graded tangent dimension.
+leftover compatibility conditions form exact linear systems: the constraint
+rows of each chain, whose kernel is the chain's own solutions, and the link
+rows between consecutive chains.  The graded tangent dimension is the
+dimension of their common kernel.
 
 Families of tangent vectors are tables ``{d: (P, s_d, t_d)}``, one per ideal
 of the chain: row k of P is vec of the block L_d of the k-th vector, never
@@ -22,16 +24,22 @@ come from.  The chains of a nesting are linked by position: ``_solve`` links
 chain i to chain i + 1, and ``_link_terms`` walks consecutive ideals.
 
 Each Hom chain numbers its parameters from 0, so a chain solved for one
-nesting serves any other: ``_solve`` shifts each chain's constraint blocks
-and link terms to the chain's offset once, as it assembles the constraint
-matrix.  What depends on one ideal alone is kept in the ideal's ``_kept``
-dict for as long as it lives: the relation split per degree (``e_struct``),
-its chain into R/I per weight e (table, constraint blocks and parameter
-count), its theta table, and the oracle's minimal generators and first
-syzygies.  The census cells of one row share their I2, and a sandwich shares
-the ideals of its nesting, so each of these is solved once.  A
-``ModuleSource`` (``graded_hom_dims``) keeps its relation splits in its own
-dict, and no chains.
+nesting serves any other.  Over GF(p) a chain is kept with its own
+solutions: a basis X of the kernel of its constraint rows
+(``_chain_solutions``, through ``Mat.kernel_basis``), and its constraint
+rows are then dropped.  A nesting is solved on its link rows alone, each
+link term multiplied by the X of its chain, on sum dim X columns
+(``_solve``); a single ideal's dimension is dim X.  Over QQ the chain keeps
+its constraint rows instead, X stands for the identity, and ``_solve``
+ranks them with the link rows, because the rational kernel costs far more
+than that rank.  What depends on one ideal alone is kept in the ideal's
+``_kept`` dict for as long as it lives: the relation split per degree
+(``e_struct``), its chain into R/I per weight e (table, own solutions or
+constraint rows, and their count), its theta table, and the oracle's
+minimal generators and first syzygies.  The census cells of one row share
+their I2, and a sandwich shares the ideals of its nesting, so each of these
+is solved once.  A ``ModuleSource`` (``graded_hom_dims``) keeps its
+relation splits in its own dict, and no chains.
 """
 
 from __future__ import annotations
@@ -92,9 +100,10 @@ class ModuleSource:
             self._kept[key] = (*e_j.rref_with_transform(), rows_j, rows_d, c)
         return self._kept[key]
 
-    def chain(self, e: int) -> tuple[dict, list[Mat], int]:
-        """The degree-e Hom chain into tgt, solved by ``_process_chain``."""
-        return _process_chain(self, e)
+    def chain(self, e: int) -> tuple[dict, Mat | None, list[Mat], int]:
+        """The degree-e Hom chain into tgt with its own solutions, solved
+        by ``_chain_solutions``."""
+        return _chain_solutions(self, e)
 
 
 class IdealSource(ModuleSource):
@@ -115,11 +124,11 @@ class IdealSource(ModuleSource):
     def act(self, j: int, d: int) -> Mat:
         return self.ideal.action(j, d)
 
-    def chain(self, e: int) -> tuple[dict, list[Mat], int]:
+    def chain(self, e: int) -> tuple[dict, Mat | None, list[Mat], int]:
         """Solved once per e, for every nesting that contains the ideal."""
         key = ("chain", e)
         if key not in self._kept:
-            self._kept[key] = _process_chain(self, e)
+            self._kept[key] = _chain_solutions(self, e)
         return self._kept[key]
 
 
@@ -130,8 +139,9 @@ def _process_chain(src, e: int) -> tuple[dict, list[Mat], int]:
     """Parametrise all blocks of one Hom chain into src.tgt; returns (table,
     constraint blocks, q).  The chain's q parameters are numbered from 0.
     The table maps d to (P, s_d, t_d): the rows of P are parameters, its
-    columns vec(L_d).  A constraint block has one row per parameter too: its
-    columns are the residuals of relations, each of which must vanish."""
+    columns vec(L_d).  A row of a constraint block is the residual of one
+    relation, which must vanish, and its columns are the parameters
+    introduced up to its degree, the first ones of the q."""
     fld, tgt = src.fld, src.tgt
     n = src.ctx.n
     table: dict[int, tuple[Mat, int, int]] = {}
@@ -164,7 +174,7 @@ def _process_chain(src, e: int) -> tuple[dict, list[Mat], int]:
             p_vals = Mat.zeros(fld, p.nrows, rho * t_next)
             p_rel = Mat.zeros(fld, p.nrows, len(rows_d) * t_next)
         if p_rel.ncols:
-            cons.append(p_rel)
+            cons.append(p_rel.transpose())
         # assemble the next block: pivot rows carry solved values, the rest are
         # fresh parameters (values on new minimal generators)
         vec_next = s_next * t_next
@@ -231,38 +241,70 @@ def _link_terms(ideals: list[HomogeneousIdeal], tables: list[dict], e: int):
             yield i, term_l, term_u
 
 
+def _chain_solutions(src, e: int) -> tuple[dict, Mat | None, list[Mat], int]:
+    """One Hom chain and its own solutions: (table, X, own constraint
+    blocks, k).  Over GF(p) the rows of X are the reduced basis of the
+    chain's solutions, the kernel of its constraint rows on its q
+    parameters, so no constraint block is left and k = dim X.  Over QQ X is
+    None, which stands for the identity, the blocks are left for the rank of
+    ``_solve``, and k = q: the rational kernel costs far more than that rank
+    until QQ kernels are lifted from mod p as QQ ranks are (ROADMAP, "One
+    rational lift for ranks and kernels")."""
+    table, cons, q = _process_chain(src, e)
+    if src.fld.is_rational:
+        return table, None, cons, q
+    x = Mat.zeros(src.fld, 0, q).kernel_basis(*cons)
+    return table, x, [], x.nrows
+
+
 def _solve(chains: list[ModuleSource], e: int) -> int:
     """The dimension of the degree-e solutions.  chains: list of sources,
     each with its target; two or more are the ``IdealSource``s of a
-    nesting, and chain i is linked to chain i + 1.  Chain i's parameters
-    come after those of chains 0..i-1: each block is shifted to its chain's
-    offset once, as the constraint matrix is assembled."""
+    nesting, and chain i is linked to chain i + 1.
+
+    A tuple of solutions of the chains is z_i X_i for each chain i, with
+    X_i its own solutions (``_chain_solutions``); the k_i coordinates z_i
+    come after those of chains 0..i-1.  What is left to impose is, over
+    GF(p), the link rows alone: X_{i+1} term_l = X_i term_u for each link
+    term, on sum k_i columns.  Over QQ it is also each chain's own
+    constraint rows, with X_i the identity.  The answer is sum k_i minus the
+    rank of those rows, and a single GF(p) chain needs no rank at all."""
     fld = chains[0].fld
     solved = [src.chain(e) for src in chains]
-    offsets, q = [], 0
-    for _, _, q_i in solved:
-        offsets.append(q)
-        q += q_i
-    blocks = [_shift_rows(b, off, q).transpose()
-              for (_, cons, _), off in zip(solved, offsets) for b in cons]
+    offsets, k = [], 0
+    for *_, k_i in solved:
+        offsets.append(k)
+        k += k_i
+    blocks = [_shift_cols(b, off, k) for (_, _, own, _), off in zip(solved, offsets) for b in own]
     if len(chains) > 1:
-        links = _link_terms([src.ideal for src in chains], [t for t, _, _ in solved], e)
-        blocks += [_shift_rows(term_l, offsets[i + 1], q).sub(_shift_rows(term_u, offsets[i], q))
-                   .transpose()
-                   for i, term_l, term_u in links if term_l.nrows or term_u.nrows]
+        xs = [x for _, x, _, _ in solved]
+        links = _link_terms([src.ideal for src in chains], [t for t, *_ in solved], e)
+        for i, term_l, term_u in links:
+            low, up = _in_solutions(xs[i + 1], term_l), _in_solutions(xs[i], term_u)
+            if low.nrows or up.nrows:
+                blocks.append(_shift_cols(low.transpose(), offsets[i + 1], k)
+                              .sub(_shift_cols(up.transpose(), offsets[i], k)))
     del solved  # an uncached chain is freed here; the ideals keep theirs
-    cons = Mat.vstack(fld, blocks, q) if blocks else Mat.zeros(fld, 0, q)
+    cons = Mat.vstack(fld, blocks, k) if blocks else Mat.zeros(fld, 0, k)
     del blocks  # no shifted block stays alive through the rank, the peak
-    return q - cons.rank() if cons.nrows else q
+    return k - cons.rank() if cons.nrows else k
 
 
-def _shift_rows(m: Mat, offset: int, nrows: int) -> Mat:
-    """m with its rows moved down to start at row offset, in nrows rows."""
-    if m.nrows == nrows:
+def _in_solutions(x: Mat | None, term: Mat) -> Mat:
+    """A link term, whose rows are a chain's first parameters, on the
+    chain's own solutions X instead: X[:, :rows] @ term, or the term itself
+    for X None, the identity."""
+    return term if x is None else x.take_cols(range(term.nrows)).matmul(term)
+
+
+def _shift_cols(m: Mat, offset: int, ncols: int) -> Mat:
+    """m with its columns moved right to start at column offset, in ncols
+    columns."""
+    if m.ncols == ncols:
         return m
-    parts = [Mat.zeros(m.field, offset, m.ncols), m,
-             Mat.zeros(m.field, nrows - offset - m.nrows, m.ncols)]
-    return Mat.vstack(m.field, parts, m.ncols)
+    parts = [Mat.zeros(m.field, m.nrows, offset), m,
+             Mat.zeros(m.field, m.nrows, ncols - offset - m.ncols)]
+    return Mat.hstack(m.field, parts)
 
 
 # ------------------------------------------------------------- graded homs
@@ -344,7 +386,7 @@ def check_tangent_blocks(nest: Nesting, tables: list[dict[int, tuple[Mat, int, i
     # row k of every table is the k-th tuple: the two terms must agree row by row
     for _, term_l, term_u in _link_terms(nest.ideals, tables, -1):
         h = max(term_l.nrows, term_u.nrows)
-        if _shift_rows(term_l, 0, h) != _shift_rows(term_u, 0, h):
+        if _shift_cols(term_l.transpose(), 0, h) != _shift_cols(term_u.transpose(), 0, h):
             return False
     return True
 

@@ -61,8 +61,9 @@ def test_tracer_covers_a_traced_rational_tangent_solve(monkeypatch):
 
 def test_tracer_counts_constraint_matrices_stored_on_rows(monkeypatch):
     # a GF(p) matrix at most 1/20 nonzero is stored on sparse rows, a denser
-    # one as an array: the (8, 2) cell has constraint matrices of both forms,
-    # and the tracer's nonzero count must hold for each
+    # one as an array.  A GF(p) solve ranks only the link rows, which are
+    # arrays in a pair I1 > I2; this chain of three has link ranks of both
+    # forms, and the tracer's nonzero count must hold for each
     captured = _check_tracer_covers_a_traced_tangent_solve(
-        "prime:32003", monkeypatch, "I1:8,2 > I2:8")
+        "prime:32003", monkeypatch, "I1:6,2 > I1:6,3 > I2:6")
     assert {m.rows is not None for m in captured} == {True, False}

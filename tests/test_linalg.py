@@ -816,3 +816,78 @@ def test_captured_constraint_matrices_match_python_reference(e, shape, rank, mon
     red, piv = cons.rref()
     assert piv == want_piv and to_lists(red) == want_red
     assert to_lists(cons.kernel_basis()) == _ref_kernel(rows, cons.ncols, None)
+
+
+# ------------------------------------------ GF(p) kernels against the row split
+
+
+def _split_kernel(m: Mat) -> Mat:
+    """The kernel read off ``_column_split``: each dependent column f gives
+    e_f minus its relation to the independent columns, the vectors sorted
+    by f.  The GF(p) kernel came from this before it came from forward
+    passes, and it is the oracle of the checks below."""
+    n = m.ncols
+    cols_j, cols_d, c = m._column_split()
+    lead = Mat.identity(m.field, len(cols_d)).remap_cols(n, list(enumerate(cols_d)))
+    ker = lead.sub(c.remap_cols(n, list(enumerate(cols_j))))
+    return ker.take_rows(range(ker.nrows - 1, -1, -1))
+
+
+def _combined_rows(rng, p: int, nrows: int, ncols: int, rank: int, sparse: bool) -> list:
+    """nrows rows, each a random combination of two of `rank` random basis
+    rows, so the rank is at most `rank`.  Sparse basis rows have one or two
+    nonzeros, so for ncols >= 80 the matrix is at most 1/20 nonzero."""
+    if rank == 0:
+        return [[0] * ncols for _ in range(nrows)]
+    basis = np.zeros((rank, ncols), np.int64)
+    for b in basis:
+        cols = rng.choice(ncols, size=int(rng.integers(1, 3)) if sparse else ncols, replace=False)
+        b[cols] = rng.integers(1, p, size=len(cols))
+    pick, coef = rng.integers(0, rank, size=(nrows, 2)), rng.integers(0, p, size=(nrows, 2))
+    return ((coef[:, :1] * basis[pick[:, 0]] % p + coef[:, 1:] * basis[pick[:, 1]]) % p).tolist()
+
+
+# (form, rows, columns, rank bound): tall ones span several row blocks of
+# the forward passes (max(2 n, _RANK_BLOCK / n) rows), and a wide one has
+# more free columns than pivots
+KERNEL_CASES = [
+    ("dense", 1500, 120, 100),
+    ("sparse", 3000, 100, 90),
+    ("dense", 30, 200, 20),
+    ("sparse", 30, 200, 20),
+    ("dense", 7, 9, 4),
+    ("sparse", 50, 80, 0),   # the zero matrix
+    ("dense", 60, 40, 40),   # full column rank
+    ("sparse", 0, 25, 0),    # no rows
+]
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 94906249])
+@pytest.mark.parametrize("form, nrows, ncols, rank", KERNEL_CASES)
+def test_prime_field_kernel_matches_the_row_split(p, form, nrows, ncols, rank):
+    rng = np.random.default_rng(nrows * ncols + rank)
+    fld = FieldSpec.prime(p)
+    if (form, rank) == ("dense", ncols):  # random and square or taller: full rank
+        rows = rng.integers(0, p, size=(nrows, ncols)).tolist()
+    else:
+        rows = _combined_rows(rng, p, nrows, ncols, rank, form == "sparse")
+    m = Mat.from_rows(fld, rows, ncols)
+    assert (m.rows is not None) == (form == "sparse") or nrows == 0
+    step = max(2 * ncols, linalg._RANK_BLOCK // ncols)  # the rows of a block
+    assert nrows <= 2 * ncols or nrows > 2 * step  # a tall case spans three blocks
+    ker = m.kernel_basis()
+    r = m.rank()
+    assert ker.nrows == ncols - r
+    assert (r == ncols) == (form == "dense" and rank == ncols)
+    # M K^T = 0, an identity block on the free columns, and the split's kernel
+    assert m.matmul(ker.transpose()).is_zero()
+    free = sorted(m._column_split()[1])
+    assert ker.take_cols(free) == Mat.identity(fld, len(free))
+    assert ker == _split_kernel(m)
+    _assert_stored_form(ker)
+    # the same rows stacked in parts, the first narrower than the rest:
+    # padded with zero columns, as the tangent solves stack their blocks
+    wide = Mat.hstack(fld, [m, Mat.zeros(fld, nrows, 3)])
+    parts = [m.take_rows(range(nrows // 3)), wide.take_rows(range(nrows // 3, nrows))]
+    stacked = Mat.zeros(fld, 0, ncols + 3).kernel_basis(*parts)
+    assert stacked == wide.kernel_basis() == _split_kernel(wide)

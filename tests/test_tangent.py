@@ -11,6 +11,7 @@ from nesthilb.ideals import (HomogeneousIdeal, Nesting, family_8points,
                              subquotient_module, zero_ideal)
 from nesthilb.linalg import FieldSpec, Mat, QQ
 from nesthilb.parsing import parse_nesting_spec
+from nesthilb.strata import census
 from nesthilb import tangent
 from nesthilb.ring import RingCtx, diff_matrix
 from nesthilb.tangent import (NotStrictlySandwiched, TNT_CERTIFIED,
@@ -445,3 +446,38 @@ def test_ex32_sandwich_with_square():
     assert rep.enlarged.t_at(-1) == 4 + 4
     assert rep.identity_discrepancy == 0
     assert rep.t_nonneg_unchanged
+
+
+def test_a_census_row_solves_its_i2_once_per_e(monkeypatch):
+    # the cells of a row nest a fresh I1 in the row's one I2: the kernel of
+    # I2's constraint rows, its own solutions, is computed at the first cell
+    # for each e and kept for the others, which rank their link rows alone
+    solved, kernels = [], []
+    chain_solutions, kernel_basis = tangent._chain_solutions, Mat.kernel_basis
+
+    def recording(src, e):
+        solved.append((src.ideal.hilbert_function(), e))
+        return chain_solutions(src, e)
+
+    monkeypatch.setattr(tangent, "_chain_solutions", recording)
+    monkeypatch.setattr(Mat, "kernel_basis", lambda m, *below: kernels.append(m) or kernel_basis(m, *below))
+    records = list(census((8, 8), FP))
+    cells = [r for r in records if r.tnt is not None]
+    assert len(cells) == 5 and all(r.tnt == TNT_CERTIFIED for r in cells)
+    i2 = family_I2(RingCtx(8), FP).hilbert_function()
+    i2_solved = [e for h, e in solved if h == i2]
+    assert i2_solved and len(i2_solved) == len(set(i2_solved))
+    assert len(solved) - len(i2_solved) == 5 * len(i2_solved)  # each I1 is fresh
+    assert len(kernels) == len(solved)  # one kernel per chain, none per nesting
+
+
+@pytest.mark.parametrize("fld", [QQ, FP], ids=["QQ", "F32003"])
+@pytest.mark.parametrize("build", [lambda c, f: family_I1(c, f, 2), lambda c, f: family_I1(c, f, 3),
+                                   family_I2], ids=["I1:6,2", "I1:6,3", "I2:6"])
+def test_family_tangent_dimensions_match_the_syzygy_oracle(fld, build):
+    # a single chain's dimension is the number of its own solutions over
+    # GF(p), and q minus the rank of its constraint rows over QQ
+    ideal = build(RingCtx(6), fld)
+    e_lo, e_hi = -ideal.max_gen_degree, max(ideal.socle_degree - ideal.order, -1)
+    for e in range(e_lo, e_hi + 1):
+        assert tangent_graded(ideal, e) == hom_dim_via_syzygies(ideal, e)
