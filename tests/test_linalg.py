@@ -872,7 +872,7 @@ def test_prime_field_kernel_matches_the_row_split(p, form, nrows, ncols, rank):
     else:
         rows = _combined_rows(rng, p, nrows, ncols, rank, form == "sparse")
     m = Mat.from_rows(fld, rows, ncols)
-    assert (m.rows is not None) == (form == "sparse") or nrows == 0
+    assert (m.rows is not None) == (form == "sparse")
     step = max(2 * ncols, linalg._RANK_BLOCK // ncols)  # the rows of a block
     assert nrows <= 2 * ncols or nrows > 2 * step  # a tall case spans three blocks
     ker = m.kernel_basis()
