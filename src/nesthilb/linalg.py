@@ -45,26 +45,28 @@ Two backends share one matrix interface:
   one the rationals run, with a monic pivot row; a dense pass over such a
   matrix would spend its time scanning empty columns.  Arrays, such as the
   syzygy matrices of the Betti tables, would fill in under sparse
-  elimination, so they take the dense path: a forward pass (one vectorised
-  row update per pivot) and, for reduced forms, a back pass over the pivot
-  rows.  There reduction mod p is deferred: a step reduces only its pivot
+  elimination, so they take the dense path: one forward pass (one
+  vectorised row update per pivot) and one free-column solve.  In the
+  forward pass reduction mod p is deferred: a step reduces only its pivot
   row and pivot column, and every other entry takes the update unreduced.
   Each update is below p^2 in magnitude, so the live block is reduced every
   K(p) = (2^63 - 1 - p) // (p - 1)^2 steps to stay inside int64 (K = 1024 at
   the largest accepted prime, about 9e9 at 32003, where it never fires) and
-  once at the end.  ``rank`` and ``kernel_basis`` always take the dense
-  forward pass, in blocks of rows (``_echelon_p``) that are written straight
-  from the stored rows or array (``_row_blocks``): each pass runs on the
-  pivot rows found so far and the next block, so the work array stays near
-  ``_RANK_BLOCK`` cells or three times the square of the width, and the
-  passes stop once the rank is the width.  A tall matrix, stored on rows or
-  as an array, is never written whole into one array.  ``rank`` transposes
-  when that gives fewer columns.  ``kernel_basis`` has no back pass over
-  the whole rows: back-substitution solves the free columns alone, a block
-  of rows at a time through ``_matmul_mod``, and a short elimination of
-  that basis gives the canonical one (``_kernel_p``).  It stacks further
-  matrices under its own, so the tangent solves hand it their constraint
-  blocks as they are stored.
+  once at the end.  The solve (``_free_solve``) is the only
+  back-substitution: for the pivot columns A of the monic echelon rows and
+  the free ones F it solves Y = A^-1 F alone, a block of rows at a time
+  through ``_matmul_mod``.  The rref is the identity on the pivots and Y on
+  the free columns; the kernel basis is -Y over an identity block, and a
+  short elimination makes it canonical (``_kernel_p``).  ``rank``,
+  ``kernel_basis`` and the rational rank's lift take the forward pass in
+  blocks of rows (``_echelon_p``) that are written straight from the stored
+  rows or array (``_row_blocks``): each pass runs on the pivot rows found
+  so far and the next block, so the work array stays near ``_RANK_BLOCK``
+  cells or three times the square of the width, and the passes stop once
+  the rank is the width.  A tall matrix, stored on rows or as an array, is
+  never written whole into one array.  ``rank`` transposes when that gives
+  fewer columns.  ``kernel_basis`` stacks further matrices under its own,
+  so the tangent solves hand it their constraint blocks as they are stored.
 
 Each question is answered by one elimination of its matrix.  The sparse
 path has one body for both fields, ``_rref_rows``: rows wait in buckets by
@@ -816,43 +818,41 @@ def _modular_rank(rows: list[dict[int, int]], ncols: int) -> int | None:
     A minor that vanishes over QQ vanishes mod p, so the rank mod p is at
     most the rank over QQ.  A side is the rows, for the right kernel, or
     their transpose, for the left kernel; mod each prime in turn, each side
-    is reduced on the dense path, the side with fewer columns first.  Its
-    forward pass is the first test: a rank mod p of min(rows, columns) is
-    the rank over QQ, which is at most that.  Otherwise, with R the rref and
-    P its pivots, the free column f gives the kernel vector v_f = e_f -
-    sum_i R[i, f] e_{P[i]}.  The residues of R[:, free] are combined by CRT
-    over the primes so far and lifted by rational reconstruction to N / D,
-    so that W = D * K is an integer matrix.  If the rows M of the side give
-    M @ W = 0 exactly, the rank is len(P): W is D times the identity on the
-    free columns, so its columns are independent and the rank over QQ is at
-    most len(P), the rank mod p.  A side whose pivots change at a later
-    prime is dropped."""
+    takes the dense forward passes (``_echelon_p``, which reduces the rows
+    mod p as it writes its blocks), the side with fewer columns first.  They
+    are the first test: a rank mod p of min(rows, columns) is the rank over
+    QQ, which is at most that.  Otherwise, with P the pivots, the free
+    column f gives the kernel vector v_f = e_f - sum_i Y[i, f] e_{P[i]}, for
+    the Y of ``_free_solve``.  The residues of Y are combined by CRT over the
+    primes so far and lifted by rational reconstruction to N / D, so that
+    W = D * K is an integer matrix.  If the rows M of the side give M @ W = 0
+    exactly, the rank is len(P): W is D times the identity on the free
+    columns, so its columns are independent and the rank over QQ is at most
+    len(P), the rank mod p.  A side whose pivots change at a later prime is
+    dropped."""
     full = min(len(rows), ncols)
-    first = len(rows) < ncols  # the left side has fewer columns
-    widths = {left: len(rows) if left else ncols for left in (first, not first)}
+    sides = [len(rows) < ncols, len(rows) >= ncols]  # left side first if it is narrower
     lifts: dict[bool, tuple[list[int], list[list[int]]]] = {}  # pivots, residues
+    cols = None  # the rows transposed, the left side's rows
     modulus = 1
     for p in _LIFT_PRIMES:
-        for left in list(widths):
-            a = _to_array(rows, ncols, left, p)
-            piv = _forward_p(a, p)
+        for left in list(sides):
+            if left and cols is None:
+                cols = _transpose_rows(rows, ncols)
+            side = cols if left else rows
+            u, piv = _echelon_p([side], len(rows) if left else ncols, p)
             if len(piv) == full:
                 return full
             if modulus > 1 and lifts[left][0] != piv:
-                del widths[left]
+                sides.remove(left)
                 continue
-            _back_p(a, p, piv)
-            free = _non_pivots(widths[left], piv)
-            res = a[:len(piv), free].tolist()
-            del a
+            free, res = _free_solve(u, piv, p)
+            res = res.tolist()
             if modulus > 1:
                 res = _crt(lifts[left][1], modulus, res, p)
             lifts[left] = piv, res
             lifted = _reconstruct(res, modulus * p)
-            if lifted is None:
-                continue
-            side = Mat(QQ, len(rows), ncols, rows=rows, dens=[1] * len(rows))
-            if _annihilates((side.transpose() if left else side).rows, piv, free, *lifted):
+            if lifted is not None and _annihilates(side, piv, free, *lifted):
                 return len(piv)
         modulus *= p
     return None
@@ -944,13 +944,11 @@ def _coords(rows: list[dict[int, int]], p: int | None = None
     return ii, jj, np.fromiter(vals, np.int64, len(ii))
 
 
-def _to_array(rows: list[dict[int, int]], ncols: int, transposed: bool = False,
-              p: int | None = None) -> np.ndarray:
-    """The int64 array with the rows {col: v}, or its transpose; with p the
-    integer entries, of any size, are reduced mod p."""
-    ii, jj, vals = _coords(rows, p)
-    out = np.zeros((ncols, len(rows)) if transposed else (len(rows), ncols), np.int64)
-    out[(jj, ii) if transposed else (ii, jj)] = vals
+def _to_array(rows: list[dict[int, int]], ncols: int) -> np.ndarray:
+    """The int64 array with the rows {col: v}."""
+    ii, jj, vals = _coords(rows)
+    out = np.zeros((len(rows), ncols), np.int64)
+    out[ii, jj] = vals
     return out
 
 
@@ -1025,13 +1023,13 @@ def _forward_p(a: np.ndarray, p: int) -> list[int]:
     return pivots
 
 
-def _row_blocks(parts: Sequence, n: int) -> Iterable[np.ndarray]:
-    """The rows of the GF(p) parts stacked, as new int64 arrays of n columns
-    and up to max(2 n, _RANK_BLOCK / n) rows each.  A
-    part is an array or a list of rows {col: v}, of at most n columns, and
-    a narrower one is padded with zero columns on the right; zero rows of a
-    list are left out.  No part is written whole into one array: a block
-    holds only its own rows."""
+def _row_blocks(parts: Sequence, n: int, p: int) -> Iterable[np.ndarray]:
+    """The rows of the parts stacked mod p, as new int64 arrays of n columns
+    and up to max(2 n, _RANK_BLOCK / n) rows each.  A part is an array with
+    entries in [0, p) or a list of rows {col: v} of integers of any size, of
+    at most n columns, and a narrower one is padded with zero columns on the
+    right; zero rows of a list are left out.  No part is written whole into
+    one array: a block holds only its own rows."""
     step = max(2 * n, _RANK_BLOCK // max(n, 1))
     parts = [[r for r in part if r] if isinstance(part, list) else part for part in parts]
     left = sum(map(len, parts))
@@ -1044,7 +1042,7 @@ def _row_blocks(parts: Sequence, n: int) -> Iterable[np.ndarray]:
             take = min(len(block) - at, len(part) - s)
             out = block[at:at + take]
             if isinstance(part, list):
-                ii, jj, vals = _coords(part[s:s + take])
+                ii, jj, vals = _coords(part[s:s + take], p)
                 out[ii, jj] = vals
             else:
                 out[:, :part.shape[1]] = part[s:s + take]
@@ -1055,15 +1053,16 @@ def _row_blocks(parts: Sequence, n: int) -> Iterable[np.ndarray]:
 
 
 def _echelon_p(parts: Sequence, n: int, p: int) -> tuple[np.ndarray, list[int]]:
-    """The forward passes of ``rank`` and ``_kernel_p`` over the rows of the
-    parts, stacked in blocks by ``_row_blocks``.  Each pass runs on the pivot
-    rows found so far and the next block, so that the work array stays
-    within max(3 n^2, _RANK_BLOCK + n^2) cells whatever the height: a matrix
-    of up to 2 n rows is one block, and the pivot rows at most a third of a
-    later one.  The passes stop once the rank is n.  Returns the monic
-    echelon rows of the row space and their pivot columns."""
+    """The forward passes of ``rank``, ``_kernel_p`` and ``_modular_rank``
+    over the rows of the parts, stacked in blocks by ``_row_blocks``.  Each
+    pass runs on the pivot rows found so far and the next block, so that the
+    work array stays within max(3 n^2, _RANK_BLOCK + n^2) cells whatever the
+    height: a matrix of up to 2 n rows is one block, and the pivot rows at
+    most a third of a later one.  The passes stop once the rank is n.
+    Returns the monic echelon rows of the row space and their pivot
+    columns."""
     basis, pivots = np.zeros((0, n), np.int64), []
-    for block in _row_blocks(parts, n):
+    for block in _row_blocks(parts, n, p):
         work = np.concatenate([basis, block]) if len(basis) else block
         pivots = _forward_p(work, p)
         basis = work[:len(pivots)]
@@ -1072,7 +1071,7 @@ def _echelon_p(parts: Sequence, n: int, p: int) -> tuple[np.ndarray, list[int]]:
     return basis, pivots
 
 
-# rows solved one by one in a back-substitution step of _free_kernel: each
+# rows solved one by one in a back-substitution step of _free_solve: each
 # entry sums fewer than _BACK_BLOCK products below p^2 < 2^53, inside int64
 _BACK_BLOCK = 64
 
@@ -1081,34 +1080,39 @@ def _kernel_p(parts: Sequence, n: int, p: int) -> np.ndarray:
     """The canonical kernel basis, an int64 array, of the rows of the parts
     stacked, from their echelon rows U (``_echelon_p``).
 
-    ``_free_kernel`` solves U for its free columns: a basis with an identity
-    block there.  With at most as many free columns as pivots, as in the
-    constraint rows of the tangent solves, its reduced echelon form is the
-    canonical basis, a small elimination.  Otherwise U, its few rows with
-    the columns reversed, is reduced again: there the basis of
-    ``_free_kernel`` has its other entries in pivot columns past each
-    vector's leading 1, as ``_column_split`` finds them, so with the columns
-    and the vectors reversed back it is the canonical basis itself.  The
-    forward passes never run on the stacked rows reversed: there the tangent
-    constraint rows fill in, which made the forward pass of the I2:16 kernel
-    at e = -1 nearly three times slower."""
+    ``_free_solve`` gives a basis with an identity block on the free columns
+    of U.  With at most as many free columns as pivots, as in the constraint
+    rows of the tangent solves, its reduced echelon form is the canonical
+    basis, a small elimination.  Otherwise U, its few rows with the columns
+    reversed, is reduced again: there the basis has its other entries in
+    pivot columns past each vector's leading 1, as ``_column_split`` finds
+    them, so with the columns and the vectors reversed back it is the
+    canonical basis itself.  The forward passes never run on the stacked rows
+    reversed: there the tangent constraint rows fill in, which made the
+    forward pass of the I2:16 kernel at e = -1 nearly three times slower."""
     u, piv = _echelon_p(parts, n, p)
-    if n - len(piv) <= len(piv):
-        return _rref_p(_free_kernel(u, piv, p), p)[0]
-    u = np.ascontiguousarray(u[:, ::-1])
-    return np.ascontiguousarray(_free_kernel(u, _forward_p(u, p), p)[::-1, ::-1])
+    wide = n - len(piv) > len(piv)
+    if wide:
+        u = np.ascontiguousarray(u[:, ::-1])
+        piv = _forward_p(u, p)
+    free, y = _free_solve(u, piv, p)
+    ker = np.zeros((len(free), n), np.int64)
+    ker[np.arange(len(free)), free] = 1
+    ker[:, piv] = -y.T % p
+    return np.ascontiguousarray(ker[::-1, ::-1]) if wide else _rref_p(ker, p)[0]
 
 
-def _free_kernel(u: np.ndarray, piv: list[int], p: int) -> np.ndarray:
-    """The kernel basis of the echelon rows u (monic at their pivots) with
-    an identity block on the free columns.
+def _free_solve(u: np.ndarray, piv: list[int], p: int) -> tuple[list[int], np.ndarray]:
+    """The free columns of the echelon rows u (monic at their pivots) and
+    Y = A^-1 F, for A = u[:, piv], unit upper triangular, and F = u[:, free].
+    The rref A^-1 u of u is the identity on the pivot columns and Y on the
+    free ones, and the free column f gives the kernel vector 1 at f and
+    -Y[i, f] at piv[i].
 
-    With A = u[:, piv], unit upper triangular, and F = u[:, free], the rref
-    of u is A^-1 u, and the free column f gives the vector 1 at f and -Y[i, f]
-    at piv[i], for Y = A^-1 F.  The back-substitution solves Y alone, bottom
-    rows first, _BACK_BLOCK rows a step: a step subtracts the rows solved
-    before it in one product (``_matmul_mod``, exact at every accepted p),
-    then solves its own rows one by one."""
+    The only dense back-substitution: it solves Y alone, bottom rows first,
+    _BACK_BLOCK rows a step.  A step subtracts the rows solved before it in
+    one product (``_matmul_mod``, exact at every accepted p), then solves its
+    own rows one by one."""
     free = _non_pivots(u.shape[1], piv)
     y = u[:, free]
     for hi in range(len(piv), 0, -_BACK_BLOCK):
@@ -1118,55 +1122,46 @@ def _free_kernel(u: np.ndarray, piv: list[int], p: int) -> np.ndarray:
             y[lo:hi] %= p
         for i in range(hi - 2, lo - 1, -1):
             y[i] = (y[i] - u[i, piv[i + 1:hi]] @ y[i + 1:hi]) % p
-    ker = np.zeros((len(free), u.shape[1]), np.int64)
-    ker[np.arange(len(free)), free] = 1
-    ker[:, piv] = -y.T % p
-    return ker
-
-
-def _back_p(a: np.ndarray, p: int, pivots: list[int]) -> None:
-    """Back pass on the output of ``_forward_p``, in place: each pivot column
-    is cleared above its pivot, bottom pivot first, with the same deferred
-    reduction.  The result is the reduced echelon form Gauss-Jordan gives."""
-    flush = _flush_interval(p)
-    steps = 0
-    for k in range(len(pivots) - 1, 0, -1):
-        c = pivots[k]
-        f = a[:k, c] % p
-        above = f.nonzero()[0]
-        if above.size:
-            a[above, c:] -= f[above, None] * (a[k, c:] % p)
-        steps += 1
-        if steps == flush:
-            a[:k] %= p
-            steps = 0
-    a %= p
+    return free, y
 
 
 def _rref_p(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """The reduced echelon rows of the array, without its zero rows, and
+    their pivots: the identity on the pivot columns and Y on the free ones."""
     a = np.mod(arr, p)
-    pivots = _forward_p(a, p)
-    _back_p(a, p, pivots)
+    piv = _forward_p(a, p)
+    r = len(piv)
+    u = a[:r]
+    free, y = _free_solve(u, piv, p)
+    u[:, free] = y
+    u[:, piv] = 0
+    u[np.arange(r), piv] = 1
     # the rows past the rank are zero; a kept basis must not pin them
-    r = len(pivots)
-    return (a if r == len(a) else a[:r].copy()), pivots
+    return (a if r == len(a) else u.copy()), piv
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact a @ b mod p via float64 BLAS in chunks small enough to be exact."""
-    # entries < p, products < p^2; float64 is exact up to 2^53, so chunks of
-    # the inner dimension up to 2^53 / p^2 accumulate exactly.
-    chunk = max(1, (1 << 53) // (p * p))
-    k = a.shape[1]
-    if k <= chunk:
-        out = np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-        return out % p
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for s in range(0, k, chunk):
-        e = min(k, s + chunk)
-        part = np.rint(a[:, s:e].astype(np.float64) @ b[s:e].astype(np.float64)).astype(np.int64)
-        acc = (acc + part) % p
-    return acc
+    """Exact a @ b mod p, for entries in [0, p), via float64 BLAS.
+
+    float64 sums integers exactly below 2^53, and a product is below p^2, so
+    one call sums the whole inner dimension if it is shorter than
+    2^53 / p^2.  Otherwise b is split into the bits past its low s and its
+    low s bits, s half the bits of p: each half is below 2^s, so a call sums
+    2^53 // (p 2^s) products, at least 4096 at every accepted p, where p^2
+    alone allows one near the largest."""
+    fa, k = a.astype(np.float64), a.shape[1]
+    if k * (p - 1) ** 2 < 1 << 53:
+        return np.rint(fa @ b.astype(np.float64)).astype(np.int64) % p
+    s = (p.bit_length() + 1) // 2
+    chunk = (1 << 53) // (p << s)
+    out = np.zeros((a.shape[0], b.shape[1]), np.int64)
+    for half in (b >> s, b & ((1 << s) - 1)):
+        out <<= s  # the high half's sum times 2^s, before the low half's
+        fb = half.astype(np.float64)
+        for i in range(0, k, chunk):
+            out += np.rint(fa[:, i:i + chunk] @ fb[i:i + chunk]).astype(np.int64) % p
+        out %= p
+    return out
 
 
 # ------------------------------------------------- block reshaping helpers

@@ -465,6 +465,16 @@ def test_matmul_mod_exact_on_large_products():
     b = Mat.from_rows(fld, [[DEFAULT_PRIME - 1]] * 50)
     got = to_lists(a.matmul(b))[0][0]
     assert got == (50 * (DEFAULT_PRIME - 1) ** 2) % DEFAULT_PRIME
+    # at the largest prime one product (p-1)^2 is near 2^53: the right factor
+    # is split in two halves, and 9000 inner terms take two calls per half
+    p = 94906249
+    fld = FieldSpec.prime(p)
+    rng = np.random.default_rng(p)
+    for inner in (50, 9000):
+        a = [[p - 1] * inner, rng.integers(0, p, inner).tolist()]
+        b = [[p - 1, v] for v in rng.integers(0, p, inner).tolist()]
+        got = to_lists(Mat.from_rows(fld, a).matmul(Mat.from_rows(fld, b)))
+        assert got == [[sum(x * y for x, y in zip(r, c)) % p for c in zip(*b)] for r in a]
 
 
 # ------------------------------------- both fields against a pure-Python oracle
@@ -695,6 +705,35 @@ def test_rational_rank_matches_the_integer_forward_pass(monkeypatch):
     assert calls["checked"] > 0 and calls["fallback"] > 0
 
 
+@pytest.mark.parametrize("nrows, ncols", [(400, 180), (150, 500)])
+def test_rational_lift_reads_its_side_in_row_blocks(nrows, ncols, monkeypatch):
+    # rank-5 products B @ C of about 300-bit entries.  The lift reads the
+    # narrower side first, the rows of a tall matrix and the columns of a
+    # wide one, and here that side is taller than one block of the forward
+    # passes.  The factor on that side has small entries, so its kernel
+    # (that of C, or the left one of B) lifts and the exact check settles
+    # the rank
+    rng = np.random.default_rng(nrows)
+    tall = nrows > ncols
+    small = rng.integers(-3, 4, (5, ncols) if tall else (nrows, 5)).tolist()
+    big = [[int.from_bytes(rng.bytes(38), "big") - BIG for _ in range(5 if tall else ncols)]
+           for _ in range(nrows if tall else 5)]
+    b, c = (big, small) if tall else (small, big)
+    rows = [[sum(x * y for x, y in zip(r, col)) for col in zip(*c)] for r in b]
+    n = min(nrows, ncols)
+    assert max(nrows, ncols) > max(2 * n, linalg._RANK_BLOCK // n)
+    annihilates, settled = linalg._annihilates, []
+
+    def counted_check(*args):
+        settled.append(annihilates(*args))
+        return settled[-1]
+
+    monkeypatch.setattr(linalg, "_annihilates", counted_check)
+    m = Mat.from_rows(QQ, rows, ncols)
+    assert m.rank() == len(linalg._rref_rows(m._fresh_rows(), False, None)[1]) == 5
+    assert settled[-1:] == [True]
+
+
 def _boundary_matrix(kind: str, p: int, size: int = 1100) -> list[list[int]]:
     a = np.eye(size, dtype=np.int64)
     last = size - 1
@@ -705,8 +744,9 @@ def _boundary_matrix(kind: str, p: int, size: int = 1100) -> list[list[int]]:
         a[:, last] = p - 1
         a[last, last] = last
     else:
-        # row 0 is p-1 past its pivot and column `last` never gets a pivot,
-        # so the back pass adds (p-1)^2 to a[0, last] once per pivot row
+        # row 0 is p-1 past its pivot and column `last` never gets a pivot:
+        # solving that free column sums (p-1)^2 into row 0 once per pivot
+        # row past the first, over 17 block steps of the free-column solve
         a[0, 1:last] = p - 1
         a[1:last, last] = p - 1
         a[last, last] = 0
@@ -716,7 +756,11 @@ def _boundary_matrix(kind: str, p: int, size: int = 1100) -> list[list[int]]:
 @pytest.mark.parametrize("kind", ["forward", "back"])
 def test_deferred_reduction_survives_int64_at_the_largest_prime(kind):
     # p = 94906249 leaves room for only 1024 unreduced updates of (p-1)^2 in
-    # int64; both matrices need more than that
+    # int64, and the forward matrix needs more than that; the back one sums
+    # 1098 such products in one entry of the free-column solve.  Both are
+    # under 1/20 nonzero, so they are stored on sparse rows: rank takes the
+    # dense forward pass, rref the row elimination, and the array itself
+    # the dense forward pass and free-column solve
     p = 94906249
     rows = _boundary_matrix(kind, p)
     want_red, want_piv = _ref_rref(rows, len(rows), p)
@@ -725,6 +769,8 @@ def test_deferred_reduction_survives_int64_at_the_largest_prime(kind):
     assert m.rank() == len(want_piv)
     red, piv = m.rref()
     assert piv == want_piv and to_lists(red) == want_red
+    red, piv = linalg._rref_p(np.array(rows, np.int64), p)
+    assert piv == want_piv and red.tolist() == want_red
     # the transform needs full row rank: row `last` is dependent in both
     rows = rows[:-1]
     r_mat, t_piv, t_mat = Mat.from_rows(FieldSpec.prime(p), rows).rref_with_transform()
@@ -732,6 +778,28 @@ def test_deferred_reduction_survives_int64_at_the_largest_prime(kind):
     assert len(want_t_piv) == len(rows)
     assert t_piv == want_t_piv and to_lists(r_mat) == want_r
     assert to_lists(t_mat) == want_t
+
+
+# (rows, columns, rank): more than _BACK_BLOCK pivots, so the free-column
+# solve takes more than one block step; tall and wide, full and deficient
+# rank, and a wide deficient one with more free columns than pivots
+BACK_BLOCK_CASES = [(150, 80, 80), (160, 100, 70), (100, 180, 100), (90, 160, 70)]
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 94906249])
+@pytest.mark.parametrize("nrows, ncols, rank", BACK_BLOCK_CASES)
+def test_dense_rref_and_kernel_past_one_back_block(p, nrows, ncols, rank):
+    rng = np.random.default_rng(nrows * ncols + rank)
+    b = rng.integers(0, p, (nrows, rank)).astype(object)
+    rows = (b @ rng.integers(0, p, (rank, ncols)).astype(object) % p).tolist()
+    m = Mat.from_rows(FieldSpec.prime(p), rows, ncols)
+    assert m.rows is None
+    want_red, want_piv = _ref_rref(rows, ncols, p)
+    assert len(want_piv) == rank > linalg._BACK_BLOCK
+    red, piv = m.rref()
+    assert piv == want_piv and to_lists(red) == want_red
+    assert m.rank() == rank
+    assert to_lists(m.kernel_basis()) == _ref_kernel(rows, ncols, p)
 
 
 def _check_split_against_reference(rows, ncols, p):
@@ -879,11 +947,15 @@ def test_prime_field_kernel_matches_the_row_split(p, form, nrows, ncols, rank):
     r = m.rank()
     assert ker.nrows == ncols - r
     assert (r == ncols) == (form == "dense" and rank == ncols)
-    # M K^T = 0, an identity block on the free columns, and the split's kernel
+    # M K^T = 0, an identity block on the free columns, and the split's kernel;
+    # the split of an array shares the free-column solve, so the small
+    # arrays are also checked against the pure-Python kernel
     assert m.matmul(ker.transpose()).is_zero()
     free = sorted(m._column_split()[1])
     assert ker.take_cols(free) == Mat.identity(fld, len(free))
     assert ker == _split_kernel(m)
+    if form == "dense" and nrows * ncols <= 6000:
+        assert to_lists(ker) == _ref_kernel(rows, ncols, p)
     _assert_stored_form(ker)
     # the same rows stacked in parts, the first narrower than the rest:
     # padded with zero columns, as the tangent solves stack their blocks
