@@ -72,17 +72,13 @@ Each question is answered by one elimination of its matrix.  The sparse
 path has one body for both fields, ``_rref_rows``: rows wait in buckets by
 their lead column, the first row of the lowest bucket is the pivot row, and
 the back pass runs bottom-up, each row clearing only the pivot columns it
-holds.  Over QQ a row
-is cleared fraction-free, over GF(p) by r - r[c] * pivot mod p.
-``_column_split`` splits the columns into independent and dependent ones,
-and writes each dependent column in terms of the independent ones, from the
-rref of the matrix with its columns reversed; the rational ``kernel_basis``
-reads the reduced kernel basis off that split (see its docstring), and the
-relations among the rows of a matrix are the split of its transpose.
-``rref_with_transform`` takes a matrix of full row rank only, so its
-transform is square in the rank: the right half of the reduced ``[self |
-identity]``.  On sparse rows the split builds no dense intermediate: it keys
-column j as n-1-j instead of reversing the matrix.  The row bodies of the
+holds.  Over QQ a row is cleared fraction-free, over GF(p) by
+r - r[c] * pivot mod p.  ``rref_with_transform`` takes any matrix and reads
+three answers off the reduced ``[self | identity]``: the reduced form, the
+transform T with T @ self equal to it, and the reduced basis of the left
+kernel, the right halves of the rows whose pivots lie in the identity.  The
+rational ``kernel_basis`` reads the reduced kernel basis off the rref of the
+matrix with its columns reversed (see its docstring).  The row bodies of the
 structural operations are shared by both fields; over GF(p) the ones that
 do arithmetic reduce mod p.  Products run on rows (``_sparse_mul``) over QQ,
 and over GF(p) when the left factor is stored on rows and its multiply-adds
@@ -528,16 +524,19 @@ class Mat:
         dens = _over_pivots(rows, piv) if fld.is_rational else None
         return Mat(fld, len(rows), n, rows=rows, dens=dens), piv
 
-    def rref_with_transform(self) -> tuple["Mat", list[int], "Mat"]:
-        """Return (R, pivots, S) for a matrix of full row rank: R is its
-        reduced echelon form and S the invertible square matrix with
-        S @ self = R, read off the reduced ``[self | identity]``."""
+    def rref_with_transform(self) -> tuple["Mat", list[int], "Mat", "Mat"]:
+        """Return (R, pivots, T, K) for any matrix, read off the reduced
+        ``[self | identity]``: R is the reduced echelon form of self without
+        its zero rows, T @ self = R, and the rows of K are the reduced basis
+        of the left kernel {v : v @ self = 0}.  The rows past the rank have
+        their pivots in the identity and zero left halves: their right
+        halves are K."""
         m, n = self.nrows, self.ncols
         aug, piv = Mat.hstack(self.field, [self, Mat.identity(self.field, m)]).rref()
-        if piv and piv[-1] >= n:
-            raise LinalgError("rref_with_transform needs a matrix of full row rank")
-        red, s_mat = aug.split_cols(range(n), range(n, n + m))
-        return red, piv, s_mat
+        rank = sum(c < n for c in piv)
+        red, right = aug.split_cols(range(n), range(n, n + m))
+        return (red.take_rows(range(rank)), piv[:rank], right.take_rows(range(rank)),
+                right.take_rows(range(rank, m)))
 
     def rank(self) -> int:
         # over GF(p) blocked forward passes, with the shorter side as columns
@@ -557,46 +556,11 @@ class Mat:
             rank = len(_rref_rows(self._fresh_rows(), False, None)[1])
         return rank
 
-    def _column_split(self) -> tuple[list[int], list[int], "Mat"]:
-        """Split the columns of self into independent columns J, chosen
-        greedily from the last, and the others D, both descending.  Returns
-        (J, D, C) with column D[k] = sum_i C[k, i] * column J[i].
-
-        One elimination: R' is the rref of self with its columns reversed, so
-        column j of self is column n-1-j of R'.  J[i] is the column of self
-        under pivot i of R', and D[k] the one under the k-th non-pivot column
-        of R'.  Left multiplication keeps the relations among columns, and in
-        R' a non-pivot column c is the sum of R'[i, c] times pivot column i,
-        so C[k, i] = R'[i, n-1-D[k]].  That entry is zero unless pivot i lies
-        left of n-1-D[k] in R', that is unless J[i] > D[k]: the first
-        relations are the shortest.  On sparse rows neither the reversed
-        matrix nor R' is built: the rows are keyed n-1-j, and C is written
-        from the entries of the finished rows past their pivots.
-        """
-        fld, n = self.field, self.ncols
-        if self._arr is not None:
-            red, rpiv = Mat(fld, self.nrows, n, arr=self._arr[:, ::-1]).rref()
-            rfree = _non_pivots(n, rpiv)
-            c = red.transpose().take_rows(rfree)
-        else:
-            rows, rpiv = _rref_rows(self._fresh_rows(reverse=True), True, fld.p)
-            rfree = _non_pivots(n, rpiv)
-            pos = {c: k for k, c in enumerate(rfree)}
-            dens = _over_pivots(rows, rpiv) if fld.is_rational else None  # may negate rows
-            # row i of C^T: the entries of row i of R' past its pivot, all in
-            # non-pivot columns; over QQ still over the pivot entry
-            ct = [{pos[c]: v for c, v in r.items() if c != lead} for r, lead in zip(rows, rpiv)]
-            c = Mat(fld, len(rpiv), len(rfree), rows=ct, dens=dens).transpose()
-        return [n - 1 - j for j in rpiv], [n - 1 - j for j in rfree], c
-
-    def _fresh_rows(self, reverse: bool = False) -> list[dict[int, int]]:
+    def _fresh_rows(self) -> list[dict[int, int]]:
         """One new {col: int} dict per stored row for ``_rref_rows`` to
         consume: the primitive parts of the numerators over QQ, the residues
-        over GF(p).  With ``reverse`` column j is keyed n-1-j."""
-        last = self.ncols - 1
+        over GF(p)."""
         rows = map(_primitive, self.rows) if self.field.is_rational else self.rows
-        if reverse:
-            return [{last - j: v for j, v in r.items()} for r in rows]
         return [dict(r) for r in rows]
 
     def kernel_basis(self, *below: "Mat") -> "Mat":
@@ -606,14 +570,15 @@ class Mat:
 
         Over GF(p) the stacked rows are read in blocks by the forward passes
         of ``rank``, and the free columns alone are then solved by
-        back-substitution (``_kernel_p``).  Over QQ, with (J, D, C)
-        from ``_column_split``, each column f = D[k] gives v_f = e_f -
-        sum_i C[k, i] e_{J[i]}.  C[k, i] is zero unless J[i] > f, so every
-        nonzero entry of v_f besides its leading 1 lies in a column of J
-        greater than f.  No column of J is another vector's leading column,
-        so the v_f sorted by f (D reversed) are already in reduced echelon
-        form: the canonical basis of the kernel, with no second elimination.
-        Both fields give that basis.
+        back-substitution (``_kernel_p``).  Over QQ, R' is the rref of self
+        with its columns reversed, with pivots P: column c of R' is column
+        n-1-c of self.  Its free column f gives the kernel vector e_f -
+        sum_i R'[i, f] e_{P[i]}, and R'[i, f] is zero unless P[i] < f.
+        Turned back, column c to n-1-c, the vector leads at n-1-f and its
+        other entries lie in columns n-1-P[i], right of its lead and no
+        vector's lead, so the vectors sorted by n-1-f are already in reduced
+        echelon form: the canonical basis of the kernel, with no second
+        elimination.  Both fields give that basis.
         """
         fld, n = self.field, self.ncols
         if fld.p is not None:
@@ -622,9 +587,11 @@ class Mat:
             return Mat(fld, ker.shape[0], n, arr=ker)
         if below:
             return Mat.vstack(fld, [self, *below], n).kernel_basis()
-        cols_j, cols_d, c = self._column_split()
-        lead = Mat.identity(fld, len(cols_d)).remap_cols(n, list(enumerate(cols_d)))
-        ker = lead.sub(c.remap_cols(n, list(enumerate(cols_j))))
+        red, piv = self.take_cols(range(n - 1, -1, -1)).rref()
+        free = _non_pivots(n, piv)
+        turned = lambda cols: [(k, n - 1 - c) for k, c in enumerate(cols)]  # columns turned back
+        lead = Mat.identity(fld, len(free)).remap_cols(n, turned(free))
+        ker = lead.sub(red.transpose().take_rows(free).remap_cols(n, turned(piv)))
         return ker.take_rows(range(ker.nrows - 1, -1, -1))
 
 
@@ -1085,11 +1052,12 @@ def _kernel_p(parts: Sequence, n: int, p: int) -> np.ndarray:
     rows of the tangent solves, its reduced echelon form is the canonical
     basis, a small elimination.  Otherwise U, its few rows with the columns
     reversed, is reduced again: there the basis has its other entries in
-    pivot columns past each vector's leading 1, as ``_column_split`` finds
-    them, so with the columns and the vectors reversed back it is the
-    canonical basis itself.  The forward passes never run on the stacked rows
-    reversed: there the tangent constraint rows fill in, which made the
-    forward pass of the I2:16 kernel at e = -1 nearly three times slower."""
+    pivot columns past each vector's leading 1, as in the rational
+    ``kernel_basis``, so with the columns and the vectors reversed back it
+    is the canonical basis itself.  The forward passes never run on the
+    stacked rows reversed: there the tangent constraint rows fill in, which
+    made the forward pass of the I2:16 kernel at e = -1 nearly three times
+    slower."""
     u, piv = _echelon_p(parts, n, p)
     wide = n - len(piv) > len(piv)
     if wide:

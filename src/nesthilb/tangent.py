@@ -8,7 +8,10 @@ only new unknowns once multiplication relations are eliminated), and the
 leftover compatibility conditions form exact linear systems: the constraint
 rows of each chain, whose kernel is the chain's own solutions, and the link
 rows between consecutive chains.  The graded tangent dimension is the
-dimension of their common kernel.
+dimension of their common kernel.  The relations out of each degree come
+from one elimination (``e_struct``): their split, a right inverse of the
+independent ones, and the kernel of the stacked actions, which gives the
+fresh unknowns.
 
 Families of tangent vectors are tables ``{d: (P, s_d, t_d)}``, one per ideal
 of the chain: row k of P is vec of the block L_d of the k-th vector, never
@@ -33,13 +36,13 @@ link term multiplied by the X of its chain, on sum dim X columns
 its constraint rows instead, X stands for the identity, and ``_solve``
 ranks them with the link rows, because the rational kernel costs far more
 than that rank.  What depends on one ideal alone is kept in the ideal's
-``_kept`` dict for as long as it lives: the relation split per degree
+``_kept`` dict for as long as it lives: the relations per degree
 (``e_struct``), its chain into R/I per weight e (table, own solutions or
 constraint rows, and their count), its theta table, and the oracle's
 minimal generators and first syzygies.  The census cells of one row share
 their I2, and a sandwich shares the ideals of its nesting, so each of these
 is solved once.  A ``ModuleSource`` (``graded_hom_dims``) keeps its
-relation splits in its own dict, and no chains.
+relations in its own dict, and no chains.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ class NotStrictlySandwiched(ValueError):
 
 class ModuleSource:
     """Degreewise carrier of a finite graded module, with the target module
-    of its Hom chains.  It keeps its relation splits in ``_kept``, and solves
+    of its Hom chains.  It keeps its relations in ``_kept``, and solves
     each chain afresh."""
 
     def __init__(self, mod: FiniteGradedModule, tgt: FiniteGradedModule):
@@ -83,21 +86,43 @@ class ModuleSource:
     def act(self, j: int, d: int) -> Mat:
         return self.mod.action(j, d)
 
-    def e_struct(self, d: int) -> tuple[Mat, list[int], Mat, list[int], list[int], Mat]:
-        """The multiplication relations out of degree d.  The rows of the
-        stacked x_j actions E split into independent rows J, chosen greedily
-        from the last, and the others D, with E_D = C @ E_J.  Returns
-        (R, piv, S, J, D, C): R is the rref of E_J, with pivots piv, and
-        S @ E_J = R."""
+    def e_struct(self, d: int) -> tuple[list[int], list[int], Mat, Mat, Mat]:
+        """The multiplication relations out of degree d, from one
+        elimination.  E stacks the x_j actions, row j * s_d + u for x_j on
+        basis vector u.  Its rows split into independent rows J, chosen
+        greedily from the last, and the others D, both descending, with
+        E_D = C @ E_J.  Returns (J, D, C, W, K): E_J @ W = I, and W is zero
+        on the rows at the free columns of rref(E); the rows of K, one per
+        free column in ascending order, are the kernel basis of E that is
+        the identity on those columns.
+
+        All of it is read off ``rref_with_transform`` of A = P E^T Q, with P
+        and Q the reversals of the rows and of the columns.  Q turns row r of
+        E into column m-1-r of A, so the rref R' of A, with pivots piv,
+        splits the rows of E greedily from the last: J[i] = m-1-piv[i], the
+        free column c gives D[k] = m-1-c, and C[k, i] = R'[i, c].  T @ A = R'
+        is the identity at the pivots, so (T P) E_J^T = I and W = P T^T.  The
+        left kernel of A is the kernel of E reversed by P: its reduced basis,
+        turned back, is 1 at one free column of rref(E) with its other entries
+        at the pivots, and T is zero at the leading columns of that basis, so
+        W is zero at the free columns."""
         key = ("e_struct", d)
         if key not in self._kept:
-            # E^T, built directly: its columns are the rows of E
-            et = Mat.hstack(self.fld, [self.act(j, d).transpose()
-                                       for j in range(self.ctx.n)])
-            rows_j, rows_d, c = et._column_split()
-            e_j = et.take_cols(rows_j).transpose()
-            del et  # as large as E: free it before the transform
-            self._kept[key] = (*e_j.rref_with_transform(), rows_j, rows_d, c)
+            n, s = self.ctx.n, self.dim(d + 1)
+            rev_d, rev_s = range(self.dim(d) - 1, -1, -1), range(s - 1, -1, -1)
+            # A built directly: column c of E^T Q is row m-1-c of E, so its
+            # blocks are the actions from the last, each with its rows reversed
+            a = Mat.hstack(self.fld, [self.act(j, d).take_rows(rev_d).transpose()
+                                      for j in range(n - 1, -1, -1)]).take_rows(rev_s)
+            m = a.ncols
+            red, piv, t_mat, k_mat = a.rref_with_transform()
+            del a  # as large as E: free it before the reads
+            pivset = set(piv)
+            free = [c for c in range(m) if c not in pivset]
+            self._kept[key] = ([m - 1 - c for c in piv], [m - 1 - c for c in free],
+                               red.take_cols(free).transpose(),
+                               t_mat.transpose().take_rows(rev_s),
+                               k_mat.take_rows(range(k_mat.nrows - 1, -1, -1)).take_cols(rev_s))
         return self._kept[key]
 
     def chain(self, e: int) -> tuple[dict, Mat | None, list[Mat], int]:
@@ -155,10 +180,10 @@ def _process_chain(src, e: int) -> tuple[dict, list[Mat], int]:
     for d in range(o, d_top):
         p, s_d, t_cur = table[d]
         s_next, t_next = src.dim(d + 1), tgt.dim(d + 1 + e)
-        red, piv, s_mat, rows_j, rows_d, c_mat = src.e_struct(d)
-        rho = len(piv)
+        rows_j, rows_d, c_mat, w_mat, k_mat = src.e_struct(d)
+        vec_next = s_next * t_next
         # required values on products: G = vstack_j (L_d @ B_j).  E L_{d+1} = G
-        # holds iff R L_{d+1} = S G_J (the values on pivot rows) and G_D = C G_J
+        # holds iff G_D = C G_J and L_{d+1} = W G_J + Z with E Z = 0
         if t_cur and t_next and s_d:
             # one product L_d @ [B_0 | ... | B_{n-1}]: row j * s_d + u of E is block u * n + j
             b = Mat.hstack(fld, [tgt.action(j, d + e) for j in range(n)])
@@ -168,34 +193,18 @@ def _process_chain(src, e: int) -> tuple[dict, list[Mat], int]:
                 [first_col(a) + c for a in rows_j for c in range(t_next)],
                 [first_col(a) + c for a in rows_d for c in range(t_next)])
             del p_g
-            p_vals = left_mul_vecrows(p_gj, rho, t_next, s_mat)
-            p_rel = p_gd.sub(left_mul_vecrows(p_gj, rho, t_next, c_mat))
+            old_part = left_mul_vecrows(p_gj, len(rows_j), t_next, w_mat)
+            p_rel = p_gd.sub(left_mul_vecrows(p_gj, len(rows_j), t_next, c_mat))
         else:
-            p_vals = Mat.zeros(fld, p.nrows, rho * t_next)
+            old_part = Mat.zeros(fld, p.nrows, vec_next)
             p_rel = Mat.zeros(fld, p.nrows, len(rows_d) * t_next)
         if p_rel.ncols:
             cons.append(p_rel.transpose())
-        # assemble the next block: pivot rows carry solved values, the rest are
-        # fresh parameters (values on new minimal generators)
-        vec_next = s_next * t_next
-        pairs = []
-        for i in range(rho):
-            for c in range(t_next):
-                pairs.append((i * t_next + c, piv[i] * t_next + c))
-        old_part = p_vals.remap_cols(vec_next, pairs)
-        pivset = set(piv)
-        free_rows = [u for u in range(s_next) if u not in pivset]
-        # row k: column free_rows[k] of red, as {pivot row: value}
-        red_cols = red.take_cols(free_rows).transpose()
-        entries = []
-        for k, u in enumerate(free_rows):
-            col = red_cols.row_items(k)
-            for c in range(t_next):
-                r = k * t_next + c
-                entries.append((r, u * t_next + c, 1))
-                for i, val in col.items():
-                    entries.append((r, piv[i] * t_next + c, -val))
-        new_part = Mat.from_entries(fld, len(free_rows) * t_next, vec_next, entries)
+        # the next block: the old parameters carry W G_J, and Z = K ⊗ I_t
+        # brings the fresh ones (values on new minimal generators)
+        new_part = Mat.from_entries(fld, k_mat.nrows * t_next, vec_next, (
+            (k * t_next + c, u * t_next + c, v) for k in range(k_mat.nrows)
+            for u, v in k_mat.row_items(k).items() for c in range(t_next)))
         table[d + 1] = (Mat.vstack(fld, [old_part, new_part], vec_next), s_next, t_next)
     return table, cons, table[d_top][0].nrows
 
@@ -316,7 +325,7 @@ def graded_hom_dims(source: FiniteGradedModule, target: FiniteGradedModule
     src = ModuleSource(source, target)
     # the top degree of a generator: the last piece its relations do not fill
     gen_top = max((d + 1 for d in range(src.lo, source.hi)
-                   if source.dim(d + 1) and source.dim(d + 1) > len(src.e_struct(d)[1])),
+                   if source.dim(d + 1) and source.dim(d + 1) > len(src.e_struct(d)[0])),
                   default=src.lo)
     e_min = target.bottom - gen_top
     e_max = target.top - src.lo

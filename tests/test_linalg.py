@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nesthilb import linalg
-from nesthilb.ideals import Nesting, generic_ideal_with_hilbert_function
+from nesthilb.ideals import FiniteGradedModule, Nesting, generic_ideal_with_hilbert_function
 from nesthilb.linalg import (DEFAULT_PRIME, FieldSpec, LinalgError, Mat, QQ,
                              left_mul_vecrows, right_mul_vecrows)
 from nesthilb.ring import RingCtx
-from nesthilb.tangent import nested_tangent_graded
+from nesthilb.tangent import ModuleSource, nested_tangent_graded
 
 from mat_lists import to_lists
 
@@ -109,14 +109,20 @@ def test_rref_is_row_order_invariant(rows, rnd):
 
 
 def test_rref_with_transform_reconstructs():
-    with pytest.raises(LinalgError):  # rank 2 < 3 rows
-        Mat.from_rows(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]]).rref_with_transform()
+    m = Mat.from_rows(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])  # rank 2 < 3 rows
+    red, piv, t, k = m.rref_with_transform()
+    assert piv == [0, 1]
+    assert to_lists(red) == [[1, 0, 1], [0, 1, 1]]
+    assert (t.nrows, t.ncols) == (2, 3)
+    assert t.matmul(m) == red
+    assert k.nrows == 1 and k.matmul(m).is_zero()
     m = Mat.from_rows(QQ, [[2, 4, 6], [0, 1, 1]])
-    red, piv, s = m.rref_with_transform()
+    red, piv, s, k = m.rref_with_transform()
     assert piv == [0, 1]
     assert to_lists(red) == [[1, 0, 1], [0, 1, 1]]
     assert (s.nrows, s.ncols) == (2, 2)
     assert s.matmul(m) == red
+    assert (k.nrows, k.ncols) == (0, 2)
 
 
 def _dense_mul(a, b, ncols):
@@ -393,16 +399,13 @@ def test_prime_field_storage_matches_dense_reference(monkeypatch):
 
         check(right_mul_vecrows(m_p, s, t, m_b), vec(_dense_mul(l, b, t2) for l in blocks), s * t2)
         check(left_mul_vecrows(m_p, s, t, m_tr), vec(_dense_mul(tr, l, t) for l in blocks), nt * t)
-        # the transform of a matrix of full row rank; others are refused
-        want_red, want_piv = _ref_rref(params, s * t, p)
-        if len(want_piv) < q:
-            with pytest.raises(LinalgError):
-                m_p.rref_with_transform()
-            return
-        red, piv, tf = m_p.rref_with_transform()
+        # the transform and the left kernel, of any rank
+        want_red, want_piv, want_tf, want_ker = _ref_rref_with_transform(params, s * t, p)
+        red, piv, tf, ker = m_p.rref_with_transform()
         assert piv == want_piv
         check(red, want_red, s * t)
-        check(tf, _ref_rref_with_transform(params, s * t, p)[2], q)
+        check(tf, want_tf, q)
+        check(ker, want_ker, q)
 
     agrees()
     # one fixed nonzero product on each path: some seeds draw none on rows
@@ -533,11 +536,14 @@ def _ref_kernel(rows, ncols, p):
 
 
 def _ref_rref_with_transform(rows, ncols, p):
-    """The reduced [rows | identity], split after column ncols."""
+    """The reduced [rows | identity], split after column ncols and after the
+    rank: (R, pivots, T, K), K the right halves of the rows past the rank."""
     m = len(rows)
     aug = [list(r) + [int(i == k) for k in range(m)] for i, r in enumerate(rows)]
     a, piv = _ref_rref(aug, ncols + m, p)
-    return [r[:ncols] for r in a], piv, [r[ncols:] for r in a]
+    rank = sum(c < ncols for c in piv)
+    return ([r[:ncols] for r in a[:rank]], piv[:rank], [r[ncols:] for r in a[:rank]],
+            [r[ncols:] for r in a[rank:]])
 
 
 def _check_against_reference(rows, ncols, p):
@@ -552,20 +558,21 @@ def _check_against_reference(rows, ncols, p):
     assert to_lists(ker) == _ref_kernel(rows, ncols, p)
     for out in (m, red, ker):
         _assert_stored_form(out)
-    if len(want_piv) < len(rows):  # rank-deficient, zero rows, or no columns
-        with pytest.raises(LinalgError):
-            m.rref_with_transform()
-        return
-    r_mat, t_piv, t_mat = m.rref_with_transform()
+    r_mat, t_piv, t_mat, k_mat = m.rref_with_transform()
+    _, _, want_t, want_k = _ref_rref_with_transform(rows, ncols, p)
     assert t_piv == want_piv
     assert to_lists(r_mat) == want_red
-    assert to_lists(t_mat) == _ref_rref_with_transform(rows, ncols, p)[2]
-    _assert_stored_form(r_mat)
-    _assert_stored_form(t_mat)
-    # the contract: T is square in the rank, invertible, and T @ m = R
-    assert (t_mat.nrows, t_mat.ncols) == (len(rows), len(rows))
+    assert to_lists(t_mat) == want_t
+    assert to_lists(k_mat) == want_k
+    for out in (r_mat, t_mat, k_mat):
+        _assert_stored_form(out)
+    # the contract, at any rank: T @ m = R, K @ m = 0, and T over K is the
+    # invertible transform of the reduced [m | identity]
+    assert (t_mat.nrows, t_mat.ncols) == (len(want_piv), len(rows))
+    assert (k_mat.nrows, k_mat.ncols) == (len(rows) - len(want_piv), len(rows))
     assert to_lists(t_mat.matmul(m)) == want_red
-    assert len(_ref_rref(to_lists(t_mat), len(rows), p)[1]) == len(rows)
+    assert k_mat.matmul(m).is_zero()
+    assert len(_ref_rref(to_lists(t_mat) + to_lists(k_mat), len(rows), p)[1]) == len(rows)
 
 
 BIG = 1 << 300  # about the size of the entries tnt_qq's generic ideals produce
@@ -771,13 +778,13 @@ def test_deferred_reduction_survives_int64_at_the_largest_prime(kind):
     assert piv == want_piv and to_lists(red) == want_red
     red, piv = linalg._rref_p(np.array(rows, np.int64), p)
     assert piv == want_piv and red.tolist() == want_red
-    # the transform needs full row rank: row `last` is dependent in both
-    rows = rows[:-1]
-    r_mat, t_piv, t_mat = Mat.from_rows(FieldSpec.prime(p), rows).rref_with_transform()
-    want_r, want_t_piv, want_t = _ref_rref_with_transform(rows, len(rows) + 1, p)
-    assert len(want_t_piv) == len(rows)
+    # the transform: row `last` is dependent in both, so the left kernel
+    # has one vector
+    r_mat, t_piv, t_mat, k_mat = Mat.from_rows(FieldSpec.prime(p), rows).rref_with_transform()
+    want_r, want_t_piv, want_t, want_k = _ref_rref_with_transform(rows, len(rows), p)
+    assert want_t_piv == want_piv and len(want_k) == 1
     assert t_piv == want_t_piv and to_lists(r_mat) == want_r
-    assert to_lists(t_mat) == want_t
+    assert to_lists(t_mat) == want_t and to_lists(k_mat) == want_k
 
 
 # (rows, columns, rank): more than _BACK_BLOCK pivots, so the free-column
@@ -803,12 +810,19 @@ def test_dense_rref_and_kernel_past_one_back_block(p, nrows, ncols, rank):
 
 
 def _check_split_against_reference(rows, ncols, p):
-    # the relations e_struct reads: the rows of E split into independent rows
-    # J, chosen greedily from the last, and the others D, with E_D = C @ E_J
+    # the relations e_struct reads off one elimination, here of a
+    # one-variable module whose single action is E: the rows of E split into
+    # independent rows J, chosen greedily from the last, and the others D,
+    # with E_D = C @ E_J; E_J @ W = I with W zero on the free columns of
+    # rref(E); and the rows of K span the kernel of E, the identity on those
+    # columns
     fld = QQ if p is None else FieldSpec.prime(p)
+    norm = _normaliser(p)
     e = Mat.from_rows(fld, rows, ncols)
-    rows_j, rows_d, c = e.transpose()._column_split()
+    mod = FiniteGradedModule(RingCtx(1), fld, 0, 1, [len(rows), ncols], [[e]])
+    rows_j, rows_d, c, w, k = ModuleSource(mod, mod).e_struct(0)
     want_red, want_piv = _ref_rref(rows, ncols, p)
+    free = [u for u in range(ncols) if u not in want_piv]
     assert len(rows_j) == len(want_piv)
     assert sorted(rows_j + rows_d) == list(range(len(rows)))
     assert rows_j == sorted(rows_j, reverse=True)
@@ -818,10 +832,13 @@ def _check_split_against_reference(rows, ncols, p):
         assert (i in rows_j) == (len(_ref_rref(rows[i:], ncols, p)[1]) > later)
     e_j = e.take_rows(rows_j)
     assert e.take_rows(rows_d) == c.matmul(e_j)
-    _assert_stored_form(c)
-    red, piv, s = e_j.rref_with_transform()
-    assert piv == want_piv
-    assert to_lists(s.matmul(e_j)) == want_red == to_lists(red)
+    assert e_j.matmul(w) == Mat.identity(fld, len(rows_j))
+    assert w.take_rows(free).is_zero()
+    assert e.matmul(k.transpose()).is_zero()
+    assert to_lists(k) == [[int(u == f) if u in free else norm(-want_red[want_piv.index(u)][f])
+                            for u in range(ncols)] for f in free]
+    for out in (c, w, k):
+        _assert_stored_form(out)
 
 
 @settings(max_examples=200, deadline=None)
@@ -886,19 +903,14 @@ def test_captured_constraint_matrices_match_python_reference(e, shape, rank, mon
     assert to_lists(cons.kernel_basis()) == _ref_kernel(rows, cons.ncols, None)
 
 
-# ------------------------------------------ GF(p) kernels against the row split
+# ---------------------------- GF(p) kernels against the relations of the rows
 
 
-def _split_kernel(m: Mat) -> Mat:
-    """The kernel read off ``_column_split``: each dependent column f gives
-    e_f minus its relation to the independent columns, the vectors sorted
-    by f.  The GF(p) kernel came from this before it came from forward
-    passes, and it is the oracle of the checks below."""
-    n = m.ncols
-    cols_j, cols_d, c = m._column_split()
-    lead = Mat.identity(m.field, len(cols_d)).remap_cols(n, list(enumerate(cols_d)))
-    ker = lead.sub(c.remap_cols(n, list(enumerate(cols_j))))
-    return ker.take_rows(range(ker.nrows - 1, -1, -1))
+def _left_kernel_of_transpose(m: Mat) -> Mat:
+    """The kernel of m as the left kernel of its transpose, read off the
+    reduced [m^T | identity]: a separate elimination from the forward
+    passes of ``_kernel_p``, and the oracle of the checks below."""
+    return m.transpose().rref_with_transform()[3]
 
 
 def _combined_rows(rng, p: int, nrows: int, ncols: int, rank: int, sparse: bool) -> list:
@@ -947,13 +959,14 @@ def test_prime_field_kernel_matches_the_row_split(p, form, nrows, ncols, rank):
     r = m.rank()
     assert ker.nrows == ncols - r
     assert (r == ncols) == (form == "dense" and rank == ncols)
-    # M K^T = 0, an identity block on the free columns, and the split's kernel;
-    # the split of an array shares the free-column solve, so the small
-    # arrays are also checked against the pure-Python kernel
+    # M K^T = 0, an identity block on the free columns, and the left kernel
+    # of M^T; the transform of an array shares the free-column solve, so the
+    # small arrays are also checked against the pure-Python kernel
     assert m.matmul(ker.transpose()).is_zero()
-    free = sorted(m._column_split()[1])
+    want = _left_kernel_of_transpose(m)
+    free = [min(want.row_items(i)) for i in range(want.nrows)]  # its leading columns
     assert ker.take_cols(free) == Mat.identity(fld, len(free))
-    assert ker == _split_kernel(m)
+    assert ker == want
     if form == "dense" and nrows * ncols <= 6000:
         assert to_lists(ker) == _ref_kernel(rows, ncols, p)
     _assert_stored_form(ker)
@@ -962,4 +975,4 @@ def test_prime_field_kernel_matches_the_row_split(p, form, nrows, ncols, rank):
     wide = Mat.hstack(fld, [m, Mat.zeros(fld, nrows, 3)])
     parts = [m.take_rows(range(nrows // 3)), wide.take_rows(range(nrows // 3, nrows))]
     stacked = Mat.zeros(fld, 0, ncols + 3).kernel_basis(*parts)
-    assert stacked == wide.kernel_basis() == _split_kernel(wide)
+    assert stacked == wide.kernel_basis() == _left_kernel_of_transpose(wide)
