@@ -29,9 +29,13 @@ Two backends share one matrix interface:
   reconstruction (Wang, SYMSAC 1981), and checked exactly: if the rows
   annihilate the lifted kernel, whose identity block on the free columns
   makes its vectors independent, the rank is at most r_p, so it is r_p.
-  The kernels mod p take the dense path, never sparse rows, on which a
-  constraint matrix a few percent nonzero fills in.  No step guesses: where
-  no kernel lifts and checks, the integer forward pass decides.
+  Each side, the rows and their transpose, is lifted at each prime until a
+  side whose reconstruction gets through fewer entries than the other's at
+  two primes in a row is dropped: its entries need more primes, and each
+  prime costs it an elimination.  The kernels mod p take the dense path,
+  never sparse rows, on which a constraint matrix a few percent nonzero
+  fills in.  No step guesses: where no kernel lifts and checks, the integer
+  forward pass decides.
 * GF(p) -- one storage rule, by density.  A matrix with at most 1/20 of
   its entries nonzero (``_SPARSE_RATIO``) is stored on sparse rows, dicts
   ``{col: int}`` with entries in [1, p), and ``dens`` None; a denser one as
@@ -63,9 +67,10 @@ Two backends share one matrix interface:
   rows or array (``_row_blocks``): each pass runs on the pivot rows found
   so far and the next block, so the work array stays near ``_RANK_BLOCK``
   cells or three times the square of the width, and the passes stop once
-  the rank is the width.  A tall matrix, stored on rows or as an array, is
-  never written whole into one array.  ``rank`` transposes when that gives
-  fewer columns.  ``kernel_basis`` stacks further matrices under its own,
+  the rank is the width.  ``full_column_rank`` is one such pass, mod the
+  field's prime or a lift prime, for the tangent solves' pruning.  A tall
+  matrix, stored on rows or as an array, is never written whole into one
+  array.  ``rank`` transposes when that gives fewer columns.  ``kernel_basis`` stacks further matrices under its own,
   so the tangent solves hand it their constraint blocks as they are stored.
 
 Each question is answered by one elimination of its matrix.  The sparse
@@ -77,8 +82,9 @@ r - r[c] * pivot mod p.  ``rref_with_transform`` takes any matrix and reads
 three answers off the reduced ``[self | identity]``: the reduced form, the
 transform T with T @ self equal to it, and the reduced basis of the left
 kernel, the right halves of the rows whose pivots lie in the identity.  The
-rational ``kernel_basis`` reads the reduced kernel basis off the rref of the
-matrix with its columns reversed (see its docstring).  The row bodies of the
+rational ``kernel_basis``, and the GF(p) one of a wide matrix on rows, read
+the reduced kernel basis off the rref of the matrix with its columns
+reversed (see its docstring).  The row bodies of the
 structural operations are shared by both fields; over GF(p) the ones that
 do arithmetic reduce mod p.  Products run on rows (``_sparse_mul``) over QQ,
 and over GF(p) when the left factor is stored on rows and its multiply-adds
@@ -570,10 +576,14 @@ class Mat:
 
         Over GF(p) the stacked rows are read in blocks by the forward passes
         of ``rank``, and the free columns alone are then solved by
-        back-substitution (``_kernel_p``).  Over QQ, R' is the rref of self
-        with its columns reversed, with pivots P: column c of R' is column
-        n-1-c of self.  Its free column f gives the kernel vector e_f -
-        sum_i R'[i, f] e_{P[i]}, and R'[i, f] is zero unless P[i] < f.
+        back-substitution (``_kernel_p``).  That dense route would write the
+        kernel of a wide matrix on sparse rows as one array of more cells
+        than the matrix has, so such a matrix, with nothing below, takes the
+        route of QQ on its rows, one body for both fields.  There R' is the
+        rref of self with its columns reversed, with pivots P: column c of
+        R' is column n-1-c of self.  Its free column f gives the kernel
+        vector e_f - sum_i R'[i, f] e_{P[i]}, and R'[i, f] is zero unless
+        P[i] < f.
         Turned back, column c to n-1-c, the vector leads at n-1-f and its
         other entries lie in columns n-1-P[i], right of its lead and no
         vector's lead, so the vectors sorted by n-1-f are already in reduced
@@ -581,9 +591,8 @@ class Mat:
         elimination.  Both fields give that basis.
         """
         fld, n = self.field, self.ncols
-        if fld.p is not None:
-            parts = [m._arr if m._arr is not None else m.rows for m in (self, *below)]
-            ker = _kernel_p(parts, n, fld.p)
+        if fld.p is not None and (below or self._arr is not None or n <= self.nrows):
+            ker = _kernel_p(_parts((self, *below)), n, fld.p)
             return Mat(fld, ker.shape[0], n, arr=ker)
         if below:
             return Mat.vstack(fld, [self, *below], n).kernel_basis()
@@ -593,6 +602,22 @@ class Mat:
         lead = Mat.identity(fld, len(free)).remap_cols(n, turned(free))
         ker = lead.sub(red.transpose().take_rows(free).remap_cols(n, turned(piv)))
         return ker.take_rows(range(ker.nrows - 1, -1, -1))
+
+
+def full_column_rank(mats: Sequence[Mat], ncols: int) -> bool:
+    """Whether the rows of the mats stacked, each of at most ncols columns
+    and padded with zero columns on the right, have rank ncols mod one
+    prime: the field's, or the first lift prime over QQ, where the rows are
+    the numerators.  One forward pass (``_echelon_p``), which stops once the
+    rank is ncols.  A rank mod p is at most the rank over QQ, so True holds
+    over both fields; False only means not full mod that prime."""
+    p = mats[0].field.p or _LIFT_PRIMES[0]
+    return len(_echelon_p(_parts(mats), ncols, p)[1]) == ncols
+
+
+def _parts(mats: Sequence[Mat]) -> list:
+    """The stored arrays or rows of the mats, as ``_row_blocks`` reads them."""
+    return [m._arr if m._arr is not None else m.rows for m in mats]
 
 
 def _ones(field: FieldSpec, n: int) -> list[int] | None:
@@ -796,13 +821,18 @@ def _modular_rank(rows: list[dict[int, int]], ncols: int) -> int | None:
     exactly, the rank is len(P): W is D times the identity on the free
     columns, so its columns are independent and the rank over QQ is at most
     len(P), the rank mod p.  A side whose pivots change at a later prime is
-    dropped."""
+    dropped, and so is a side whose reconstruction gets through fewer
+    entries than the other side's at two primes in a row: its entries need
+    more primes than the other's, and each prime costs it one elimination.
+    No answer depends on which side is kept."""
     full = min(len(rows), ncols)
     sides = [len(rows) < ncols, len(rows) >= ncols]  # left side first if it is narrower
     lifts: dict[bool, tuple[list[int], list[list[int]]]] = {}  # pivots, residues
+    behind = dict.fromkeys(sides, 0)  # primes in a row at which a side fell behind
     cols = None  # the rows transposed, the left side's rows
     modulus = 1
     for p in _LIFT_PRIMES:
+        reached = {}  # entries each side reconstructed at this prime
         for left in list(sides):
             if left and cols is None:
                 cols = _transpose_rows(rows, ncols)
@@ -818,9 +848,14 @@ def _modular_rank(rows: list[dict[int, int]], ncols: int) -> int | None:
             if modulus > 1:
                 res = _crt(lifts[left][1], modulus, res, p)
             lifts[left] = piv, res
-            lifted = _reconstruct(res, modulus * p)
+            lifted, reached[left] = _reconstruct(res, modulus * p)
             if lifted is not None and _annihilates(side, piv, free, *lifted):
                 return len(piv)
+        if len(reached) == 2:
+            for left in reached:
+                behind[left] = behind[left] + 1 if reached[left] < reached[not left] else 0
+                if behind[left] == 2:
+                    sides.remove(left)
         modulus *= p
     return None
 
@@ -831,8 +866,11 @@ def _crt(res: list[list[int]], m: int, new: list[list[int]], p: int) -> list[lis
     return [[x + m * ((y - x) * inv % p) for x, y in zip(r, s)] for r, s in zip(res, new)]
 
 
-def _reconstruct(res: list[list[int]], m: int) -> tuple[list[list[int]], int] | None:
-    """Integers N and one denominator D > 0 with N = D * res mod m, or None.
+def _reconstruct(res: list[list[int]], m: int
+                 ) -> tuple[tuple[list[list[int]], int] | None, int]:
+    """Integers N and one denominator D > 0 with N = D * res mod m, or None,
+    and the number of entries reconstructed, in row order, before it
+    stopped.
 
     Each entry must be n / d with |n| and d at most sqrt(m / 2), Wang's
     bound, under which n / d is unique; D is the lcm of the d, built as it
@@ -840,6 +878,7 @@ def _reconstruct(res: list[list[int]], m: int) -> tuple[list[list[int]], int] | 
     the D so far is already within it needs no reconstruction."""
     bound = isqrt(m // 2)
     den = 1
+    done = 0
     out = []  # (numerator, the denominator it is over)
     for row in res:
         nums = []
@@ -850,15 +889,16 @@ def _reconstruct(res: list[list[int]], m: int) -> tuple[list[list[int]], int] | 
                 if -b > bound:
                     nd = _ratrecon(x, m, bound)
                     if nd is None:
-                        return None
+                        return None, done
                     b, d = nd
                     den = lcm(den, d)
                     if den > bound:
-                        return None
+                        return None, done
                     b *= den // d
             nums.append((b, den))
+            done += 1
         out.append(nums)
-    return [[b * (den // d) for b, d in nums] for nums in out], den
+    return ([[b * (den // d) for b, d in nums] for nums in out], den), done
 
 
 def _ratrecon(b: int, m: int, bound: int) -> tuple[int, int] | None:

@@ -26,6 +26,16 @@ ideal I with target R/I; it only says where its dims, actions and kept state
 come from.  The chains of a nesting are linked by position: ``_solve`` links
 chain i to chain i + 1, and ``_link_terms`` walks consecutive ideals.
 
+A chain drops its dead parameters as it is built (``_process_chain``).  A
+degree's constraint block involves only the parameters introduced so far;
+once the blocks so far have full column rank on them, every solution is zero
+there, so they leave the chain with their blocks.  The rank is read mod one
+prime, which can only lower it, so full mod p is full over both fields.  A
+chain left with no parameters and no generator of its ideal above the
+current degree has no solutions and stops there.  The TNT verdict needs
+t(e) = 0 for every e <= -2, and those chains then die after a block or
+two, before the later products and relations are built.
+
 Each Hom chain numbers its parameters from 0, so a chain solved for one
 nesting serves any other.  Over GF(p) a chain is kept with its own
 solutions: a basis X of the kernel of its constraint rows
@@ -52,8 +62,8 @@ from dataclasses import dataclass
 from .ideals import (FiniteGradedModule, HomogeneousIdeal, Nesting, NotMPrimary,
                      power_of_max_ideal, quotient_module, subquotient_module,
                      zero_ideal)
-from .linalg import Mat, left_mul_vecrows, right_mul_vecrows
-from .ring import HomogeneousElement, diff_matrix, mult_map
+from .linalg import Mat, full_column_rank, left_mul_vecrows, right_mul_vecrows
+from .ring import HomogeneousElement, mult_map
 
 
 class TangentError(RuntimeError):
@@ -71,6 +81,10 @@ class ModuleSource:
     """Degreewise carrier of a finite graded module, with the target module
     of its Hom chains.  It keeps its relations in ``_kept``, and solves
     each chain afresh."""
+
+    # the top degree of a minimal generator; a module lists none, so its
+    # chains are built to their top degree (``_process_chain``)
+    gen_top: int | None = None
 
     def __init__(self, mod: FiniteGradedModule, tgt: FiniteGradedModule):
         self.mod = mod
@@ -141,6 +155,7 @@ class IdealSource(ModuleSource):
         self.fld = ideal.fld
         self.lo = ideal.order
         self.tgt = quotient_module(ideal)
+        self.gen_top = max(ideal.generator_degrees(), default=-1)
         self._kept = ideal._kept  # shared by every source over this ideal
 
     def dim(self, d: int) -> int:
@@ -179,12 +194,14 @@ def _process_chain(src, e: int) -> tuple[dict, list[Mat], int]:
     table[o] = (Mat.identity(fld, s0 * t0), s0, t0)
     for d in range(o, d_top):
         p, s_d, t_cur = table[d]
+        if not p.nrows and src.gen_top is not None and src.gen_top <= d:
+            return table, cons, 0  # no parameters, so no blocks, and none to come
         s_next, t_next = src.dim(d + 1), tgt.dim(d + 1 + e)
         rows_j, rows_d, c_mat, w_mat, k_mat = src.e_struct(d)
         vec_next = s_next * t_next
         # required values on products: G = vstack_j (L_d @ B_j).  E L_{d+1} = G
         # holds iff G_D = C G_J and L_{d+1} = W G_J + Z with E Z = 0
-        if t_cur and t_next and s_d:
+        if p.nrows and t_cur and t_next and s_d:
             # one product L_d @ [B_0 | ... | B_{n-1}]: row j * s_d + u of E is block u * n + j
             b = Mat.hstack(fld, [tgt.action(j, d + e) for j in range(n)])
             p_g = right_mul_vecrows(p, s_d, t_cur, b)
@@ -193,13 +210,18 @@ def _process_chain(src, e: int) -> tuple[dict, list[Mat], int]:
                 [first_col(a) + c for a in rows_j for c in range(t_next)],
                 [first_col(a) + c for a in rows_d for c in range(t_next)])
             del p_g
-            old_part = left_mul_vecrows(p_gj, len(rows_j), t_next, w_mat)
-            p_rel = p_gd.sub(left_mul_vecrows(p_gj, len(rows_j), t_next, c_mat))
-        else:
+            if p_gd.ncols:  # the residuals G_D - C G_J, a row per relation
+                cons.append(p_gd.sub(left_mul_vecrows(p_gj, len(rows_j), t_next, c_mat))
+                            .transpose())
+            if p_gd.ncols and d + 1 < d_top and full_column_rank(cons, p.nrows):
+                # every solution is zero on the parameters so far: they leave
+                for k, (pk, sk, tk) in table.items():
+                    table[k] = (Mat.zeros(fld, 0, pk.ncols), sk, tk)
+                cons, old_part = [], Mat.zeros(fld, 0, vec_next)
+            else:
+                old_part = left_mul_vecrows(p_gj, len(rows_j), t_next, w_mat)
+        else:  # the old parameters carry zero, and their relations are zero
             old_part = Mat.zeros(fld, p.nrows, vec_next)
-            p_rel = Mat.zeros(fld, p.nrows, len(rows_d) * t_next)
-        if p_rel.ncols:
-            cons.append(p_rel.transpose())
         # the next block: the old parameters carry W G_J, and Z = K ⊗ I_t
         # brings the fresh ones (values on new minimal generators)
         new_part = Mat.from_entries(fld, k_mat.nrows * t_next, vec_next, (
@@ -366,15 +388,18 @@ def _theta_table(ideal: HomogeneousIdeal) -> dict[int, tuple[Mat, int, int]]:
         table = {}
         for d in range(ideal.order, ideal.socle_degree + 2):
             s, t = ideal.dim_at(d), ideal.qdim(d - 1)
-            entries = []
-            if s and t:
-                basis, _ = ideal.basis_at(d)
-                proj = ideal.quotient_structure(d - 1)
-                for j in range(ctx.n):
-                    block = proj.project_rows(basis.matmul(diff_matrix(ctx, fld, j, d)))
-                    entries.extend((j, u * t + c, v) for u in range(s)
-                                   for c, v in block.row_items(u).items())
-            table[d] = (Mat.from_entries(fld, ctx.n, s * t, entries), s, t)
+            if not (s and t):
+                table[d] = (Mat.zeros(fld, ctx.n, s * t), s, t)
+                continue
+            # the block of d/dx_j is B D_j Pi: B the basis of I_d, D_j the
+            # derivation R_d -> R_{d-1} and Pi the projection to (R/I)_{d-1},
+            # so row j is vec(D_j) times (I ⊗ Pi), then times (B^T ⊗ I)
+            n_d, n_c = ctx.dim(d), ctx.dim(d - 1)
+            diffs = Mat.from_entries(fld, ctx.n, n_d * n_c, (
+                (j, a * n_c + b, v) for j in range(ctx.n) for a, b, v in ctx.diff_entries(j, d)))
+            pi = ideal.quotient_structure(d - 1).project_rows(Mat.identity(fld, n_c))
+            table[d] = (left_mul_vecrows(right_mul_vecrows(diffs, n_d, n_c, pi), n_d, t,
+                                         ideal.basis_at(d)[0]), s, t)
         ideal._kept["theta"] = table
     return ideal._kept["theta"]
 

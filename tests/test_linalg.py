@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nesthilb import linalg
-from nesthilb.ideals import FiniteGradedModule, Nesting, generic_ideal_with_hilbert_function
+from nesthilb import linalg, tangent
+from nesthilb.ideals import (FiniteGradedModule, Nesting, family_I1, family_I2,
+                             generic_ideal_with_hilbert_function)
 from nesthilb.linalg import (DEFAULT_PRIME, FieldSpec, LinalgError, Mat, QQ,
                              left_mul_vecrows, right_mul_vecrows)
 from nesthilb.ring import RingCtx
@@ -880,19 +881,33 @@ def test_prime_field_eliminations_take_both_paths(kind, monkeypatch):
     assert calls["_sparse_mul" if kind == "sparse" else "_matmul_mod"] > 0
 
 
-@pytest.mark.parametrize("e, shape, rank", [(-1, (74, 54), 32), (-2, (427, 27), 27)])
+def _captured_ranks(nest: Nesting, e: int, monkeypatch) -> list[Mat]:
+    """The matrices whose ``Mat.rank`` the degree-e solve of nest asks."""
+    captured, mat_rank = [], Mat.rank
+    monkeypatch.setattr(Mat, "rank", lambda m: captured.append(m) or mat_rank(m))
+    nested_tangent_graded(nest, e)
+    monkeypatch.undo()
+    return captured
+
+
+@pytest.mark.parametrize("e, shape, rank", [(-1, (74, 54), 32), (-2, (259, 27), 27)])
 def test_captured_constraint_matrices_match_python_reference(e, shape, rank, monkeypatch):
     # the constraint matrices of a generic (1,4,7,2) ideal over QQ, entries of
-    # about 300 bits: at e = -1 the rank is short of full (its left kernel
-    # lifts from several primes and is checked), at e = -2 it is full (mod-p
-    # shortcut).  The solve ends in the one Mat.rank call on its constraint
-    # matrix, which captures it
+    # about 300 bits.  At e = -1 the solve ends in the one Mat.rank call on
+    # its constraint matrix, which captures it; the rank is short of full
+    # (its left kernel lifts from several primes and is checked).  At e = -2
+    # the chain's first block has full column rank, so its parameters leave
+    # the chain and no rank is asked: the block that the pruning test reads
+    # is captured, and its rational rank is full (mod-p shortcut)
     ideal = generic_ideal_with_hilbert_function(RingCtx(4), QQ, (1, 4, 7, 2), seed=3)
-    captured = []
-    mat_rank = Mat.rank
-    monkeypatch.setattr(Mat, "rank", lambda m: captured.append(m) or mat_rank(m))
-    nested_tangent_graded(Nesting([ideal]), e)
-    monkeypatch.undo()
+    if e == -1:
+        captured = _captured_ranks(Nesting([ideal]), e, monkeypatch)
+    else:
+        captured, full = [], tangent.full_column_rank
+        monkeypatch.setattr(tangent, "full_column_rank", lambda mats, ncols: captured.append(
+            Mat.vstack(QQ, mats, ncols)) or full(mats, ncols))
+        assert nested_tangent_graded(Nesting([ideal]), e) == 0
+        monkeypatch.undo()
     (cons,) = captured
     assert (cons.nrows, cons.ncols) == shape
     rows = to_lists(cons)
@@ -901,6 +916,30 @@ def test_captured_constraint_matrices_match_python_reference(e, shape, rank, mon
     red, piv = cons.rref()
     assert piv == want_piv and to_lists(red) == want_red
     assert to_lists(cons.kernel_basis()) == _ref_kernel(rows, cons.ncols, None)
+
+
+@pytest.mark.parametrize("case", ["generic_seed_3", "I1:8,2 > I2:8"])
+def test_a_rational_rank_stops_lifting_the_side_that_falls_behind(case, monkeypatch):
+    # the forward passes one QQ rank takes mod the lift primes.  The seed-3
+    # e = -1 matrix (74 x 54, rank 32) lifts its left kernel after about
+    # nine primes, while the right one's entries need more primes than the
+    # list holds: that side falls behind at the first two primes and is no
+    # longer reduced, so the rank takes at most 14 passes, not 20.  The
+    # family pair's stacked e = -1 rank (372 of its 402 rows nonzero) lifts
+    # its right kernel from the first prime: one pass
+    if case == "generic_seed_3":
+        nest = Nesting([generic_ideal_with_hilbert_function(RingCtx(4), QQ, (1, 4, 7, 2), seed=3)])
+        shape, rank, most = (74, 54), 32, 14
+    else:
+        ctx = RingCtx(8)
+        nest = Nesting([family_I1(ctx, QQ, 2), family_I2(ctx, QQ)])
+        shape, rank, most = (402, 284), 276, 1
+    (cons,) = _captured_ranks(nest, -1, monkeypatch)
+    assert (cons.nrows, cons.ncols) == shape
+    passes, echelon = [], linalg._echelon_p
+    monkeypatch.setattr(linalg, "_echelon_p", lambda *args: passes.append(1) or echelon(*args))
+    assert cons.rank() == rank
+    assert len(passes) <= most
 
 
 # ---------------------------- GF(p) kernels against the relations of the rows
@@ -976,3 +1015,25 @@ def test_prime_field_kernel_matches_the_row_split(p, form, nrows, ncols, rank):
     parts = [m.take_rows(range(nrows // 3)), wide.take_rows(range(nrows // 3, nrows))]
     stacked = Mat.zeros(fld, 0, ncols + 3).kernel_basis(*parts)
     assert stacked == wide.kernel_basis() == _left_kernel_of_transpose(wide)
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 94906249])
+def test_wide_sparse_prime_field_kernel_takes_the_row_elimination(p, monkeypatch):
+    # a wide GF(p) matrix on sparse rows, three nonzeros a row and 20 rows
+    # the sums of two others: its kernel, 1820 x 2000, comes from the
+    # reversed-column row elimination of the rational branch, not from the
+    # dense forward pass and free-column solve, and equals their basis
+    rng = np.random.default_rng(p)
+    fld, nrows, ncols = FieldSpec.prime(p), 200, 2000
+    entries = [(i, int(j), int(v)) for i in range(nrows - 20)
+               for j, v in zip(rng.choice(ncols, 3, replace=False), rng.integers(1, p, 3))]
+    for i, (a, b) in enumerate(rng.choice(nrows - 20, (20, 2)), nrows - 20):
+        entries += [(i, j, v) for k, j, v in entries if k in (a, b)]
+    m = Mat.from_entries(fld, nrows, ncols, entries)
+    assert m.rows is not None and m.rank() == nrows - 20
+    kernel_p, dense = linalg._kernel_p, []
+    monkeypatch.setattr(linalg, "_kernel_p", lambda *args: dense.append(1) or kernel_p(*args))
+    ker = m.kernel_basis()
+    assert not dense and ker.rows is not None and ker.nrows == ncols - (nrows - 20)
+    want = kernel_p([m.rows], ncols, p)
+    assert ker == Mat(fld, *want.shape, arr=want)

@@ -472,6 +472,49 @@ def test_a_census_row_solves_its_i2_once_per_e(monkeypatch):
 
 
 @pytest.mark.parametrize("fld", [QQ, FP], ids=["QQ", "F32003"])
+@pytest.mark.parametrize("n, profile, seed", [(4, (1, 4, 7, 2), 3), (4, (1, 4, 7, 2), 4),
+                                              (4, (1, 4, 7, 2), 5), (2, (1, 2, 2, 1, 1), 0)])
+def test_pruned_chains_match_the_syzygy_oracle(fld, n, profile, seed, monkeypatch):
+    # a chain drops its parameters once the blocks so far have full column
+    # rank on them.  The generic (1,4,7,2) chains at e = -3 and -2 die at
+    # their first block while degree-3 generators bring fresh parameters,
+    # and stop at degree 4, past the last generator; the (1,2,2,1,1) chain
+    # at e = -3 drops the parameters of its degree-2 and degree-3
+    # generators and keeps the two of its degree-5 one, and its other
+    # chains have blocks short of full rank, whose parameters stay
+    ideal = generic_ideal_with_hilbert_function(RingCtx(n), fld, profile, seed=seed)
+    tested, full = [], tangent.full_column_rank
+    monkeypatch.setattr(tangent, "full_column_rank",
+                        lambda mats, ncols: tested.append(full(mats, ncols)) or tested[-1])
+    e_lo, e_hi = -ideal.max_gen_degree, max(ideal.socle_degree - ideal.order, -1)
+    for e in range(e_lo, e_hi + 1):
+        assert tangent_graded(ideal, e) == hom_dim_via_syzygies(ideal, e)
+    assert set(tested) == ({True} if profile == (1, 4, 7, 2) else {True, False})
+    if profile == (1, 4, 7, 2):
+        for e in (-3, -2):
+            table, cons, q = tangent._process_chain(tangent.IdealSource(ideal), e)
+            assert (q, cons, max(table)) == (0, [], 4)
+    else:
+        table, cons, q = tangent._process_chain(tangent.IdealSource(ideal), -3)
+        assert (q, len(cons)) == (2, 2)
+        assert [table[d][0].nrows for d in sorted(table)] == [0, 0, 0, 2, 2, 2]
+
+
+def test_a_dead_chain_stops_before_the_relations_it_does_not_need():
+    # I2:10 is generated in degree 2 and its socle is in degree 2: the first
+    # block of its e = -2 chain has full column rank on the 53 parameters,
+    # which leave, and with no generator above degree 2 the chain stops
+    # before its relations out of degree 3, which no other chain reads
+    ctx = RingCtx(10)
+    i2 = family_I2(ctx, FP)
+    rep = tnt_check(Nesting([family_I1(ctx, FP, 2), i2]))
+    assert rep.tnt == TNT_CERTIFIED and rep.degrees == {-2: 0, -1: 10, 0: 122}
+    table, cons, q = tangent._process_chain(tangent.IdealSource(i2), -2)
+    assert (q, cons) == (0, []) and all(p.nrows == 0 for p, _, _ in table.values())
+    assert ("e_struct", 2) in i2._kept and ("e_struct", 3) not in i2._kept
+
+
+@pytest.mark.parametrize("fld", [QQ, FP], ids=["QQ", "F32003"])
 @pytest.mark.parametrize("build", [lambda c, f: family_I1(c, f, 2), lambda c, f: family_I1(c, f, 3),
                                    family_I2], ids=["I1:6,2", "I1:6,3", "I2:6"])
 def test_family_tangent_dimensions_match_the_syzygy_oracle(fld, build):
