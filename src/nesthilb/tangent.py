@@ -181,7 +181,19 @@ def _process_chain(src, e: int) -> tuple[dict, list[Mat], int]:
     The table maps d to (P, s_d, t_d): the rows of P are parameters, its
     columns vec(L_d).  A row of a constraint block is the residual of one
     relation, which must vanish, and its columns are the parameters
-    introduced up to its degree, the first ones of the q."""
+    introduced up to its degree, the first ones of the q.
+
+    Dead parameters leave the chain as it is built.  The block of degree d
+    involves only the parameters so far, so if the blocks up to it have
+    full column rank on them, every solution is zero on all of them: they
+    are dropped with their blocks, the earlier tables keep no rows, and the
+    later parameters are numbered from 0.  The rank is read mod one prime,
+    fld.p or a lift prime over QQ (``full_column_rank``); it is at most the
+    rational rank, so full mod p is full over both fields.  The chain's
+    last block is not tested: the kernel or rank that reads it decides.  A
+    chain with no parameters and no generator above degree d (``gen_top``)
+    has no solutions: it stops there, before its relations out of d
+    (``e_struct(d)``) are built."""
     fld, tgt = src.fld, src.tgt
     n = src.ctx.n
     table: dict[int, tuple[Mat, int, int]] = {}
