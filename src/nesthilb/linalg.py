@@ -31,11 +31,13 @@ Two backends share one matrix interface:
   makes its vectors independent, the rank is at most r_p, so it is r_p.
   Each side, the rows and their transpose, is lifted at each prime until a
   side whose reconstruction gets through fewer entries than the other's at
-  two primes in a row is dropped: its entries need more primes, and each
-  prime costs it an elimination.  The kernels mod p take the dense path,
-  never sparse rows, on which a constraint matrix a few percent nonzero
-  fills in.  No step guesses: where no kernel lifts and checks, the integer
-  forward pass decides.
+  two primes in a row is dropped, as the one likely to need more primes;
+  each prime costs a side an elimination.  The count is only a guess: a
+  leading run of zeros or small integers raises it whatever the size of
+  the entries after, and then the side kept may never lift.  The kernels
+  mod p take the dense path, never sparse rows, on which a constraint
+  matrix a few percent nonzero fills in.  No answer rests on a guess:
+  where no kernel lifts and checks, the integer forward pass decides.
 * GF(p) -- one storage rule, by density.  A matrix with at most 1/20 of
   its entries nonzero (``_SPARSE_RATIO``) is stored on sparse rows, dicts
   ``{col: int}`` with entries in [1, p), and ``dens`` None; a denser one as
@@ -70,8 +72,9 @@ Two backends share one matrix interface:
   the rank is the width.  ``full_column_rank`` is one such pass, mod the
   field's prime or a lift prime, for the tangent solves' pruning.  A tall
   matrix, stored on rows or as an array, is never written whole into one
-  array.  ``rank`` transposes when that gives fewer columns.  ``kernel_basis`` stacks further matrices under its own,
-  so the tangent solves hand it their constraint blocks as they are stored.
+  array.  ``rank`` transposes when that gives fewer columns.
+  ``kernel_basis`` stacks further matrices under its own, so the tangent
+  solves hand it their constraint blocks as they are stored.
 
 Each question is answered by one elimination of its matrix.  The sparse
 path has one body for both fields, ``_rref_rows``: rows wait in buckets by
@@ -82,9 +85,8 @@ r - r[c] * pivot mod p.  ``rref_with_transform`` takes any matrix and reads
 three answers off the reduced ``[self | identity]``: the reduced form, the
 transform T with T @ self equal to it, and the reduced basis of the left
 kernel, the right halves of the rows whose pivots lie in the identity.  The
-rational ``kernel_basis``, and the GF(p) one of a wide matrix on rows, read
-the reduced kernel basis off the rref of the matrix with its columns
-reversed (see its docstring).  The row bodies of the
+rational ``kernel_basis`` reads the reduced kernel basis off the rref of the
+matrix with its columns reversed (see its docstring).  The row bodies of the
 structural operations are shared by both fields; over GF(p) the ones that
 do arithmetic reduce mod p.  Products run on rows (``_sparse_mul``) over QQ,
 and over GF(p) when the left factor is stored on rows and its multiply-adds
@@ -576,14 +578,10 @@ class Mat:
 
         Over GF(p) the stacked rows are read in blocks by the forward passes
         of ``rank``, and the free columns alone are then solved by
-        back-substitution (``_kernel_p``).  That dense route would write the
-        kernel of a wide matrix on sparse rows as one array of more cells
-        than the matrix has, so such a matrix, with nothing below, takes the
-        route of QQ on its rows, one body for both fields.  There R' is the
-        rref of self with its columns reversed, with pivots P: column c of
-        R' is column n-1-c of self.  Its free column f gives the kernel
-        vector e_f - sum_i R'[i, f] e_{P[i]}, and R'[i, f] is zero unless
-        P[i] < f.
+        back-substitution (``_kernel_p``).  Over QQ, R' is the rref of self
+        with its columns reversed, with pivots P: column c of R' is column
+        n-1-c of self.  Its free column f gives the kernel vector e_f -
+        sum_i R'[i, f] e_{P[i]}, and R'[i, f] is zero unless P[i] < f.
         Turned back, column c to n-1-c, the vector leads at n-1-f and its
         other entries lie in columns n-1-P[i], right of its lead and no
         vector's lead, so the vectors sorted by n-1-f are already in reduced
@@ -591,7 +589,7 @@ class Mat:
         elimination.  Both fields give that basis.
         """
         fld, n = self.field, self.ncols
-        if fld.p is not None and (below or self._arr is not None or n <= self.nrows):
+        if fld.p is not None:
             ker = _kernel_p(_parts((self, *below)), n, fld.p)
             return Mat(fld, ker.shape[0], n, arr=ker)
         if below:
@@ -822,9 +820,11 @@ def _modular_rank(rows: list[dict[int, int]], ncols: int) -> int | None:
     columns, so its columns are independent and the rank over QQ is at most
     len(P), the rank mod p.  A side whose pivots change at a later prime is
     dropped, and so is a side whose reconstruction gets through fewer
-    entries than the other side's at two primes in a row: its entries need
-    more primes than the other's, and each prime costs it one elimination.
-    No answer depends on which side is kept."""
+    entries than the other side's at two primes in a row, as the one likely
+    to need more primes: each prime costs a side one elimination.  The
+    count can mislead, as a leading run of small entries raises it, and
+    the side kept may then never lift; no answer depends on which side is
+    kept."""
     full = min(len(rows), ncols)
     sides = [len(rows) < ncols, len(rows) >= ncols]  # left side first if it is narrower
     lifts: dict[bool, tuple[list[int], list[list[int]]]] = {}  # pivots, residues

@@ -31,10 +31,10 @@ degree's constraint block involves only the parameters introduced so far;
 once the blocks so far have full column rank on them, every solution is zero
 there, so they leave the chain with their blocks.  The rank is read mod one
 prime, which can only lower it, so full mod p is full over both fields.  A
-chain left with no parameters and no generator of its ideal above the
-current degree has no solutions and stops there.  The TNT verdict needs
-t(e) = 0 for every e <= -2, and those chains then die after a block or
-two, before the later products and relations are built.
+chain left with no parameters and no minimal generator of its carrier above
+the current degree (``gen_top``) has no solutions and stops there.  The TNT
+verdict needs t(e) = 0 for every e <= -2, and those chains then die after a
+block or two, before the later products and relations are built.
 
 Each Hom chain numbers its parameters from 0, so a chain solved for one
 nesting serves any other.  Over GF(p) a chain is kept with its own
@@ -82,10 +82,6 @@ class ModuleSource:
     of its Hom chains.  It keeps its relations in ``_kept``, and solves
     each chain afresh."""
 
-    # the top degree of a minimal generator; a module lists none, so its
-    # chains are built to their top degree (``_process_chain``)
-    gen_top: int | None = None
-
     def __init__(self, mod: FiniteGradedModule, tgt: FiniteGradedModule):
         self.mod = mod
         self.ctx = mod.ctx
@@ -93,6 +89,11 @@ class ModuleSource:
         self.lo = mod.bottom
         self.tgt = tgt
         self._kept: dict = {}
+        # the top degree of a minimal generator: the last piece that the
+        # relations out of the degree below do not fill
+        self.gen_top = max((d + 1 for d in range(self.lo, mod.hi)
+                            if self.dim(d + 1) and self.dim(d + 1) > len(self.e_struct(d)[0])),
+                           default=self.lo)
 
     def dim(self, d: int) -> int:
         return self.mod.dim(d)
@@ -155,7 +156,7 @@ class IdealSource(ModuleSource):
         self.fld = ideal.fld
         self.lo = ideal.order
         self.tgt = quotient_module(ideal)
-        self.gen_top = max(ideal.generator_degrees(), default=-1)
+        self.gen_top = max(ideal.generator_degrees(), default=-1)  # from its generators
         self._kept = ideal._kept  # shared by every source over this ideal
 
     def dim(self, d: int) -> int:
@@ -206,7 +207,7 @@ def _process_chain(src, e: int) -> tuple[dict, list[Mat], int]:
     table[o] = (Mat.identity(fld, s0 * t0), s0, t0)
     for d in range(o, d_top):
         p, s_d, t_cur = table[d]
-        if not p.nrows and src.gen_top is not None and src.gen_top <= d:
+        if not p.nrows and src.gen_top <= d:
             return table, cons, 0  # no parameters, so no blocks, and none to come
         s_next, t_next = src.dim(d + 1), tgt.dim(d + 1 + e)
         rows_j, rows_d, c_mat, w_mat, k_mat = src.e_struct(d)
@@ -357,11 +358,7 @@ def graded_hom_dims(source: FiniteGradedModule, target: FiniteGradedModule
                     ) -> dict[int, int]:
     """All nonzero degrees of Hom_R(source, target), certified by windowing."""
     src = ModuleSource(source, target)
-    # the top degree of a generator: the last piece its relations do not fill
-    gen_top = max((d + 1 for d in range(src.lo, source.hi)
-                   if source.dim(d + 1) and source.dim(d + 1) > len(src.e_struct(d)[0])),
-                  default=src.lo)
-    e_min = target.bottom - gen_top
+    e_min = target.bottom - src.gen_top
     e_max = target.top - src.lo
     out = {}
     for e in range(e_min, e_max + 1):

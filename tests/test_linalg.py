@@ -942,6 +942,24 @@ def test_a_rational_rank_stops_lifting_the_side_that_falls_behind(case, monkeypa
     assert len(passes) <= most
 
 
+def test_a_rational_rank_is_exact_when_the_side_kept_never_lifts():
+    # A = [[I, F], [G, G F]], rank 4, so the right side reconstructs F and
+    # the left, narrower side G^T.  F is zero but for one entry of about 475
+    # bits, more than the lift primes reconstruct, and the right side gets
+    # through more entries at each prime; G's 30-bit entries would lift at
+    # the third prime.  The left side is dropped after two primes and the
+    # right one never lifts, so the integer forward pass decides: the side
+    # rule costs time here (14 passes, not 5), never the answer
+    r, m, n = 4, 6, 12
+    g = [[(2 ** 29 + 7919 * (k * r + i + 1) ** 3) for i in range(r)] for k in range(m - r)]
+    top = [[int(i == j) for j in range(r)] + [0] * (n - r) for i in range(r)]
+    top[r - 1][n - 1] = 3 ** 300 + 1
+    bottom = [[sum(gk[i] * top[i][c] for i in range(r)) for c in range(n)] for gk in g]
+    mat = Mat.from_rows(QQ, top + bottom, n)
+    assert linalg._modular_rank(mat.rows, n) is None
+    assert mat.rank() == len(linalg._rref_rows(mat._fresh_rows(), False, None)[1]) == r
+
+
 # ---------------------------- GF(p) kernels against the relations of the rows
 
 
@@ -1016,24 +1034,3 @@ def test_prime_field_kernel_matches_the_row_split(p, form, nrows, ncols, rank):
     stacked = Mat.zeros(fld, 0, ncols + 3).kernel_basis(*parts)
     assert stacked == wide.kernel_basis() == _left_kernel_of_transpose(wide)
 
-
-@pytest.mark.parametrize("p", [DEFAULT_PRIME, 94906249])
-def test_wide_sparse_prime_field_kernel_takes_the_row_elimination(p, monkeypatch):
-    # a wide GF(p) matrix on sparse rows, three nonzeros a row and 20 rows
-    # the sums of two others: its kernel, 1820 x 2000, comes from the
-    # reversed-column row elimination of the rational branch, not from the
-    # dense forward pass and free-column solve, and equals their basis
-    rng = np.random.default_rng(p)
-    fld, nrows, ncols = FieldSpec.prime(p), 200, 2000
-    entries = [(i, int(j), int(v)) for i in range(nrows - 20)
-               for j, v in zip(rng.choice(ncols, 3, replace=False), rng.integers(1, p, 3))]
-    for i, (a, b) in enumerate(rng.choice(nrows - 20, (20, 2)), nrows - 20):
-        entries += [(i, j, v) for k, j, v in entries if k in (a, b)]
-    m = Mat.from_entries(fld, nrows, ncols, entries)
-    assert m.rows is not None and m.rank() == nrows - 20
-    kernel_p, dense = linalg._kernel_p, []
-    monkeypatch.setattr(linalg, "_kernel_p", lambda *args: dense.append(1) or kernel_p(*args))
-    ker = m.kernel_basis()
-    assert not dense and ker.rows is not None and ker.nrows == ncols - (nrows - 20)
-    want = kernel_p([m.rows], ncols, p)
-    assert ker == Mat(fld, *want.shape, arr=want)

@@ -500,6 +500,25 @@ def test_pruned_chains_match_the_syzygy_oracle(fld, n, profile, seed, monkeypatc
         assert [table[d][0].nrows for d in sorted(table)] == [0, 0, 0, 2, 2, 2]
 
 
+@pytest.mark.parametrize("fld", [QQ, FP], ids=["QQ", "F32003"])
+def test_a_dead_module_chain_stops_past_its_last_generator(fld):
+    # m/I is generated in degree 1, read off its relations (gen_top).  Its
+    # e = -1 chain loses its parameters to its first block and stops at
+    # degree 2, short of its top degree 5, and the dims are those of chains
+    # built to their top degree
+    ctx = RingCtx(2)
+    ideal = generic_ideal_with_hilbert_function(ctx, fld, (1, 2, 2, 1, 1), seed=0)
+    mod, tgt = subquotient_module(power_of_max_ideal(ctx, fld, 1), ideal), quotient_module(ideal)
+    src = tangent.ModuleSource(mod, tgt)
+    assert src.gen_top == 1
+    table, cons, q = tangent._process_chain(src, -1)
+    assert (q, cons, max(table), tgt.top + 1) == (0, [], 2, 5)
+    dims = graded_hom_dims(mod, tgt)
+    src.gen_top = tgt.top + 2  # no chain stops before its top degree
+    assert dims == {e: k for e in range(-1, 4) if (k := tangent._solve([src], e))}
+    assert dims == {0: 2, 1: 3, 2: 1, 3: 2}
+
+
 def test_a_dead_chain_stops_before_the_relations_it_does_not_need():
     # I2:10 is generated in degree 2 and its socle is in degree 2: the first
     # block of its e = -2 chain has full column rank on the 53 parameters,
