@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import comb
 
 from .linalg import FieldSpec, Mat
 from .ring import HomogeneousElement, RingCtx, scatter_rows
@@ -285,7 +286,12 @@ def ideal_from_generators(ctx: RingCtx, fld: FieldSpec,
     """Span the ideal generated by homogeneous elements, degree by degree.
 
     With ``cutoff=None`` the construction extends until some graded piece
-    fills up (certifying m-primality) or ``DEFAULT_CEILING`` is hit.
+    fills up (certifying m-primality), until the Hilbert function h of R/I
+    is proven never to reach 0, or until ``DEFAULT_CEILING`` is hit.  The
+    proof is Gotzmann's persistence theorem: if I is generated in degrees
+    <= d and h(d+1) = h(d)^<d>, Macaulay's bound (``_macaulay_bound``),
+    then h(k+1) = h(k)^<k> for every k >= d, and a^<k> > 0 for a > 0.  The
+    ideal then stops at degree d + 1, a truncation.
     """
     by_deg: dict[int, list] = {}
     for g in gens:
@@ -312,15 +318,36 @@ def ideal_from_generators(ctx: RingCtx, fld: FieldSpec,
         bases.append(basis)
         pivots.append(piv)
         gen_pivots.append(_fresh_pivots(piv, step_piv))
-        if cutoff is None and basis.nrows == basis.ncols and d >= max_gen:
+        h = basis.ncols - basis.nrows  # h(d)
+        if cutoff is None and d >= max_gen and (
+                h == 0 or d > max(max_gen, 1) and h == _macaulay_bound(h_prev, d - 1)):
             break
+        h_prev = h
         d += 1
 
     ideal = HomogeneousIdeal(ctx, fld, bases, pivots, gen_pivots)
     if require_m_primary and not ideal.is_m_primary:
+        if d <= hard_top:  # stopped where h persists
+            raise NotMPrimary(f"ideal is not m-primary: h({d}) = h({d - 1})^<{d - 1}> past "
+                              "its generators, so h never reaches 0 (Gotzmann)")
         raise CutoffTooSmall(
             f"ideal not certified m-primary below degree {ideal.cutoff}")
     return ideal
+
+
+def _macaulay_bound(a: int, d: int) -> int:
+    """a^<d>, Macaulay's bound on h(d + 1) given h(d) = a, for d >= 1: with
+    a = C(k_d, d) + C(k_{d-1}, d-1) + ... + C(k_j, j), k_d > ... > k_j >=
+    j >= 1, it is C(k_d + 1, d + 1) + ... + C(k_j + 1, j + 1)."""
+    out = 0
+    while a:
+        k = d
+        while comb(k + 1, d) <= a:
+            k += 1
+        a -= comb(k, d)
+        out += comb(k + 1, d + 1)
+        d -= 1
+    return out
 
 
 def _rows_matrix(ctx: RingCtx, fld: FieldSpec,

@@ -63,18 +63,20 @@ Two backends share one matrix interface:
   the free ones F it solves Y = A^-1 F alone, a block of rows at a time
   through ``_matmul_mod``.  The rref is the identity on the pivots and Y on
   the free columns; the kernel basis is -Y over an identity block, and a
-  short elimination makes it canonical (``_kernel_p``).  ``rank``,
-  ``kernel_basis`` and the rational rank's lift take the forward pass in
-  blocks of rows (``_echelon_p``) that are written straight from the stored
-  rows or array (``_row_blocks``): each pass runs on the pivot rows found
-  so far and the next block, so the work array stays near ``_RANK_BLOCK``
-  cells or three times the square of the width, and the passes stop once
-  the rank is the width.  ``full_column_rank`` is one such pass, mod the
-  field's prime or a lift prime, for the tangent solves' pruning.  A tall
-  matrix, stored on rows or as an array, is never written whole into one
-  array.  ``rank`` transposes when that gives fewer columns.
-  ``kernel_basis`` stacks further matrices under its own, so the tangent
-  solves hand it their constraint blocks as they are stored.
+  short elimination makes it canonical (``_kernel_p``).  Every dense
+  elimination reads one matrix: ``rank``, ``rref``, ``kernel_basis`` and
+  the rational rank's lift take the forward pass in blocks of rows
+  (``_echelon_p``) that are written straight from the stored rows or array
+  (``_row_blocks``).  Each pass runs on the pivot rows found so far and the
+  next block, so the work array stays near ``_RANK_BLOCK`` cells or three
+  times the square of the width, and the passes stop once the rank is the
+  width.  ``full_column_rank`` is one such pass, mod the field's prime or a
+  lift prime, for the tangent solves' pruning.  A tall matrix, stored on
+  rows or as an array, is never written whole into one array.  ``rank``
+  transposes a matrix wider than tall, an array as a view.  A tangent
+  solve stacks its constraint blocks into one matrix with ``Mat.vstack``,
+  which returns a lone full-width part as it is, so that one block is
+  never copied.
 
 Each question is answered by one elimination of its matrix.  The sparse
 path has one body for both fields, ``_rref_rows``: rows wait in buckets by
@@ -257,8 +259,6 @@ class Mat:
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Mat":
-        if field.p is not None and not _sparse(n, n, n):
-            return Mat(field, n, n, arr=np.eye(n, dtype=np.int64))
         return Mat(field, n, n, rows=[{i: 1} for i in range(n)], dens=_ones(field, n))
 
     @staticmethod
@@ -299,6 +299,12 @@ class Mat:
 
     @staticmethod
     def vstack(field: FieldSpec, mats: Sequence["Mat"], ncols: int) -> "Mat":
+        """The rows of the mats stacked, each of at most ncols columns and
+        padded with zero columns on the right.  Parts with no rows are
+        dropped, and a lone part of ncols columns is returned as it is."""
+        mats = [m for m in mats if m.nrows]
+        if len(mats) == 1 and mats[0].ncols == ncols:
+            return mats[0]
         nrows = sum(m.nrows for m in mats)
         if field.is_rational or _sparse(sum(m._nnz() for m in mats), nrows, ncols):
             dens = [d for m in mats for d in m.dens] if field.is_rational else None
@@ -306,7 +312,7 @@ class Mat:
         out = np.zeros((nrows, ncols), np.int64)
         at = 0
         for m in mats:
-            m._fill(out[at:at + m.nrows])
+            m._fill(out[at:at + m.nrows, :m.ncols])
             at += m.nrows
         return Mat(field, nrows, ncols, arr=out)
 
@@ -346,30 +352,6 @@ class Mat:
         if self._arr is not None:
             return Mat(self.field, self.nrows, len(idx), arr=self._arr[:, list(idx)])
         return self.remap_cols(len(idx), [(c, k) for k, c in enumerate(idx)])
-
-    def split_cols(self, first: Sequence[int], second: Sequence[int]) -> tuple["Mat", "Mat"]:
-        """(take_cols(first), take_cols(second)) in one pass over the rows;
-        first and second together list every column once."""
-        if len(first) + len(second) != self.ncols:
-            raise LinalgError("split_cols needs a partition of the columns")
-        if self._arr is not None:
-            return self.take_cols(first), self.take_cols(second)
-        dest = [0] * self.ncols  # column j goes to k of first, or ~k of second
-        for k, j in enumerate(first):
-            dest[j] = k
-        for k, j in enumerate(second):
-            dest[j] = ~k
-        rows_a, rows_b = [], []
-        for r in self.rows:  # a loop, not a comprehension: most rows are short
-            ra, rb = {}, {}
-            for j, v in r.items():
-                if (k := dest[j]) >= 0:
-                    ra[k] = v
-                else:
-                    rb[~k] = v
-            rows_a.append(ra)
-            rows_b.append(rb)
-        return self._with_rows(len(first), rows_a), self._with_rows(len(second), rows_b)
 
     def _with_rows(self, ncols: int, rows: list[dict[int, int]]) -> "Mat":
         """A matrix of these rows, each taken over this matrix's denominator of
@@ -542,24 +524,20 @@ class Mat:
         m, n = self.nrows, self.ncols
         aug, piv = Mat.hstack(self.field, [self, Mat.identity(self.field, m)]).rref()
         rank = sum(c < n for c in piv)
-        red, right = aug.split_cols(range(n), range(n, n + m))
+        red, right = aug.take_cols(range(n)), aug.take_cols(range(n, n + m))
         return (red.take_rows(range(rank)), piv[:rank], right.take_rows(range(rank)),
                 right.take_rows(range(rank, m)))
 
     def rank(self) -> int:
         # over GF(p) blocked forward passes, with the shorter side as columns
         p = self.field.p
-        if self._arr is not None:
-            a = self._arr.T if self.ncols > self.nrows else self._arr
-            return len(_echelon_p([a], a.shape[1], p)[1])
-        rows = [r for r in self.rows if r]  # zero rows add nothing
         if p is not None:
-            n = self.ncols
-            if n > len(rows):
-                rows, n = _transpose_rows(rows, n), len(rows)
-            return len(_echelon_p([rows], n, p)[1])
+            a, n = (self.rows if self._arr is None else self._arr), self.ncols
+            if n > self.nrows:  # a transposed array is a view
+                a, n = (_transpose_rows(a, n) if self._arr is None else a.T), self.nrows
+            return len(_echelon_p(a, n, p)[1])
         # scaling a row keeps its rank: the numerators stand for the rows
-        rank = _modular_rank(rows, self.ncols)
+        rank = _modular_rank([r for r in self.rows if r], self.ncols)  # zero rows add nothing
         if rank is None:
             rank = len(_rref_rows(self._fresh_rows(), False, None)[1])
         return rank
@@ -571,13 +549,11 @@ class Mat:
         rows = map(_primitive, self.rows) if self.field.is_rational else self.rows
         return [dict(r) for r in rows]
 
-    def kernel_basis(self, *below: "Mat") -> "Mat":
-        """Rows = reduced-echelon basis of the right kernel {v : self @ v = 0},
-        with the rows of the matrices ``below`` (each of at most self.ncols
-        columns, padded with zero columns on the right) stacked under self.
+    def kernel_basis(self) -> "Mat":
+        """Rows = reduced-echelon basis of the right kernel {v : self @ v = 0}.
 
-        Over GF(p) the stacked rows are read in blocks by the forward passes
-        of ``rank``, and the free columns alone are then solved by
+        Over GF(p) the rows are read in blocks by the forward passes of
+        ``rank``, and the free columns alone are then solved by
         back-substitution (``_kernel_p``).  Over QQ, R' is the rref of self
         with its columns reversed, with pivots P: column c of R' is column
         n-1-c of self.  Its free column f gives the kernel vector e_f -
@@ -590,10 +566,8 @@ class Mat:
         """
         fld, n = self.field, self.ncols
         if fld.p is not None:
-            ker = _kernel_p(_parts((self, *below)), n, fld.p)
+            ker = _kernel_p(self.rows if self._arr is None else self._arr, n, fld.p)
             return Mat(fld, ker.shape[0], n, arr=ker)
-        if below:
-            return Mat.vstack(fld, [self, *below], n).kernel_basis()
         red, piv = self.take_cols(range(n - 1, -1, -1)).rref()
         free = _non_pivots(n, piv)
         turned = lambda cols: [(k, n - 1 - c) for k, c in enumerate(cols)]  # columns turned back
@@ -602,20 +576,14 @@ class Mat:
         return ker.take_rows(range(ker.nrows - 1, -1, -1))
 
 
-def full_column_rank(mats: Sequence[Mat], ncols: int) -> bool:
-    """Whether the rows of the mats stacked, each of at most ncols columns
-    and padded with zero columns on the right, have rank ncols mod one
-    prime: the field's, or the first lift prime over QQ, where the rows are
-    the numerators.  One forward pass (``_echelon_p``), which stops once the
-    rank is ncols.  A rank mod p is at most the rank over QQ, so True holds
-    over both fields; False only means not full mod that prime."""
-    p = mats[0].field.p or _LIFT_PRIMES[0]
-    return len(_echelon_p(_parts(mats), ncols, p)[1]) == ncols
-
-
-def _parts(mats: Sequence[Mat]) -> list:
-    """The stored arrays or rows of the mats, as ``_row_blocks`` reads them."""
-    return [m._arr if m._arr is not None else m.rows for m in mats]
+def full_column_rank(m: Mat) -> bool:
+    """Whether m has rank m.ncols mod one prime: the field's, or the first
+    lift prime over QQ, where the rows are the numerators.  One forward pass
+    (``_echelon_p``), which stops once the rank is m.ncols.  A rank mod p is
+    at most the rank over QQ, so True holds over both fields; False only
+    means not full mod that prime."""
+    a = m.rows if m._arr is None else m._arr
+    return len(_echelon_p(a, m.ncols, m.field.p or _LIFT_PRIMES[0])[1]) == m.ncols
 
 
 def _ones(field: FieldSpec, n: int) -> list[int] | None:
@@ -837,7 +805,7 @@ def _modular_rank(rows: list[dict[int, int]], ncols: int) -> int | None:
             if left and cols is None:
                 cols = _transpose_rows(rows, ncols)
             side = cols if left else rows
-            u, piv = _echelon_p([side], len(rows) if left else ncols, p)
+            u, piv = _echelon_p(side, len(rows) if left else ncols, p)
             if len(piv) == full:
                 return full
             if modulus > 1 and lifts[left][0] != piv:
@@ -1030,46 +998,36 @@ def _forward_p(a: np.ndarray, p: int) -> list[int]:
     return pivots
 
 
-def _row_blocks(parts: Sequence, n: int, p: int) -> Iterable[np.ndarray]:
-    """The rows of the parts stacked mod p, as new int64 arrays of n columns
-    and up to max(2 n, _RANK_BLOCK / n) rows each.  A part is an array with
-    entries in [0, p) or a list of rows {col: v} of integers of any size, of
-    at most n columns, and a narrower one is padded with zero columns on the
-    right; zero rows of a list are left out.  No part is written whole into
-    one array: a block holds only its own rows."""
+def _row_blocks(a, n: int, p: int) -> Iterable[np.ndarray]:
+    """The rows of a mod p, as new int64 arrays of up to max(2 n,
+    _RANK_BLOCK / n) rows each.  a is an array of n columns with entries in
+    [0, p), or a list of rows {col: v} of integers of any size, of n
+    columns; zero rows of a list are left out.  a is never written whole
+    into one array: a block holds only its own rows."""
     step = max(2 * n, _RANK_BLOCK // max(n, 1))
-    parts = [[r for r in part if r] if isinstance(part, list) else part for part in parts]
-    left = sum(map(len, parts))
-    block, at = None, 0
-    for part in parts:
-        s = 0
-        while s < len(part):
-            if block is None:
-                block, at = np.zeros((min(step, left), n), np.int64), 0
-            take = min(len(block) - at, len(part) - s)
-            out = block[at:at + take]
-            if isinstance(part, list):
-                ii, jj, vals = _coords(part[s:s + take], p)
-                out[ii, jj] = vals
-            else:
-                out[:, :part.shape[1]] = part[s:s + take]
-            s, at, left = s + take, at + take, left - take
-            if at == len(block):
-                yield block
-                block = None
+    if isinstance(a, list):
+        a = [r for r in a if r]
+    for s in range(0, len(a), step):
+        if isinstance(a, list):
+            block = np.zeros((min(step, len(a) - s), n), np.int64)
+            ii, jj, vals = _coords(a[s:s + step], p)
+            block[ii, jj] = vals
+        else:
+            block = a[s:s + step].copy()
+        yield block
 
 
-def _echelon_p(parts: Sequence, n: int, p: int) -> tuple[np.ndarray, list[int]]:
-    """The forward passes of ``rank``, ``_kernel_p`` and ``_modular_rank``
-    over the rows of the parts, stacked in blocks by ``_row_blocks``.  Each
-    pass runs on the pivot rows found so far and the next block, so that the
-    work array stays within max(3 n^2, _RANK_BLOCK + n^2) cells whatever the
-    height: a matrix of up to 2 n rows is one block, and the pivot rows at
-    most a third of a later one.  The passes stop once the rank is n.
-    Returns the monic echelon rows of the row space and their pivot
-    columns."""
+def _echelon_p(a, n: int, p: int) -> tuple[np.ndarray, list[int]]:
+    """The forward passes of ``rank``, ``_kernel_p``, ``_rref_p`` and
+    ``_modular_rank`` over the rows of a, read in blocks by ``_row_blocks``.
+    Each pass runs on the pivot rows found so far and the next block, so
+    that the work array stays within max(3 n^2, _RANK_BLOCK + n^2) cells
+    whatever the height: a matrix of up to 2 n rows is one block, and the
+    pivot rows at most a third of a later one.  The passes stop once the
+    rank is n.  Returns the monic echelon rows of the row space and their
+    pivot columns."""
     basis, pivots = np.zeros((0, n), np.int64), []
-    for block in _row_blocks(parts, n, p):
+    for block in _row_blocks(a, n, p):
         work = np.concatenate([basis, block]) if len(basis) else block
         pivots = _forward_p(work, p)
         basis = work[:len(pivots)]
@@ -1083,9 +1041,10 @@ def _echelon_p(parts: Sequence, n: int, p: int) -> tuple[np.ndarray, list[int]]:
 _BACK_BLOCK = 64
 
 
-def _kernel_p(parts: Sequence, n: int, p: int) -> np.ndarray:
-    """The canonical kernel basis, an int64 array, of the rows of the parts
-    stacked, from their echelon rows U (``_echelon_p``).
+def _kernel_p(a, n: int, p: int) -> np.ndarray:
+    """The canonical kernel basis, an int64 array, of the rows of a (an
+    array or a list of rows, as ``_row_blocks`` reads them), from their
+    echelon rows U (``_echelon_p``).
 
     ``_free_solve`` gives a basis with an identity block on the free columns
     of U.  With at most as many free columns as pivots, as in the constraint
@@ -1095,10 +1054,10 @@ def _kernel_p(parts: Sequence, n: int, p: int) -> np.ndarray:
     pivot columns past each vector's leading 1, as in the rational
     ``kernel_basis``, so with the columns and the vectors reversed back it
     is the canonical basis itself.  The forward passes never run on the
-    stacked rows reversed: there the tangent constraint rows fill in, which
+    rows of a reversed: there the tangent constraint rows fill in, which
     made the forward pass of the I2:16 kernel at e = -1 nearly three times
     slower."""
-    u, piv = _echelon_p(parts, n, p)
+    u, piv = _echelon_p(a, n, p)
     wide = n - len(piv) > len(piv)
     if wide:
         u = np.ascontiguousarray(u[:, ::-1])
@@ -1134,18 +1093,17 @@ def _free_solve(u: np.ndarray, piv: list[int], p: int) -> tuple[list[int], np.nd
 
 
 def _rref_p(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """The reduced echelon rows of the array, without its zero rows, and
-    their pivots: the identity on the pivot columns and Y on the free ones."""
-    a = np.mod(arr, p)
-    piv = _forward_p(a, p)
-    r = len(piv)
-    u = a[:r]
+    """The reduced echelon rows of the array, entries in [0, p), without its
+    zero rows, and their pivots: the echelon rows of ``_echelon_p`` with the
+    identity on the pivot columns and Y (``_free_solve``) on the free ones."""
+    u, piv = _echelon_p(arr, arr.shape[1], p)
     free, y = _free_solve(u, piv, p)
     u[:, free] = y
     u[:, piv] = 0
-    u[np.arange(r), piv] = 1
-    # the rows past the rank are zero; a kept basis must not pin them
-    return (a if r == len(a) else u.copy()), piv
+    u[np.arange(len(piv)), piv] = 1
+    # the echelon rows are a view of the last pass's work array, whose rows
+    # past the rank are zero; a kept basis must not pin them
+    return (u.copy() if u.base is not None and len(u) < len(u.base) else u), piv
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

@@ -38,9 +38,9 @@ block or two, before the later products and relations are built.
 
 Each Hom chain numbers its parameters from 0, so a chain solved for one
 nesting serves any other.  Over GF(p) a chain is kept with its own
-solutions: a basis X of the kernel of its constraint rows
-(``_chain_solutions``, through ``Mat.kernel_basis``), and its constraint
-rows are then dropped.  A nesting is solved on its link rows alone, each
+solutions: a basis X of the kernel of its constraint rows, one matrix
+(``_chain_solutions``, through ``Mat.kernel_basis``), and those rows are
+then dropped.  A nesting is solved on its link rows alone, each
 link term multiplied by the X of its chain, on sum dim X columns
 (``_solve``); a single ideal's dimension is dim X.  Over QQ the chain keeps
 its constraint rows instead, X stands for the identity, and ``_solve``
@@ -140,7 +140,7 @@ class ModuleSource:
                                k_mat.take_rows(range(k_mat.nrows - 1, -1, -1)).take_cols(rev_s))
         return self._kept[key]
 
-    def chain(self, e: int) -> tuple[dict, Mat | None, list[Mat], int]:
+    def chain(self, e: int) -> tuple[dict, Mat | None, Mat, int]:
         """The degree-e Hom chain into tgt with its own solutions, solved
         by ``_chain_solutions``."""
         return _chain_solutions(self, e)
@@ -165,7 +165,7 @@ class IdealSource(ModuleSource):
     def act(self, j: int, d: int) -> Mat:
         return self.ideal.action(j, d)
 
-    def chain(self, e: int) -> tuple[dict, Mat | None, list[Mat], int]:
+    def chain(self, e: int) -> tuple[dict, Mat | None, Mat, int]:
         """Solved once per e, for every nesting that contains the ideal."""
         key = ("chain", e)
         if key not in self._kept:
@@ -176,19 +176,21 @@ class IdealSource(ModuleSource):
 # ------------------------------------------------------------ chain solving
 
 
-def _process_chain(src, e: int) -> tuple[dict, list[Mat], int]:
+def _process_chain(src, e: int) -> tuple[dict, Mat, int]:
     """Parametrise all blocks of one Hom chain into src.tgt; returns (table,
-    constraint blocks, q).  The chain's q parameters are numbered from 0.
+    constraint rows, q).  The chain's q parameters are numbered from 0.
     The table maps d to (P, s_d, t_d): the rows of P are parameters, its
-    columns vec(L_d).  A row of a constraint block is the residual of one
-    relation, which must vanish, and its columns are the parameters
-    introduced up to its degree, the first ones of the q.
+    columns vec(L_d).  The constraint rows are one matrix, grown by
+    ``Mat.vstack`` as each degree's block arrives.  A row is the residual
+    of one relation, which must vanish; a block's columns are the
+    parameters introduced up to its degree, the first ones of the q, and
+    ``Mat.vstack`` pads an earlier, narrower block with zero columns.
 
     Dead parameters leave the chain as it is built.  The block of degree d
-    involves only the parameters so far, so if the blocks up to it have
-    full column rank on them, every solution is zero on all of them: they
-    are dropped with their blocks, the earlier tables keep no rows, and the
-    later parameters are numbered from 0.  The rank is read mod one prime,
+    involves only the parameters so far, so if the rows up to it have full
+    column rank on them, every solution is zero on all of them: they leave,
+    the rows are emptied, the earlier tables keep no rows, and the later
+    parameters are numbered from 0.  The rank is read mod one prime,
     fld.p or a lift prime over QQ (``full_column_rank``); it is at most the
     rational rank, so full mod p is full over both fields.  The chain's
     last block is not tested: the kernel or rank that reads it decides.  A
@@ -198,7 +200,7 @@ def _process_chain(src, e: int) -> tuple[dict, list[Mat], int]:
     fld, tgt = src.fld, src.tgt
     n = src.ctx.n
     table: dict[int, tuple[Mat, int, int]] = {}
-    cons: list[Mat] = []
+    cons = Mat.zeros(fld, 0, 0)
     o = src.lo
     d_top = tgt.top - e
     if d_top < o:
@@ -219,18 +221,17 @@ def _process_chain(src, e: int) -> tuple[dict, list[Mat], int]:
             b = Mat.hstack(fld, [tgt.action(j, d + e) for j in range(n)])
             p_g = right_mul_vecrows(p, s_d, t_cur, b)
             first_col = lambda a: (a % s_d * n + a // s_d) * t_next
-            p_gj, p_gd = p_g.split_cols(
-                [first_col(a) + c for a in rows_j for c in range(t_next)],
-                [first_col(a) + c for a in rows_d for c in range(t_next)])
+            p_gj = p_g.take_cols([first_col(a) + c for a in rows_j for c in range(t_next)])
+            p_gd = p_g.take_cols([first_col(a) + c for a in rows_d for c in range(t_next)])
             del p_g
             if p_gd.ncols:  # the residuals G_D - C G_J, a row per relation
-                cons.append(p_gd.sub(left_mul_vecrows(p_gj, len(rows_j), t_next, c_mat))
-                            .transpose())
-            if p_gd.ncols and d + 1 < d_top and full_column_rank(cons, p.nrows):
+                block = p_gd.sub(left_mul_vecrows(p_gj, len(rows_j), t_next, c_mat)).transpose()
+                cons = Mat.vstack(fld, [cons, block], p.nrows)
+            if p_gd.ncols and d + 1 < d_top and full_column_rank(cons):
                 # every solution is zero on the parameters so far: they leave
                 for k, (pk, sk, tk) in table.items():
                     table[k] = (Mat.zeros(fld, 0, pk.ncols), sk, tk)
-                cons, old_part = [], Mat.zeros(fld, 0, vec_next)
+                cons, old_part = Mat.zeros(fld, 0, 0), Mat.zeros(fld, 0, vec_next)
             else:
                 old_part = left_mul_vecrows(p_gj, len(rows_j), t_next, w_mat)
         else:  # the old parameters carry zero, and their relations are zero
@@ -285,20 +286,24 @@ def _link_terms(ideals: list[HomogeneousIdeal], tables: list[dict], e: int):
             yield i, term_l, term_u
 
 
-def _chain_solutions(src, e: int) -> tuple[dict, Mat | None, list[Mat], int]:
-    """One Hom chain and its own solutions: (table, X, own constraint
-    blocks, k).  Over GF(p) the rows of X are the reduced basis of the
-    chain's solutions, the kernel of its constraint rows on its q
-    parameters, so no constraint block is left and k = dim X.  Over QQ X is
-    None, which stands for the identity, the blocks are left for the rank of
-    ``_solve``, and k = q: the rational kernel costs far more than that rank
-    until QQ kernels are lifted from mod p as QQ ranks are (ROADMAP, "One
-    rational lift for ranks and kernels")."""
+def _chain_solutions(src, e: int) -> tuple[dict, Mat | None, Mat, int]:
+    """One Hom chain and its own solutions: (table, X, own constraint rows,
+    k).  The chain's constraint rows are widened once to its q parameters.
+    Over GF(p) the rows of X are the reduced basis of the chain's
+    solutions, the kernel of those rows, so its own rows are left empty and
+    k = dim X.  Over QQ X is None, which stands for the identity, the rows
+    are left for the rank of ``_solve``, and k = q.  The rational kernel
+    costs far more than that rank, which lifts from mod p the narrower
+    kernel: the e = -1 rows of a generic (1,4,7,2) ideal (74 x 54, rank 32)
+    have a right kernel with entries of up to 1659 bits, which did not lift
+    within 60 primes, and a left one of at most 131 bits, lifted at the
+    tenth prime (``_modular_rank``)."""
     table, cons, q = _process_chain(src, e)
+    cons = Mat.vstack(src.fld, [cons], q)  # the rows on all q parameters
     if src.fld.is_rational:
         return table, None, cons, q
-    x = Mat.zeros(src.fld, 0, q).kernel_basis(*cons)
-    return table, x, [], x.nrows
+    x = cons.kernel_basis()
+    return table, x, Mat.zeros(src.fld, 0, x.nrows), x.nrows
 
 
 def _solve(chains: list[ModuleSource], e: int) -> int:
@@ -311,15 +316,17 @@ def _solve(chains: list[ModuleSource], e: int) -> int:
     come after those of chains 0..i-1.  What is left to impose is, over
     GF(p), the link rows alone: X_{i+1} term_l = X_i term_u for each link
     term, on sum k_i columns.  Over QQ it is also each chain's own
-    constraint rows, with X_i the identity.  The answer is sum k_i minus the
-    rank of those rows, and a single GF(p) chain needs no rank at all."""
+    constraint rows, one matrix per chain shifted to its columns, with X_i
+    the identity.  The answer is sum k_i minus the rank of those rows, and a
+    single GF(p) chain needs no rank at all."""
     fld = chains[0].fld
     solved = [src.chain(e) for src in chains]
     offsets, k = [], 0
     for *_, k_i in solved:
         offsets.append(k)
         k += k_i
-    blocks = [_shift_cols(b, off, k) for (_, _, own, _), off in zip(solved, offsets) for b in own]
+    blocks = [_shift_cols(own, off, k) for (_, _, own, _), off in zip(solved, offsets)
+              if own.nrows]
     if len(chains) > 1:
         xs = [x for _, x, _, _ in solved]
         links = _link_terms([src.ideal for src in chains], [t for t, *_ in solved], e)
@@ -329,7 +336,7 @@ def _solve(chains: list[ModuleSource], e: int) -> int:
                 blocks.append(_shift_cols(low.transpose(), offsets[i + 1], k)
                               .sub(_shift_cols(up.transpose(), offsets[i], k)))
     del solved  # an uncached chain is freed here; the ideals keep theirs
-    cons = Mat.vstack(fld, blocks, k) if blocks else Mat.zeros(fld, 0, k)
+    cons = Mat.vstack(fld, blocks, k)
     del blocks  # no shifted block stays alive through the rank, the peak
     return k - cons.rank() if cons.nrows else k
 

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nesthilb.ideals import (CutoffTooSmall,
-                             InfeasibleHilbertFunction, Nesting, NotMPrimary,
+                             InfeasibleHilbertFunction,
+                             _macaulay_bound, Nesting, NotMPrimary,
                              NotNested, family_8points, family_delta,
                              family_delta_generators, family_I1, family_I2,
                              family_j_generators, family_twisted_cubic_cone,
@@ -11,7 +12,7 @@ from nesthilb.ideals import (CutoffTooSmall,
                              quotient_module, subquotient_module, zero_ideal)
 from nesthilb.linalg import FieldSpec, QQ
 from nesthilb.parsing import parse_polynomial
-from nesthilb.ring import RingCtx, scatter_rows
+from nesthilb.ring import HomogeneousElement, RingCtx, scatter_rows
 from nesthilb.verify import sharpness_ideal
 
 from mat_lists import to_lists
@@ -283,3 +284,77 @@ def test_zero_ideal_subquotient_window():
     mod = subquotient_module(m2, zero_ideal(ctx, QQ, cutoff=4), hi=4)
     assert mod.dims == [6, 10, 15]
     assert mod.check_commuting()
+
+
+# ----------------------------------------- non-m-primary ideals stop early
+
+
+@pytest.mark.parametrize("a, d, want", [
+    (0, 3, 0), (1, 1, 1), (1, 5, 1),
+    (3, 1, 6),     # 3 = C(3,1) -> C(4,2)
+    (2, 2, 2),     # 2 = C(2,2) + C(1,1) -> C(3,3) + C(2,2)
+    (4, 2, 5),     # 4 = C(3,2) + C(1,1) -> C(4,3) + C(2,2)
+    (7, 2, 11),    # 7 = C(4,2) + C(1,1) -> C(5,3) + C(2,2)
+    (10, 2, 20),   # all of R_2 in four variables -> all of R_3
+    (13, 2, 26),   # 13 = C(5,2) + C(3,1) -> C(6,3) + C(4,2)
+    (5, 3, 6),     # 5 = C(4,3) + C(2,2) -> C(5,4) + C(3,3)
+    (10, 3, 15),   # 10 = C(5,3) -> C(6,4)
+])
+def test_macaulay_bound_matches_hand_computed_values(a, d, want):
+    assert _macaulay_bound(a, d) == want
+
+
+def test_a_non_m_primary_family_is_refused_at_once():
+    # over F_2 the quadrics of I2:8 leave h = (1, 8, 2, 1, 1, ...): h(4) =
+    # h(3)^<3> = 1 past the generators, so by Gotzmann's persistence h never
+    # reaches 0, and the build stops at degree 4 instead of the ceiling
+    ctx, f2 = RingCtx(8), FieldSpec.prime(2)
+    with pytest.raises(NotMPrimary, match="Gotzmann"):
+        family_I2(ctx, f2)
+    gens = family_delta_generators(ctx, f2) + family_j_generators(ctx, f2)
+    ideal = ideal_from_generators(ctx, f2, gens)
+    assert ideal.cutoff == 4 and str(ideal.hilbert_function()) == "(1,8,2,1,1,...)"
+
+
+@pytest.mark.parametrize("fld", [QQ, FP], ids=["QQ", "F32003"])
+def test_m_primary_fixtures_are_unchanged_by_the_persistence_stop(fld):
+    for n in range(4, 9):
+        ctx = RingCtx(n)
+        assert tuple(family_I2(ctx, fld).hilbert_function().entries) == (1, n, 2)
+        for s in range(2, n - 1):
+            assert tuple(family_I1(ctx, fld, s).hilbert_function().entries) == (1, s)
+    assert tuple(family_8points(RingCtx(4), fld).hilbert_function().entries) == (1, 4, 3)
+    assert tuple(sharpness_ideal(fld)[2].hilbert_function().entries) == (1, 4, 10, 3, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([2, 3]), st.sampled_from([QQ, FieldSpec.prime(2), FP]))
+def test_the_persistence_stop_agrees_with_a_longer_build(data, n, fld):
+    # random binomial generators of degree 1..3: a build that stops where
+    # h persists is a prefix of one built 4 degrees further, which is not
+    # m-primary and keeps h(k + 1) = h(k)^<k> on those degrees; an m-primary
+    # build is the same ideal as the longer one
+    ctx = RingCtx(n)
+
+    def monomial(d):
+        return tuple(data.draw(st.lists(st.integers(0, d), min_size=n, max_size=n)
+                               .filter(lambda e: sum(e) == d)))
+
+    gens = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        d = data.draw(st.integers(1, 3))
+        terms = {monomial(d): 1}
+        if data.draw(st.booleans()):
+            other = monomial(d)
+            terms[other] = terms.get(other, 0) + data.draw(st.integers(-2, 2))
+        gens.append(HomogeneousElement.from_exponents(ctx, fld, d, terms))
+    built = ideal_from_generators(ctx, fld, gens)
+    longer = ideal_from_generators(ctx, fld, gens, cutoff=built.cutoff + 4)
+    assert built.is_m_primary == longer.is_m_primary
+    if built.is_m_primary:
+        assert built.hilbert_function() == longer.hilbert_function()
+        return
+    h, hl = built.hilbert_function(), longer.hilbert_function()
+    assert hl.entries[:len(h)] == h.entries and hl(longer.cutoff) > 0
+    assert all(hl(k + 1) == _macaulay_bound(hl(k), k)
+               for k in range(built.cutoff - 1, longer.cutoff))

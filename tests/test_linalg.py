@@ -295,10 +295,15 @@ def test_rational_storage_matches_fraction_reference(data, s, t, t2, nt, q):
         for c, d in zip(cols_idx, dest):
             w[d] = r[c]
     check(m_lam.remap_cols(t + 1, list(zip(cols_idx, dest))), want, t + 1)
-    perm = data.draw(st.permutations(range(t)))
+    # stacking pads a narrower part with zero columns on the right, drops a
+    # part with no rows, and returns a lone full-width part as it is
     k = data.draw(st.integers(0, t))
-    for got, part in zip(m_lam.split_cols(perm[:k], perm[k:]), (perm[:k], perm[k:])):
-        check(got, [[r[j] for j in part] for r in full], len(part))
+    narrow = [r[:k] + [Fraction(0)] * (t - k) for r in full]
+    check(Mat.vstack(QQ, [m_lam.take_cols(range(k))], t), narrow, t)
+    check(Mat.vstack(QQ, [m_lam.take_cols(range(k)), Mat.zeros(QQ, 0, t), mat(other, t)], t),
+          narrow + [[Fraction(v) for v in o] for o in other], t)
+    if s:
+        assert Mat.vstack(QQ, [Mat.zeros(QQ, 0, t), m_lam], t) is m_lam
     check(Mat.hstack(QQ, [m_lam, mat(other, t)]),
           [r + [Fraction(v) for v in o] for r, o in zip(full, other)], 2 * t)
     check(Mat.vstack(QQ, [m_lam, mat(other, t)], t),
@@ -387,10 +392,16 @@ def test_prime_field_storage_matches_dense_reference(monkeypatch):
             for c in cols:
                 w[c + 1] = r[c]
         check(m_lam.remap_cols(t + 1, [(c, c + 1) for c in cols]), want, t + 1)
-        perm = data.draw(st.permutations(range(t)))
+        # stacking pads a narrower part with zero columns on the right, in
+        # both stored forms, drops a part with no rows, and returns a lone
+        # full-width part as it is
         k = data.draw(st.integers(0, t))
-        for got, part in zip(m_lam.split_cols(perm[:k], perm[k:]), (perm[:k], perm[k:])):
-            check(got, [[r[j] for j in part] for r in lam], len(part))
+        narrow = [r[:k] + [0] * (t - k) for r in lam]
+        check(Mat.vstack(fld, [m_lam.take_cols(range(k))], t), narrow, t)
+        check(Mat.vstack(fld, [m_lam.take_cols(range(k)), Mat.zeros(fld, 0, t), m_other], t),
+              narrow + other, t)
+        if s:
+            assert Mat.vstack(fld, [Mat.zeros(fld, 0, t), m_lam], t) is m_lam
         # vec-row products on q parameter rows of width s * t
         params, m_p = draw(q, s * t)
         blocks = [[row[a * t:(a + 1) * t] for a in range(s)] for row in params]
@@ -904,8 +915,7 @@ def test_captured_constraint_matrices_match_python_reference(e, shape, rank, mon
         captured = _captured_ranks(Nesting([ideal]), e, monkeypatch)
     else:
         captured, full = [], tangent.full_column_rank
-        monkeypatch.setattr(tangent, "full_column_rank", lambda mats, ncols: captured.append(
-            Mat.vstack(QQ, mats, ncols)) or full(mats, ncols))
+        monkeypatch.setattr(tangent, "full_column_rank", lambda m: captured.append(m) or full(m))
         assert nested_tangent_graded(Nesting([ideal]), e) == 0
         monkeypatch.undo()
     (cons,) = captured
@@ -1027,10 +1037,11 @@ def test_prime_field_kernel_matches_the_row_split(p, form, nrows, ncols, rank):
     if form == "dense" and nrows * ncols <= 6000:
         assert to_lists(ker) == _ref_kernel(rows, ncols, p)
     _assert_stored_form(ker)
-    # the same rows stacked in parts, the first narrower than the rest:
-    # padded with zero columns, as the tangent solves stack their blocks
+    # the same rows stacked from parts, the first narrower than the rest:
+    # padded with zero columns, as a chain stacks its constraint blocks
     wide = Mat.hstack(fld, [m, Mat.zeros(fld, nrows, 3)])
     parts = [m.take_rows(range(nrows // 3)), wide.take_rows(range(nrows // 3, nrows))]
-    stacked = Mat.zeros(fld, 0, ncols + 3).kernel_basis(*parts)
-    assert stacked == wide.kernel_basis() == _left_kernel_of_transpose(wide)
+    stacked = Mat.vstack(fld, parts, ncols + 3)
+    assert stacked == wide
+    assert stacked.kernel_basis() == _left_kernel_of_transpose(wide)
 
